@@ -369,7 +369,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _set_thread_env(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors (1) and --help (0) return their code
+        return exc.code if isinstance(exc.code, int) else 1
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:

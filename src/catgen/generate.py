@@ -8,6 +8,14 @@ structure the mask enforced during training. Every group runs on its own
 seeded random stream derived from (seed, group index), which keeps earlier
 groups bit-identical when later groups are re-seeded.
 
+The context rows of a group (the conditions of all requested genes, then the
+finalized latents of earlier groups) carry no time embedding and attend only
+to condition and clean rows, so their keys and values in every block are
+fixed for the whole group. They are computed once per group
+(``model.context_cache``), and each reverse step feeds the transformer the
+current group's noisy rows only. The noisy rows of finished groups are
+invisible to later groups under the mask, so they are no longer fed at all.
+
 Fractional sampling strategies denoise along their anchored timestep grid
 using a respaced schedule whose cumulative signal levels match the base
 schedule at every grid point.
@@ -18,12 +26,20 @@ from __future__ import annotations
 import numpy as np
 
 from .arplan import ARStepPlan
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .data import ST, ExpressionMatrix
 from .diffusion import DiffusionSchedule, Full, Strategy, respaced_chain
 from .errors import ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
 from .mask import build_mask
-from .model import CatParameters, TokenBatch, cat_forward, decode, encode
+from .model import (
+    CatParameters,
+    ContextCache,
+    TokenBatch,
+    cat_forward,
+    context_cache,
+    decode,
+    encode,
+)
 
 
 def reverse_step(
@@ -113,17 +129,20 @@ def generate_genes(
     grid, chain = respaced_chain(schedule, strategy)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
 
+    c = len(target_genes)
     finalized: list[np.ndarray] = []
     for g, size in enumerate(sizes):
         rng = _group_rng(seed, g, group_seeds)
         lo, hi = int(bounds[g]), int(bounds[g + 1])
-        plan = ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))
-        mask = build_mask(hi, len(target_genes), plan)
-        clean = np.vstack(finalized) if finalized else np.zeros((0, d))
+        ctx = c + lo
+        blocked = build_mask(hi, c, ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))).blocked
+        context = context_cache(np.vstack([cond, *finalized]), blocked[:ctx, :ctx], frozen)
+        plan = ARStepPlan(S=size, sz=(size,))
+        mask = build_mask(size, 0, plan)
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
             eps_hat = _predict_noise(
-                x, int(grid[k - 1]), schedule, cond, clean, plan, mask, frozen, lo, hi
+                x, int(grid[k - 1]), schedule, cond[lo:hi], context, plan, mask, frozen
             )
             x = reverse_step(x, k, eps_hat, chain, rng)
         finalized.append(x)
@@ -141,36 +160,28 @@ def _predict_noise(
     t_raw: int,
     schedule: DiffusionSchedule,
     cond: np.ndarray,
-    clean: np.ndarray,
+    context: ContextCache,
     plan: ARStepPlan,
     mask,
     frozen: CatParameters,
-    lo: int,
-    hi: int,
 ) -> np.ndarray:
-    """CAT noise prediction for the current group's noisy latents.
+    """CAT noise prediction for the current group's noisy latents ``x``.
 
-    The sequence replays the training layout for the accumulated plan: noisy
-    slots of already-finalized groups are fed as zeros, which the mask makes
-    invisible to the current group, and only the current group's rows of the
-    prediction are consumed.
+    Only the group's own rows are fed: x_t plus each gene's condition latent,
+    under a one-step ``plan`` whose ``mask`` lets them attend to each other.
+    They also attend to every row of ``context``, the cached keys and values
+    of the condition and clean rows. Those rows carry no time embedding and
+    attend only to each other, so the cache is exact for every step of the
+    group; the noisy rows of finished groups, which the mask hides from this
+    group, are not fed.
     """
-    S = plan.S
-    c = cond.shape[0]
-    v = S - plan.sz[-1]
-    raw = np.zeros((S, frozen.cfg.d))
-    raw[lo:hi] = x
-    noisy_in = raw + cond[:hi]  # condition injection ties noisy slots to their genes
-    tokens = concat([Tensor(cond), Tensor(clean[:v]), Tensor(noisy_in)], axis=0)
-    kinds = np.concatenate([np.zeros(c), np.ones(v), np.full(S, 2)]).astype(np.int8)
-    timesteps = np.full(S, t_raw, dtype=np.int64)
+    size = plan.S
     batch = TokenBatch(
-        tokens=tokens,
-        kinds=kinds,
+        tokens=Tensor(x + cond),  # condition injection ties noisy slots to their genes
         plan=plan,
-        timesteps=timesteps,
-        noisy=Tensor(raw),
-        alpha_bars=np.full(S, schedule.alpha_bars[t_raw - 1]),
+        timesteps=np.full(size, t_raw, dtype=np.int64),
+        noisy=Tensor(x),
+        alpha_bars=np.full(size, schedule.alpha_bars[t_raw - 1]),
+        context=context,
     )
-    pred = cat_forward(batch, mask, frozen)
-    return pred.data[lo:hi]
+    return cat_forward(batch, mask, frozen).data

@@ -8,6 +8,11 @@ tokens carry no positional identity, and the output rows are the predicted
 noise for the noisy tokens. All parameters are autodiff leaves, so gradients
 come straight off the recorded forward computation.
 
+One block loop serves three callers: training runs every row under the full
+mask; ``context_cache`` runs the context rows [condition | clean] alone and
+keeps each block's keys and values; and a cached step runs only noisy rows,
+with those keys and values ahead of its own (KV caching, Pope et al. 2022).
+
 Checkpoints are a small binary container: magic ``CATG``, a format version,
 then length-prefixed named float64 tensors (little-endian); model shape and
 training metadata travel as scalar ``meta.*`` tensors in the same container.
@@ -224,7 +229,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return centered * ((var + _LN_EPS) ** -0.5) * gain + bias
 
 
-def _attention(x: Tensor, blocked: np.ndarray, block: str, params: CatParameters) -> Tensor:
+class ContextCache(NamedTuple):
+    """Each block's attention keys and values, (heads, ctx, dh), for fixed context rows."""
+
+    keys: tuple[Tensor, ...]
+    values: tuple[Tensor, ...]
+
+    @property
+    def rows(self) -> int:
+        return self.keys[0].shape[1]
+
+
+def _attention(
+    x: Tensor,
+    blocked: np.ndarray,
+    block: str,
+    params: CatParameters,
+    prefix: tuple[Tensor, Tensor] | None = None,
+) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    """Masked multi-head attention of the rows of ``x``.
+
+    ``prefix`` holds cached keys and values of context rows that come before
+    ``x``; they are placed ahead of x's own, and ``blocked`` then has one
+    column per prefix row first. Returns the output and x's own keys and
+    values, split by head.
+    """
     heads, d = params.cfg.heads, params.cfg.d
     dh = d // heads
     length = x.shape[0]
@@ -233,43 +262,90 @@ def _attention(x: Tensor, blocked: np.ndarray, block: str, params: CatParameters
         return t.reshape(length, heads, dh).transpose(1, 0, 2)
 
     q = split(x @ params[f"{block}.wq"] + params[f"{block}.bq"])
-    k = split(x @ params[f"{block}.wk"] + params[f"{block}.bk"])
-    v = split(x @ params[f"{block}.wv"] + params[f"{block}.bv"])
+    own = (
+        split(x @ params[f"{block}.wk"] + params[f"{block}.bk"]),
+        split(x @ params[f"{block}.wv"] + params[f"{block}.bv"]),
+    )
+    k, v = own
+    if prefix is not None:  # cached context rows come first
+        k, v = concat([prefix[0], k], axis=1), concat([prefix[1], v], axis=1)
     logits = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
     weights = masked_softmax(logits, blocked)
     context = (weights @ v).transpose(1, 0, 2).reshape(length, d)
-    return context @ params[f"{block}.wo"] + params[f"{block}.bo"]
+    return context @ params[f"{block}.wo"] + params[f"{block}.bo"], own
+
+
+def _blocks(
+    x: Tensor, blocked: np.ndarray, params: CatParameters, cache: ContextCache | None = None
+) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    """The transformer blocks, shared by every forward pass.
+
+    With ``cache`` each block's attention also sees that block's cached
+    context keys and values. Returns the output rows and, per block, the keys
+    and values of the rows of ``x``.
+    """
+    own = []
+    for i in range(params.cfg.blocks):
+        b = f"blk{i}"
+        prefix = None if cache is None else (cache.keys[i], cache.values[i])
+        attended, kv = _attention(
+            layer_norm(x, params[f"{b}.ln1.g"], params[f"{b}.ln1.b"]), blocked, b, params, prefix
+        )
+        own.append(kv)
+        x = x + attended
+        h = layer_norm(x, params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
+        x = x + gelu(h @ params[f"{b}.ff.w1"] + params[f"{b}.ff.b1"]) @ params[f"{b}.ff.w2"] + params[f"{b}.ff.b2"]
+    return x, own
+
+
+def context_cache(tokens, blocked: np.ndarray, params: CatParameters) -> ContextCache:
+    """Every block's keys and values for the context rows [condition | clean].
+
+    Context rows carry no time embedding and, under the causal mask, attend
+    only to context rows, so their keys and values do not depend on any noisy
+    row or timestep: one cache serves every reverse step of an AR group.
+    ``blocked`` is the (ctx, ctx) corner of the group's attention mask.
+    """
+    tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
+    if tokens.shape[-1] != params.cfg.d or blocked.shape != (tokens.shape[0],) * 2:
+        raise ShapeMismatchError(
+            f"context of shape {tokens.shape} does not match its mask {blocked.shape}"
+        )
+    _, own = _blocks(tokens, blocked, params)
+    return ContextCache(keys=tuple(k for k, _ in own), values=tuple(v for _, v in own))
 
 
 @dataclass
 class TokenBatch:
     """Assembled token sequence: conditions, clean latents, then noisy latents.
 
-    ``tokens`` is the transformer input (noisy slots may carry extra
-    conditioning added in); ``noisy`` keeps the raw diffused latents x_t and
-    ``alpha_bars`` their cumulative signal levels, which the noise head needs
-    for its analytic skip connection.
+    The layout follows from the plan: ``v`` clean rows cover every AR step but
+    the last, ``S`` noisy rows cover all steps, and the ``c`` rows before them
+    are conditions. ``tokens`` is the transformer input (noisy slots may carry
+    extra conditioning added in); ``noisy`` keeps the raw diffused latents x_t
+    and ``alpha_bars`` their cumulative signal levels, which the noise head
+    needs for its analytic skip connection.
+
+    A cached step carries ``context``: the keys and values of context rows
+    that precede the sequence. Its tokens are then noisy rows only (a one-step
+    plan, c = v = 0), which attend to every cached row and to each other.
     """
 
     tokens: Tensor  # (seq, d), time embedding not yet applied
-    kinds: np.ndarray  # (seq,) 0 condition / 1 clean / 2 noisy
     plan: ARStepPlan
     timesteps: np.ndarray  # (S,) 1-based diffusion step per noisy token
     noisy: Tensor  # (S, d) raw x_t per noisy token
     alpha_bars: np.ndarray  # (S,) cumulative signal level at each token's timestep
+    context: ContextCache | None = None
 
     def __post_init__(self):
-        self.kinds = np.asarray(self.kinds, dtype=np.int8)
         self.timesteps = np.asarray(self.timesteps, dtype=np.int64)
         self.alpha_bars = np.asarray(self.alpha_bars, dtype=np.float64)
         s = self.plan.S
-        v = s - self.plan.sz[-1]
-        c = self.tokens.shape[0] - v - s
-        if c < 0 or self.kinds.shape != (self.tokens.shape[0],):
+        if self.c < 0:
             raise ShapeMismatchError("token batch layout does not match the plan")
-        expected = np.concatenate([np.zeros(c), np.ones(v), np.full(s, 2)]).astype(np.int8)
-        if not np.array_equal(self.kinds, expected):
-            raise ShapeMismatchError("token kinds must be [condition | clean | noisy]")
+        if self.context is not None and self.c + self.v:
+            raise ShapeMismatchError("a cached step feeds noisy rows only")
         if self.timesteps.shape != (s,):
             raise ShapeMismatchError(f"need one timestep per noisy token, got {self.timesteps.shape}")
         if self.timesteps.min() < 1:
@@ -281,11 +357,11 @@ class TokenBatch:
 
     @property
     def c(self) -> int:
-        return int((self.kinds == 0).sum())
+        return self.tokens.shape[0] - self.v - self.plan.S
 
     @property
     def v(self) -> int:
-        return int((self.kinds == 1).sum())
+        return self.plan.S - self.plan.sz[-1]
 
 
 def cat_forward(batch: TokenBatch, mask: AttentionMask, params: CatParameters) -> Tensor:
@@ -297,7 +373,8 @@ def cat_forward(batch: TokenBatch, mask: AttentionMask, params: CatParameters) -
         eps_hat = sqrt(1 - abar_t) * x_t + sqrt(abar_t) * v_hat,
 
     so at high noise the reverse process contracts regardless of how far the
-    chain state drifts, while v_hat carries the conditional signal.
+    chain state drifts, while v_hat carries the conditional signal. With
+    ``batch.context`` the noisy rows also attend to the cached context rows.
     """
     seq, d = batch.tokens.shape
     if d != params.cfg.d:
@@ -312,11 +389,13 @@ def cat_forward(batch: TokenBatch, mask: AttentionMask, params: CatParameters) -
     x = batch.tokens + concat([Tensor(np.zeros((ctx, d))), temb], axis=0)
 
     blocked = mask.blocked
-    for i in range(params.cfg.blocks):
-        b = f"blk{i}"
-        x = x + _attention(layer_norm(x, params[f"{b}.ln1.g"], params[f"{b}.ln1.b"]), blocked, b, params)
-        h = layer_norm(x, params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
-        x = x + gelu(h @ params[f"{b}.ff.w1"] + params[f"{b}.ff.b1"]) @ params[f"{b}.ff.w2"] + params[f"{b}.ff.b2"]
+    if batch.context is not None:  # every noisy row sees every cached row
+        if len(batch.context.keys) != params.cfg.blocks:
+            raise ShapeMismatchError(
+                f"cache holds {len(batch.context.keys)} blocks, model has {params.cfg.blocks}"
+            )
+        blocked = np.hstack([np.zeros((seq, batch.context.rows), dtype=bool), blocked])
+    x, _ = _blocks(x, blocked, params, batch.context)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
     v_hat = (x @ params["out.w"] + params["out.b"]).rows(ctx, seq)

@@ -157,15 +157,12 @@ def assemble_training_batch(
     latent, which ties each noisy slot to the gene it must denoise. Clean
     tokens are the un-noised latents of every AR step but the last.
     """
-    S = plan.S
-    v = S - plan.sz[-1]
+    v = plan.S - plan.sz[-1]
     sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
     noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
     tokens = concat([z_sc, z_st.rows(0, v), noised + z_sc], axis=0)
-    kinds = np.concatenate([np.zeros(S), np.ones(v), np.full(S, 2)]).astype(np.int8)
     return TokenBatch(
         tokens=tokens,
-        kinds=kinds,
         plan=plan,
         timesteps=token_ts,
         noisy=noised,

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from catgen import generate as generate_module
+from catgen.arplan import ARStepPlan
+from catgen.autodiff import Tensor, concat
 from catgen.data import prepare_pair, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
     Fractional,
+    Full,
     linear_schedule,
+    respaced_chain,
 )
 from catgen.errors import ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
 from catgen.generate import (
@@ -16,7 +21,8 @@ from catgen.generate import (
     posterior_variance,
     reverse_step,
 )
-from catgen.model import ModelConfig
+from catgen.mask import build_mask
+from catgen.model import ModelConfig, TokenBatch, cat_forward, decode, encode
 from catgen.synth import chain_config, generate
 from catgen.train import TrainConfig, fit
 
@@ -138,3 +144,67 @@ def test_fractional_inference_runs(trained):
     out = generate_genes(pair.sc, genes, params, schedule, strategy=Fractional(5), seed=5)
     assert out.values.shape == (4, pair.st.n_obs)
     assert np.isfinite(out.values).all()
+
+
+def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed):
+    """Reference sampler without a context cache: every reverse step feeds the
+    whole [c | v | S] layout of the accumulated plan, with zeros in the noisy
+    slots of finished groups, and keeps only the current group's rows."""
+    frozen = params.detached()
+    d = frozen.cfg.d
+    scale = float(frozen["latent.scale"].data)
+    index = sc.gene_index()
+    cond = encode(sc.values[[index[g] for g in genes]], "sc", frozen).z.data / scale
+    sizes = equal_width_groups(len(genes), groups)
+    grid, chain = respaced_chain(schedule, strategy)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    finalized = []
+    for g, size in enumerate(sizes):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, g)))
+        lo, hi = int(bounds[g]), int(bounds[g + 1])
+        plan = ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))
+        mask = build_mask(hi, len(genes), plan)
+        clean = np.vstack(finalized) if finalized else np.zeros((0, d))
+        x = rng.standard_normal((size, d))
+        for k in range(len(grid), 0, -1):
+            t = int(grid[k - 1])
+            raw = np.zeros((hi, d))
+            raw[lo:hi] = x
+            batch = TokenBatch(
+                tokens=concat([Tensor(cond), Tensor(clean), Tensor(raw + cond[:hi])], axis=0),
+                plan=plan,
+                timesteps=np.full(hi, t),
+                noisy=Tensor(raw),
+                alpha_bars=np.full(hi, schedule.alpha_bars[t - 1]),
+            )
+            eps_hat = cat_forward(batch, mask, frozen).data[lo:hi]
+            x = reverse_step(x, k, eps_hat, chain, rng)
+        finalized.append(x)
+    return np.clip(decode(np.vstack(finalized) * scale, frozen).data, 0.0, None)
+
+
+@pytest.mark.parametrize("strategy", [Full(), Fractional(5)], ids=["full", "frac5"])
+@pytest.mark.parametrize("groups", [1, 2, 3])
+def test_cached_generation_matches_full_sequence(trained, groups, strategy):
+    pair, params, schedule = trained
+    genes = pair.genes[:7]
+    out = generate_genes(pair.sc, genes, params, schedule, groups=groups, strategy=strategy, seed=4)
+    ref = _full_sequence_generate(pair.sc, genes, params, schedule, groups, strategy, seed=4)
+    assert np.abs(out.values - ref).max() <= 1e-12
+
+
+def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
+    pair, params, schedule = trained
+    fed = []
+
+    def recording(batch, mask, frozen):
+        fed.append((batch.tokens.shape[0], batch.context.rows))
+        return cat_forward(batch, mask, frozen)
+
+    monkeypatch.setattr(generate_module, "cat_forward", recording)
+    genes = pair.genes[:7]
+    generate_genes(pair.sc, genes, params, schedule, groups=3, strategy=Fractional(5), seed=4)
+    steps = len(respaced_chain(schedule, Fractional(5))[0])
+    # groups of 3, 2 and 2 genes; the context is the 7 conditions plus finished groups
+    expected = [(3, 7)] * steps + [(2, 10)] * steps + [(2, 12)] * steps
+    assert fed == expected

@@ -14,6 +14,7 @@ from catgen.model import (
     ModelConfig,
     TokenBatch,
     cat_forward,
+    context_cache,
     decode,
     encode,
     init_params,
@@ -42,10 +43,8 @@ def make_batch(params, plan, c=None, rng=None, timesteps=None):
     noisy = rng.standard_normal((S, d))
     ts = np.full(S, 3) if timesteps is None else timesteps
     tokens = concat([Tensor(cond), Tensor(clean), Tensor(noisy)], axis=0)
-    kinds = np.concatenate([np.zeros(c), np.ones(v), np.full(S, 2)]).astype(np.int8)
     batch = TokenBatch(
         tokens=tokens,
-        kinds=kinds,
         plan=plan,
         timesteps=ts,
         noisy=Tensor(noisy),
@@ -152,7 +151,6 @@ def test_condition_permutation_invariance(small):
     tokens_p = concat([Tensor(cond[perm]), Tensor(clean), Tensor(noisy)], axis=0)
     batch_p = TokenBatch(
         tokens=tokens_p,
-        kinds=batch.kinds,
         plan=plan,
         timesteps=batch.timesteps,
         noisy=Tensor(noisy),
@@ -192,7 +190,6 @@ def test_mask_causality_bitwise(small):
         tokens2 = concat([Tensor(cond), Tensor(clean2), Tensor(noisy2)], axis=0)
         batch2 = TokenBatch(
             tokens=tokens2,
-            kinds=batch.kinds,
             plan=plan,
             timesteps=batch.timesteps,
             noisy=Tensor(noisy2),
@@ -200,6 +197,64 @@ def test_mask_causality_bitwise(small):
         )
         out2 = cat_forward(batch2, mask, params).data
         assert np.array_equal(base[lo:hi], out2[lo:hi])
+
+
+def _random_plan(N, rng):
+    S = N + int(rng.integers(0, 6))
+    cuts = np.sort(rng.choice(np.arange(1, S), N - 1, replace=False))
+    return ARStepPlan(S=S, sz=tuple(int(n) for n in np.diff([0, *cuts, S])))
+
+
+def _cached_last_step(params, plan, cond, clean, noisy, mask, timesteps, alpha_bars):
+    """The last AR step's noisy rows run against a cache of the context rows."""
+    v = clean.shape[0]
+    ctx = cond.shape[0] + v
+    context = context_cache(np.vstack([cond, clean]), mask.blocked[:ctx, :ctx], params)
+    step = ARStepPlan(S=plan.S - v, sz=(plan.S - v,))
+    batch = TokenBatch(
+        tokens=Tensor(noisy[v:]),
+        plan=step,
+        timesteps=timesteps[v:],
+        noisy=Tensor(noisy[v:]),
+        alpha_bars=alpha_bars[v:],
+        context=context,
+    )
+    return cat_forward(batch, build_mask(step.S, 0, step), params).data
+
+
+def test_cached_step_matches_full_layout(small):
+    """A cached step reproduces the last AR step's rows of the full-layout forward."""
+    cfg, params = small
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for N in range(1, 5):
+        for _ in range(6):
+            plan = _random_plan(N, rng)
+            S, v = plan.S, plan.S - plan.sz[-1]
+            c = int(rng.choice([k for k in range(1, S + 4) if k != S]))
+            ts = rng.integers(1, 50, S)
+            batch, (cond, clean, noisy) = make_batch(params, plan, c=c, rng=rng, timesteps=ts)
+            mask = build_mask(S, c, plan)
+            full = cat_forward(batch, mask, params).data[v:]
+            cached = _cached_last_step(params, plan, cond, clean, noisy, mask, ts, batch.alpha_bars)
+            assert cached.shape == full.shape
+            worst = max(worst, float(np.abs(cached - full).max()))
+    assert worst <= 1e-12
+
+
+def test_cached_step_feeds_noisy_rows_only(small):
+    cfg, params = small
+    plan = ARStepPlan(S=4, sz=(2, 2))
+    batch, (cond, clean, noisy) = make_batch(params, plan, c=3)
+    mask = build_mask(4, 3, plan)
+    context = context_cache(np.vstack([cond, clean]), mask.blocked[:5, :5], params)
+    with pytest.raises(ShapeMismatchError, match="noisy rows only"):
+        TokenBatch(
+            tokens=batch.tokens, plan=plan, timesteps=batch.timesteps,
+            noisy=batch.noisy, alpha_bars=batch.alpha_bars, context=context,
+        )
+    with pytest.raises(ShapeMismatchError):
+        context_cache(np.vstack([cond, clean]), mask.blocked, params)
 
 
 def test_all_finite_for_bounded_inputs(small):
@@ -211,7 +266,6 @@ def test_all_finite_for_bounded_inputs(small):
     tokens = concat([Tensor(1e3 * rng.standard_normal((3, d))), Tensor(np.zeros((0, d))), Tensor(big)], axis=0)
     batch = TokenBatch(
         tokens=tokens,
-        kinds=np.concatenate([np.zeros(3), np.full(3, 2)]).astype(np.int8),
         plan=plan,
         timesteps=np.full(3, 7),
         noisy=Tensor(big),
@@ -276,7 +330,7 @@ def test_gradient_of_blocked_attention_path_is_zero(small):
     noisy2[2:] += 1e3
     tokens2 = concat([Tensor(cond), Tensor(clean), Tensor(noisy2)], axis=0)
     batch2 = TokenBatch(
-        tokens=tokens2, kinds=batch.kinds, plan=plan, timesteps=batch.timesteps,
+        tokens=tokens2, plan=plan, timesteps=batch.timesteps,
         noisy=Tensor(noisy2), alpha_bars=batch.alpha_bars,
     )
     perturbed = (cat_forward(batch2, mask, params).rows(0, 2) ** 2.0).sum().item()
