@@ -322,7 +322,7 @@ def masked_softmax(logits: Tensor, blocked: np.ndarray) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU, composed from differentiable primitives."""
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x ** 3.0))
+    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))  # float pow is ~50x slower
     return 0.5 * x * (1.0 + inner.tanh())
 
 
