@@ -43,15 +43,6 @@ class ARStepPlan:
     def N(self) -> int:
         return len(self.sz)
 
-    def step_of(self, token: int) -> int:
-        """AR step index (0-based) owning gene-token position ``token``."""
-        if not 0 <= token < self.S:
-            raise ShapeMismatchError(f"token {token} outside [0, {self.S})")
-        for i in range(self.N):
-            if token < self.cs[i + 1]:
-                return i
-        raise AssertionError("unreachable")
-
     def to_text(self) -> str:
         return "sz=" + ",".join(str(s) for s in self.sz)
 
@@ -60,7 +51,10 @@ class ARStepPlan:
         body = text.strip()
         if body.startswith("sz="):
             body = body[3:]
-        sizes = tuple(int(tok) for tok in body.split(","))
+        try:
+            sizes = tuple(int(tok) for tok in body.split(","))
+        except ValueError as exc:
+            raise ShapeMismatchError(f"split sizes {text!r} are not integers") from exc
         return cls(S=sum(sizes), sz=sizes)
 
 

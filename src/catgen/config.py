@@ -14,6 +14,8 @@ registry.
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -30,30 +32,27 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# TrainConfig fields kept outside the ``train`` section; every other field but
+# ``seed`` (which comes from --seed) is ``train.<field>``
+_TRAIN_ALIASES = {
+    "ar_decay": "ar.decay",
+    "T": "diffusion.T",
+    "beta_start": "diffusion.beta_start",
+    "beta_end": "diffusion.beta_end",
+    "sampling": "diffusion.sampling",
+}
+_TRAIN_KEYS: dict[str, str] = {
+    _TRAIN_ALIASES.get(f.name, f"train.{f.name}"): f.name
+    for f in dataclasses.fields(TrainConfig)
+    if f.name != "seed"
+}
+_TRAIN_TYPES = typing.get_type_hints(TrainConfig)
+
 REGISTRY: dict[str, type] = {
     "model.d": int,
     "model.heads": int,
     "model.blocks": int,
-    "diffusion.T": int,
-    "diffusion.beta_start": float,
-    "diffusion.beta_end": float,
-    "diffusion.sampling": str,
-    "ar.decay": float,
-    "train.epochs": int,
-    "train.batch_genes": int,
-    "train.lr": float,
-    "train.recon_epochs": int,
-    "train.recon_lr": float,
-    "train.warmup_latent_noise": float,
-    "train.train_decoder": bool,
-    "train.variational_encoder": bool,
-    "train.val_every": int,
-    "train.val_sampling": str,
-    "train.val_ar_groups": int,
-    "train.gene_order": str,
-    "train.lambda_rec": float,
-    "train.lambda_kl": float,
-    "train.grad_clip": float,
+    **{key: _TRAIN_TYPES[name] for key, name in _TRAIN_KEYS.items()},
     "data.qc_min_genes_sc": int,
     "data.qc_min_genes_st": int,
     "data.normalize": bool,
@@ -68,7 +67,6 @@ REGISTRY: dict[str, type] = {
     "synth.chain_length": int,
     "synth.coeff": float,
     "synth.lag": int,
-    "generate.ar_groups": int,
 }
 
 
@@ -88,6 +86,7 @@ def load_config(path=None) -> dict[str, object]:
     if path is None:
         return values
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive: ``diffusion.T``
     read = parser.read(path, encoding="utf-8")
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -107,34 +106,8 @@ def apply_overrides(values: dict[str, object], overrides) -> dict[str, object]:
 
 
 def train_config(values: dict[str, object], seed: int) -> TrainConfig:
-    cfg = TrainConfig(seed=seed)
-    mapping = {
-        "train.epochs": "epochs",
-        "train.batch_genes": "batch_genes",
-        "train.lr": "lr",
-        "ar.decay": "ar_decay",
-        "train.train_decoder": "train_decoder",
-        "train.variational_encoder": "variational_encoder",
-        "diffusion.sampling": "sampling",
-        "diffusion.T": "T",
-        "diffusion.beta_start": "beta_start",
-        "diffusion.beta_end": "beta_end",
-        "train.recon_epochs": "recon_epochs",
-        "train.recon_lr": "recon_lr",
-        "train.warmup_latent_noise": "warmup_latent_noise",
-        "train.val_every": "val_every",
-        "train.val_sampling": "val_sampling",
-        "train.val_ar_groups": "val_ar_groups",
-        "train.gene_order": "gene_order",
-        "train.lambda_rec": "lambda_rec",
-        "train.lambda_kl": "lambda_kl",
-        "train.grad_clip": "grad_clip",
-    }
-    for key, attr in mapping.items():
-        if key in values:
-            setattr(cfg, attr, values[key])
-    cfg.__post_init__()
-    return cfg
+    chosen = {name: values[key] for key, name in _TRAIN_KEYS.items() if key in values}
+    return TrainConfig(seed=seed, **chosen)
 
 
 def model_config(values: dict[str, object], p: int, q: int, variational: bool) -> ModelConfig:

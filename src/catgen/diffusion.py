@@ -4,12 +4,10 @@ Timesteps are 1-based: t runs over [1, T]. The cumulative signal level
 alpha_bar[t-1] is the product of (1 - beta) up to step t, accumulated in
 extended precision so long schedules do not drift.
 
-Three sampling strategies pick which timesteps each autoregressive step
-trains on: ``full`` draws uniformly from [1, T]; ``fractional(n)`` draws from
-an evenly spaced grid of floor(T/n) timesteps anchored so the grid always
-contains T (the reverse process must be able to start at maximal noise);
-``adaptive`` keeps the uniform candidate set but allocates more draws to
-earlier AR steps, with weight decay**step.
+Two sampling strategies pick the timesteps training draws from and the chain
+generation walks: ``full`` uses every timestep in [1, T]; ``fractional(n)``
+uses an evenly spaced grid of floor(T/n) timesteps anchored so the grid always
+contains T (the reverse process must be able to start at maximal noise).
 """
 
 from __future__ import annotations
@@ -34,16 +32,11 @@ class Fractional:
     n: int
 
 
-@dataclass(frozen=True)
-class Adaptive:
-    decay: float = 0.8
-
-
-Strategy = Full | Fractional | Adaptive
+Strategy = Full | Fractional
 
 
 def parse_strategy(text: str) -> Strategy:
-    """Parse ``full``, ``frac:<n>`` or ``adaptive[:<decay>]``."""
+    """Parse ``full`` or ``frac:<n>``."""
     body = text.strip().lower()
     if body == "full":
         return Full()
@@ -52,22 +45,7 @@ def parse_strategy(text: str) -> Strategy:
             return Fractional(int(body.split(":", 1)[1]))
         except ValueError as exc:
             raise ConfigError(f"bad fractional sampling spec {text!r}") from exc
-    if body == "adaptive":
-        return Adaptive()
-    if body.startswith("adaptive:"):
-        try:
-            return Adaptive(float(body.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ConfigError(f"bad adaptive sampling spec {text!r}") from exc
     raise ConfigError(f"unknown sampling strategy {text!r}")
-
-
-def strategy_name(strategy: Strategy) -> str:
-    if isinstance(strategy, Full):
-        return "full"
-    if isinstance(strategy, Fractional):
-        return f"frac:{strategy.n}"
-    return f"adaptive:{strategy.decay:g}"
 
 
 # -- schedules --------------------------------------------------------------------
@@ -144,12 +122,6 @@ def noising_coefficients(
 # -- timestep sampling ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimestepPlan:
-    strategy: Strategy
-    per_ar_step_timesteps: tuple[np.ndarray, ...]
-
-
 def candidate_grid(schedule: DiffusionSchedule, strategy: Strategy) -> np.ndarray:
     """Ascending candidate timesteps a strategy may draw from."""
     T = schedule.T
@@ -164,33 +136,15 @@ def candidate_grid(schedule: DiffusionSchedule, strategy: Strategy) -> np.ndarra
 def sample_timesteps(
     schedule: DiffusionSchedule,
     strategy: Strategy,
-    n_ar_steps: int,
+    n_tokens: int,
     rng: np.random.Generator,
-    draws_per_step: int = 4,
-) -> TimestepPlan:
-    """Sample a multiset of training timesteps for each AR step.
+) -> np.ndarray:
+    """One training timestep per gene token, i.i.d. uniform on the strategy's grid.
 
-    full/fractional give every AR step the same number of draws from their
-    candidate grid; adaptive distributes the total budget across AR steps in
-    proportion to decay**step, so earlier steps are sampled denser. Any AR
-    step may come back empty under adaptive.
+    Every token trains at its own timestep whatever AR step it belongs to,
+    which is the per-example DDPM objective.
     """
-    if n_ar_steps < 1:
-        raise ShapeMismatchError("need at least one AR step")
-    if draws_per_step < 1:
-        raise ShapeMismatchError("need at least one draw per AR step")
-    grid = candidate_grid(schedule, strategy)
-    if isinstance(strategy, Adaptive):
-        weights = strategy.decay ** np.arange(n_ar_steps)
-        weights = weights / weights.sum()
-        counts = rng.multinomial(draws_per_step * n_ar_steps, weights)
-        per_step = tuple(np.sort(rng.choice(grid, size=int(k), replace=True)) for k in counts)
-    else:
-        per_step = tuple(
-            np.sort(rng.choice(grid, size=draws_per_step, replace=True))
-            for _ in range(n_ar_steps)
-        )
-    return TimestepPlan(strategy=strategy, per_ar_step_timesteps=per_step)
+    return rng.choice(candidate_grid(schedule, strategy), size=n_tokens)
 
 
 def respaced_chain(
@@ -201,7 +155,7 @@ def respaced_chain(
     Returns the ascending grid of raw timesteps the model is queried at and a
     derived schedule whose step k jumps between consecutive grid points, so
     the cumulative signal level at grid point k matches the base schedule
-    exactly. full and adaptive keep the base chain.
+    exactly. full keeps the base chain.
     """
     if not isinstance(strategy, Fractional):
         return np.arange(1, schedule.T + 1), schedule

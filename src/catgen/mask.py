@@ -6,9 +6,8 @@ tokens covering all steps. Entry 1 blocks attention, 0 allows it; condition
 columns are never blocked.
 
 ``build_mask`` writes the block partitions directly (visible-to-visible,
-sample-to-visible, sample-to-sample). ``mask_oracle`` re-derives every entry
-from four attendance rules and exists purely to cross-check build_mask; the
-two must agree entrywise.
+sample-to-visible, sample-to-sample). The tests re-derive every entry from
+four attendance rules and check that the result agrees entrywise.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import numpy as np
 
 from .arplan import ARStepPlan
 from .errors import ShapeMismatchError
-
-CONDITION, CLEAN, NOISY = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -53,16 +50,12 @@ class AttentionMask:
                 fh.write(" ".join(str(int(x)) for x in row) + "\n")
 
 
-def _check_args(s: int, c: int, plan: ARStepPlan) -> None:
+def build_mask(s: int, c: int, plan: ARStepPlan) -> AttentionMask:
+    """Block-write construction of the causal attention mask."""
     if plan.S != s:
         raise ShapeMismatchError(f"plan covers {plan.S} tokens but s={s}")
     if c < 0:
         raise ShapeMismatchError(f"condition length must be nonnegative, got {c}")
-
-
-def build_mask(s: int, c: int, plan: ARStepPlan) -> AttentionMask:
-    """Block-write construction of the causal attention mask."""
-    _check_args(s, c, plan)
     cs = plan.cs
     v = s - plan.sz[-1]
     ctx = c + v
@@ -84,42 +77,3 @@ def build_mask(s: int, c: int, plan: ARStepPlan) -> AttentionMask:
     m[ctx:, c:ctx] = stv
     m[ctx:, ctx:] = sts
     return AttentionMask(seq=seq, c=c, v=v, matrix=m)
-
-
-def token_roles(s: int, c: int, plan: ARStepPlan) -> list[tuple[int, int]]:
-    """(kind, ar_step) per sequence position; ar_step is -1 for conditions."""
-    v = s - plan.sz[-1]
-    roles = [(CONDITION, -1)] * c
-    roles += [(CLEAN, plan.step_of(j)) for j in range(v)]
-    roles += [(NOISY, plan.step_of(j)) for j in range(s)]
-    return roles
-
-
-def mask_oracle(s: int, c: int, plan: ARStepPlan) -> AttentionMask:
-    """Entrywise rule-based reference, independent of the block writes.
-
-    Attention from row r to column q is allowed iff one of:
-      1. q is a condition token;
-      2. r and q are clean tokens and q's AR step <= r's;
-      3. r is noisy, q is clean, and q's AR step < r's;
-      4. r and q are noisy tokens of the same AR step.
-    """
-    _check_args(s, c, plan)
-    roles = token_roles(s, c, plan)
-    seq = len(roles)
-    m = np.ones((seq, seq), dtype=np.uint8)
-    for r, (rkind, rstep) in enumerate(roles):
-        for q, (qkind, qstep) in enumerate(roles):
-            if qkind == CONDITION:
-                allowed = True
-            elif rkind == CLEAN and qkind == CLEAN:
-                allowed = qstep <= rstep
-            elif rkind == NOISY and qkind == CLEAN:
-                allowed = qstep < rstep
-            elif rkind == NOISY and qkind == NOISY:
-                allowed = qstep == rstep
-            else:
-                allowed = False
-            if allowed:
-                m[r, q] = 0
-    return AttentionMask(seq=seq, c=c, v=s - plan.sz[-1], matrix=m)

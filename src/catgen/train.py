@@ -1,8 +1,8 @@
 """Training: reconstruction warmup for the latent space, then the blended
 autoregressive-diffusion objective.
 
-Each diffusion step draws a fresh AR plan, noises every gene group at its own
-sampled timesteps, assembles [condition | clean | noisy] tokens under the
+Each diffusion step draws a fresh AR plan, noises every gene token at its own
+sampled timestep, assembles [condition | clean | noisy] tokens under the
 causal mask, and minimizes noise-prediction MSE (plus optional decoder
 reconstruction and KL terms). Clean tokens are never noised; conditions are
 never noised either. The warmup phase trains the two encoder heads and the
@@ -79,6 +79,9 @@ class TrainConfig:
             raise ShapeMismatchError(f"ar_decay must be in (0, 1], got {self.ar_decay}")
         if self.gene_order not in ("random", "granger"):
             raise ShapeMismatchError(f"unknown gene_order {self.gene_order!r}")
+        # syntax only: the range of frac:n is checked against T when drawing
+        parse_strategy(self.sampling)
+        parse_strategy(self.val_sampling)
 
 
 class Adam:
@@ -200,28 +203,6 @@ def training_loss(
     return loss
 
 
-def _assign_token_timesteps(
-    plan: ARStepPlan, per_step: tuple[np.ndarray, ...], schedule, rng
-) -> np.ndarray:
-    """One timestep per gene token, taken from its AR step's pool.
-
-    Each step's pool is shuffled once before its tokens take values from it,
-    so the tokens get a random subset of the pool, not its sorted head. The
-    pool holds i.i.d. draws from the strategy's candidate grid, so each
-    token's timestep is marginally uniform on that grid. Under ``adaptive`` a
-    pool shorter than its step is cycled, and an empty one is replaced by a
-    single uniform draw from [1, T].
-    """
-    token_ts = np.empty(plan.S, dtype=np.int64)
-    for i, size in enumerate(plan.sz):
-        pool = per_step[i]
-        if pool.size == 0:  # adaptive sampling may starve late AR steps
-            pool = rng.integers(1, schedule.T + 1, size=1)
-        pool = rng.permutation(pool)
-        token_ts[plan.cs[i] : plan.cs[i + 1]] = pool[np.arange(size) % pool.size]
-    return token_ts
-
-
 def train_step(
     st_batch: np.ndarray,
     sc_batch: np.ndarray,
@@ -234,10 +215,9 @@ def train_step(
 ) -> tuple[CatParameters, float]:
     """One optimizer update on a gene batch; returns (params, loss value).
 
-    Draw order per step is fixed (gene permutation, AR plan, timestep pools,
-    then per AR step a fallback draw for an empty pool and one shuffle,
-    diffusion noise, and last the encoder noise inside the forward pass) so a
-    given seed replays bit-identically.
+    Draw order per step is fixed (gene permutation, AR plan, one timestep per
+    token, diffusion noise, and last the encoder noise inside the forward
+    pass) so a given seed replays bit-identically.
     """
     st_batch = np.asarray(st_batch, dtype=np.float64)
     sc_batch = np.asarray(sc_batch, dtype=np.float64)
@@ -249,9 +229,7 @@ def train_step(
         st_batch, sc_batch = st_batch[perm], sc_batch[perm]
     enc_rng = rng if cfg.variational_encoder else None
     plan = generate_ar_steps(S, cfg.ar_decay, rng)
-    strategy = parse_strategy(cfg.sampling)
-    ts_plan = sample_timesteps(schedule, strategy, plan.N, rng, draws_per_step=max(plan.sz))
-    token_ts = _assign_token_timesteps(plan, ts_plan.per_ar_step_timesteps, schedule, rng)
+    token_ts = sample_timesteps(schedule, parse_strategy(cfg.sampling), S, rng)
     eps = rng.standard_normal((S, params.cfg.d))
 
     loss = training_loss(st_batch, sc_batch, plan, token_ts, eps, params, cfg, schedule, enc_rng)

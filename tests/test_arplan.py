@@ -86,13 +86,6 @@ def test_determinism_given_seed():
     assert plans[0] == plans[1] == plans[2]
 
 
-def test_step_of_maps_tokens_to_groups():
-    plan = ARStepPlan(S=7, sz=(2, 2, 3))
-    assert [plan.step_of(t) for t in range(7)] == [0, 0, 1, 1, 2, 2, 2]
-    with pytest.raises(ShapeMismatchError):
-        plan.step_of(7)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     S=st.integers(min_value=1, max_value=64),

@@ -1,9 +1,12 @@
 """The command-line entry point end to end: synth, train, generate, eval,
-exit codes and byte-identical reruns."""
+mask, exit codes and byte-identical reruns."""
 
+import numpy as np
 import pytest
 
-from catgen import cli
+from catgen import cli, train
+from catgen.arplan import ARStepPlan
+from catgen.mask import build_mask
 
 SEED = ["--seed", "3"]
 TINY_TRAIN = [
@@ -70,3 +73,49 @@ def test_unknown_flag_is_a_usage_error(trained):
     ]
     assert cli.main(argv + ["--no-such-flag"]) == 1
     assert not (trained / "x.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["diffusion.sampling=adaptive", "train.val_sampling=frac:x"])
+def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
+    calls = []
+    warmup_step = train._warmup_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return warmup_step(*args, **kwargs)
+
+    monkeypatch.setattr(train, "_warmup_step", counting)
+    out = trained / "bad_sampling.catg"
+    argv = [
+        "train", "--st", str(trained / "st.csv"), "--sc", str(trained / "sc.csv"),
+        "--out", str(out), *SEED, *TINY_TRAIN, "--set", spec,
+    ]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    assert calls == []
+
+
+def _mask(tmp_path, name, s="7", sz="2,2,3"):
+    csv_path, pbm_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.pbm"
+    code = cli.main([
+        "mask", "--s", s, "--c", "2", "--sz", sz, "--out", str(csv_path), "--pbm", str(pbm_path),
+    ])
+    return code, csv_path, pbm_path
+
+
+def test_mask_matches_build_mask_and_reruns_identically(tmp_path):
+    code, csv_path, pbm_path = _mask(tmp_path, "first")
+    assert code == 0
+    expected = build_mask(7, 2, ARStepPlan(S=7, sz=(2, 2, 3))).matrix
+    np.testing.assert_array_equal(np.loadtxt(csv_path, delimiter=",", dtype=np.uint8), expected)
+    code, csv_again, pbm_again = _mask(tmp_path, "second")
+    assert code == 0
+    assert csv_again.read_bytes() == csv_path.read_bytes()
+    assert pbm_again.read_bytes() == pbm_path.read_bytes()
+
+
+@pytest.mark.parametrize("s, sz", [("7", "2,x"), ("7", "2,2")])
+def test_mask_bad_sizes_are_data_errors(tmp_path, s, sz):
+    code, csv_path, _ = _mask(tmp_path, "bad", s=s, sz=sz)
+    assert code == 2
+    assert not csv_path.exists()

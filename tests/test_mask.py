@@ -9,7 +9,54 @@ from hypothesis import strategies as st
 
 from catgen.arplan import ARStepPlan, generate_ar_steps
 from catgen.errors import ShapeMismatchError
-from catgen.mask import build_mask, mask_oracle, token_roles, CLEAN, CONDITION, NOISY
+from catgen.mask import AttentionMask, build_mask
+
+CONDITION, CLEAN, NOISY = 0, 1, 2
+
+
+def step_of(plan, token):
+    """AR step index (0-based) owning gene-token position ``token``."""
+    if not 0 <= token < plan.S:
+        raise ShapeMismatchError(f"token {token} outside [0, {plan.S})")
+    return next(i for i in range(plan.N) if token < plan.cs[i + 1])
+
+
+def token_roles(s, c, plan):
+    """(kind, ar_step) per sequence position; ar_step is -1 for conditions."""
+    v = s - plan.sz[-1]
+    roles = [(CONDITION, -1)] * c
+    roles += [(CLEAN, step_of(plan, j)) for j in range(v)]
+    roles += [(NOISY, step_of(plan, j)) for j in range(s)]
+    return roles
+
+
+def mask_oracle(s, c, plan):
+    """Entrywise rule-based reference, independent of build_mask's block writes.
+
+    Attention from row r to column q is allowed iff one of:
+      1. q is a condition token;
+      2. r and q are clean tokens and q's AR step <= r's;
+      3. r is noisy, q is clean, and q's AR step < r's;
+      4. r and q are noisy tokens of the same AR step.
+    """
+    roles = token_roles(s, c, plan)
+    seq = len(roles)
+    m = np.ones((seq, seq), dtype=np.uint8)
+    for r, (rkind, rstep) in enumerate(roles):
+        for q, (qkind, qstep) in enumerate(roles):
+            if qkind == CONDITION:
+                allowed = True
+            elif rkind == CLEAN and qkind == CLEAN:
+                allowed = qstep <= rstep
+            elif rkind == NOISY and qkind == CLEAN:
+                allowed = qstep < rstep
+            elif rkind == NOISY and qkind == NOISY:
+                allowed = qstep == rstep
+            else:
+                allowed = False
+            if allowed:
+                m[r, q] = 0
+    return AttentionMask(seq=seq, c=c, v=s - plan.sz[-1], matrix=m)
 
 
 def compositions(s):
@@ -96,6 +143,13 @@ def test_every_row_attends_something_with_conditions():
         for sz in compositions(s):
             mask = build_mask(s, 1, ARStepPlan(S=s, sz=sz))
             assert (mask.matrix == 0).any(axis=1).all()
+
+
+def test_step_of_maps_tokens_to_groups():
+    plan = ARStepPlan(S=7, sz=(2, 2, 3))
+    assert [step_of(plan, t) for t in range(7)] == [0, 0, 1, 1, 2, 2, 2]
+    with pytest.raises(ShapeMismatchError):
+        step_of(plan, 7)
 
 
 def test_roles_layout():

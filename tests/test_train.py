@@ -12,13 +12,12 @@ from catgen.diffusion import (
     parse_strategy,
     sample_timesteps,
 )
-from catgen.errors import ShapeMismatchError
+from catgen.errors import ConfigError, ShapeMismatchError
 from catgen.model import ModelConfig, init_params
 from catgen.synth import chain_config, generate
 from catgen.train import (
     Adam,
     TrainConfig,
-    _assign_token_timesteps,
     clip_global_norm,
     diffusion_trainable,
     fit,
@@ -104,8 +103,7 @@ def draw_token_timesteps(strategy, schedule, n_plans, seed, S=16, decay=0.8):
     out = []
     for _ in range(n_plans):
         plan = generate_ar_steps(S, decay, rng)
-        ts_plan = sample_timesteps(schedule, strategy, plan.N, rng, draws_per_step=max(plan.sz))
-        out.append(_assign_token_timesteps(plan, ts_plan.per_ar_step_timesteps, schedule, rng))
+        out.append(sample_timesteps(schedule, strategy, plan.S, rng))
     return np.concatenate(out)
 
 
@@ -214,6 +212,10 @@ def test_train_config_validation():
         TrainConfig(ar_decay=0.0)
     with pytest.raises(ShapeMismatchError):
         TrainConfig(gene_order="alphabetical")
+    with pytest.raises(ConfigError):
+        TrainConfig(sampling="adaptive")
+    with pytest.raises(ConfigError):
+        TrainConfig(val_sampling="frac:x")
 
 
 def test_batch_gene_count_mismatch(tiny_setup):
