@@ -9,6 +9,7 @@ seed and inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import logging
 import math
@@ -170,17 +171,23 @@ def cmd_granger(args) -> int:
 
 def cmd_mask(args) -> int:
     from .arplan import ARStepPlan
+    from .errors import ShapeMismatchError
     from .mask import build_mask
 
     plan = ARStepPlan.from_text(args.sz)
-    mask = build_mask(args.s, args.c, plan)
+    if plan.S != args.s:
+        raise ShapeMismatchError(f"split sizes {args.sz} cover {plan.S} tokens, not --s {args.s}")
+    rows = build_mask(args.c, plan).astype(int).tolist()
     if args.out:
-        mask.to_csv(args.out)
+        out = open(args.out, "w", encoding="utf-8", newline="")
     else:
-        for row in mask.matrix:
-            sys.stdout.write(",".join(str(int(x)) for x in row) + "\n")
-    if args.pbm:
-        mask.to_pbm(args.pbm)
+        out = contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    if args.pbm:  # plain PBM bitmap; blocked entries render black
+        with open(args.pbm, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"P1\n{len(rows)} {len(rows)}\n")
+            csv.writer(fh, delimiter=" ", lineterminator="\n").writerows(rows)
     return 0
 
 

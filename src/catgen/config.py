@@ -110,44 +110,27 @@ def train_config(values: dict[str, object], seed: int) -> TrainConfig:
     return TrainConfig(seed=seed, **chosen)
 
 
+def _section(values: dict[str, object], prefix: str) -> dict[str, object]:
+    """The registered keys under ``prefix`` that are set, named without it."""
+    return {
+        key[len(prefix):]: values[key]
+        for key in REGISTRY
+        if key.startswith(prefix) and key in values
+    }
+
+
 def model_config(values: dict[str, object], p: int, q: int, variational: bool) -> ModelConfig:
-    return ModelConfig(
-        p=p,
-        q=q,
-        d=int(values.get("model.d", 64)),
-        heads=int(values.get("model.heads", 4)),
-        blocks=int(values.get("model.blocks", 3)),
-        variational=variational,
-    )
+    return ModelConfig(p=p, q=q, variational=variational, **_section(values, "model."))
 
 
 def synth_config(values: dict[str, object], seed: int) -> SynthConfig:
-    edges_text = str(values.get("synth.chain_edges", "")).strip()
-    base = chain_config(
-        n_genes=int(values.get("synth.n_genes", 32)),
-        n_spots=int(values.get("synth.n_spots", 16)),
-        n_cells=int(values.get("synth.n_cells", 64)),
-        chain_length=int(values.get("synth.chain_length", 6)),
-        coeff=float(values.get("synth.coeff", 0.9)),
-        lag=int(values.get("synth.lag", 1)),
-        noise_sd=float(values.get("synth.noise_sd", 0.1)),
-        dropout_rate=float(values.get("synth.dropout_rate", 0.0)),
-        n_factors=int(values.get("synth.n_factors", 4)),
-        seed=seed,
-    )
-    if edges_text:
-        edges = [ChainEdge.from_text(tok) for tok in edges_text.split(",") if tok.strip()]
-        return SynthConfig(
-            n_genes=base.n_genes,
-            n_spots=base.n_spots,
-            n_cells=base.n_cells,
-            chain_edges=edges,
-            noise_sd=base.noise_sd,
-            dropout_rate=base.dropout_rate,
-            n_factors=base.n_factors,
-            seed=seed,
-        )
-    return base
+    chosen = _section(values, "synth.")
+    edges_text = str(chosen.pop("chain_edges", "")).strip()
+    base = chain_config(seed=seed, **chosen)
+    if not edges_text:
+        return base
+    edges = [ChainEdge.from_text(tok) for tok in edges_text.split(",") if tok.strip()]
+    return dataclasses.replace(base, chain_edges=edges)
 
 
 def data_options(values: dict[str, object]) -> dict[str, object]:

@@ -30,7 +30,6 @@ from .autodiff import Tensor
 from .data import ST, ExpressionMatrix
 from .diffusion import DiffusionSchedule, Full, Strategy, respaced_chain
 from .errors import ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
-from .mask import build_mask
 from .model import (
     CatParameters,
     ContextCache,
@@ -129,20 +128,17 @@ def generate_genes(
     grid, chain = respaced_chain(schedule, strategy)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
 
-    c = len(target_genes)
     finalized: list[np.ndarray] = []
     for g, size in enumerate(sizes):
         rng = _group_rng(seed, g, group_seeds)
         lo, hi = int(bounds[g]), int(bounds[g + 1])
-        ctx = c + lo
-        blocked = build_mask(hi, c, ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))).blocked
-        context = context_cache(np.vstack([cond, *finalized]), blocked[:ctx, :ctx], frozen)
+        group_plan = ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))
+        context = context_cache(np.vstack([cond, *finalized]), group_plan, frozen)
         plan = ARStepPlan(S=size, sz=(size,))
-        mask = build_mask(size, 0, plan)
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
             eps_hat = _predict_noise(
-                x, int(grid[k - 1]), schedule, cond[lo:hi], context, plan, mask, frozen
+                x, int(grid[k - 1]), schedule, cond[lo:hi], context, plan, frozen
             )
             x = reverse_step(x, k, eps_hat, chain, rng)
         finalized.append(x)
@@ -162,13 +158,12 @@ def _predict_noise(
     cond: np.ndarray,
     context: ContextCache,
     plan: ARStepPlan,
-    mask,
     frozen: CatParameters,
 ) -> np.ndarray:
     """CAT noise prediction for the current group's noisy latents ``x``.
 
     Only the group's own rows are fed: x_t plus each gene's condition latent,
-    under a one-step ``plan`` whose ``mask`` lets them attend to each other.
+    under a one-step ``plan``, so they attend to each other.
     They also attend to every row of ``context``, the cached keys and values
     of the condition and clean rows. Those rows carry no time embedding and
     attend only to each other, so the cache is exact for every step of the
@@ -184,4 +179,4 @@ def _predict_noise(
         alpha_bars=np.full(size, schedule.alpha_bars[t_raw - 1]),
         context=context,
     )
-    return cat_forward(batch, mask, frozen).data
+    return cat_forward(batch, frozen).data

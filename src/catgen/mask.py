@@ -1,9 +1,9 @@
 """Generalized causal attention mask for blended autoregression and diffusion.
 
 Token layout along both axes: ``c`` condition tokens, then ``v`` clean
-(visible) tokens covering every AR step except the last, then ``s`` noisy
-tokens covering all steps. Entry 1 blocks attention, 0 allows it; condition
-columns are never blocked.
+(visible) tokens covering every AR step except the last, then ``S`` noisy
+tokens covering all steps. ``True`` blocks attention, ``False`` allows it;
+condition columns are never blocked.
 
 ``build_mask`` writes the block partitions directly (visible-to-visible,
 sample-to-visible, sample-to-sample). The tests re-derive every entry from
@@ -12,68 +12,34 @@ four attendance rules and check that the result agrees entrywise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arplan import ARStepPlan
 from .errors import ShapeMismatchError
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    seq: int
-    c: int
-    v: int
-    matrix: np.ndarray  # (seq, seq) uint8, 1 = blocked
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.seq, self.seq):
-            raise ShapeMismatchError(
-                f"mask matrix {self.matrix.shape} does not match seq={self.seq}"
-            )
-
-    @property
-    def blocked(self) -> np.ndarray:
-        return self.matrix.astype(bool)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.matrix:
-                fh.write(",".join(str(int(x)) for x in row) + "\n")
-
-    def to_pbm(self, path) -> None:
-        """Plain PBM bitmap; blocked entries render black."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"P1\n{self.seq} {self.seq}\n")
-            for row in self.matrix:
-                fh.write(" ".join(str(int(x)) for x in row) + "\n")
-
-
-def build_mask(s: int, c: int, plan: ARStepPlan) -> AttentionMask:
-    """Block-write construction of the causal attention mask."""
-    if plan.S != s:
-        raise ShapeMismatchError(f"plan covers {plan.S} tokens but s={s}")
+def build_mask(c: int, plan: ARStepPlan) -> np.ndarray:
+    """Block-write construction of the (seq, seq) causal mask, ``True`` = blocked."""
     if c < 0:
         raise ShapeMismatchError(f"condition length must be nonnegative, got {c}")
-    cs = plan.cs
+    s, cs = plan.S, plan.cs
     v = s - plan.sz[-1]
     ctx = c + v
     seq = ctx + s
 
-    m = np.ones((seq, seq), dtype=np.uint8)
-    m[:, :c] = 0
+    m = np.ones((seq, seq), dtype=bool)
+    m[:, :c] = False
 
-    vtv = np.ones((v, v), dtype=np.uint8)
-    stv = np.ones((s, v), dtype=np.uint8)
-    sts = np.ones((s, s), dtype=np.uint8)
+    vtv = np.ones((v, v), dtype=bool)
+    stv = np.ones((s, v), dtype=bool)
+    sts = np.ones((s, s), dtype=bool)
     for i in range(plan.N - 1):
-        vtv[cs[i] : cs[i + 1], 0 : cs[i + 1]] = 0
-        stv[cs[i + 1] : cs[i + 2], 0 : cs[i + 1]] = 0
+        vtv[cs[i] : cs[i + 1], 0 : cs[i + 1]] = False
+        stv[cs[i + 1] : cs[i + 2], 0 : cs[i + 1]] = False
     for i in range(plan.N):
-        sts[cs[i] : cs[i + 1], cs[i] : cs[i + 1]] = 0
+        sts[cs[i] : cs[i + 1], cs[i] : cs[i + 1]] = False
 
     m[c:ctx, c:ctx] = vtv
     m[ctx:, c:ctx] = stv
     m[ctx:, ctx:] = sts
-    return AttentionMask(seq=seq, c=c, v=v, matrix=m)
+    return m

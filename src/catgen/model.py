@@ -2,11 +2,12 @@
 blocks, sinusoidal time embedding, noise-prediction head and decoder.
 
 Tokens are d-dimensional gene latents. A forward pass consumes a TokenBatch
-laid out as [condition | clean | noisy] together with the matching attention
-mask; the time embedding is added to noisy tokens only, conditions and clean
-tokens carry no positional identity, and the output rows are the predicted
-noise for the noisy tokens. All parameters are autodiff leaves, so gradients
-come straight off the recorded forward computation.
+laid out as [condition | clean | noisy]; its attention mask follows from the
+batch's AR plan and condition count, so no caller builds one. The time
+embedding is added to noisy tokens only, conditions and clean tokens carry no
+positional identity, and the output rows are the predicted noise for the
+noisy tokens. All parameters are autodiff leaves, so gradients come straight
+off the recorded forward computation.
 
 One block loop serves three callers: training runs every row under the full
 mask; ``context_cache`` runs the context rows [condition | clean] alone and
@@ -36,7 +37,7 @@ from .errors import (
     NumericFailureError,
     ShapeMismatchError,
 )
-from .mask import AttentionMask
+from .mask import build_mask
 
 LOGVAR_MIN, LOGVAR_MAX = -20.0, 20.0
 _LN_EPS = 1e-5
@@ -124,10 +125,6 @@ class CatParameters:
             cfg=self.cfg,
             tensors={k: Tensor(v.data, name=k) for k, v in self.tensors.items()},
         )
-
-    def load_data(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, value in arrays.items():
-            np.copyto(self.tensors[name].data, value)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
@@ -298,20 +295,25 @@ def _blocks(
     return x, own
 
 
-def context_cache(tokens, blocked: np.ndarray, params: CatParameters) -> ContextCache:
+def context_cache(tokens, plan: ARStepPlan, params: CatParameters) -> ContextCache:
     """Every block's keys and values for the context rows [condition | clean].
 
     Context rows carry no time embedding and, under the causal mask, attend
     only to context rows, so their keys and values do not depend on any noisy
     row or timestep: one cache serves every reverse step of an AR group.
-    ``blocked`` is the (ctx, ctx) corner of the group's attention mask.
+    ``plan`` is the group's plan (the finished groups, then the group still to
+    generate); its clean rows end ``tokens``, and the rows before them are
+    conditions.
     """
     tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
-    if tokens.shape[-1] != params.cfg.d or blocked.shape != (tokens.shape[0],) * 2:
+    rows = tokens.shape[0]
+    c = rows - (plan.S - plan.sz[-1])
+    if tokens.shape[-1] != params.cfg.d or c < 0:
         raise ShapeMismatchError(
-            f"context of shape {tokens.shape} does not match its mask {blocked.shape}"
+            f"context of shape {tokens.shape} does not fit plan {plan.to_text()} "
+            f"and width {params.cfg.d}"
         )
-    _, own = _blocks(tokens, blocked, params)
+    _, own = _blocks(tokens, build_mask(c, plan)[:rows, :rows], params)
     return ContextCache(keys=tuple(k for k, _ in own), values=tuple(v for _, v in own))
 
 
@@ -364,7 +366,7 @@ class TokenBatch:
         return self.plan.S - self.plan.sz[-1]
 
 
-def cat_forward(batch: TokenBatch, mask: AttentionMask, params: CatParameters) -> Tensor:
+def cat_forward(batch: TokenBatch, params: CatParameters) -> Tensor:
     """Predicted noise for every noisy token, shape (S, d).
 
     The transformer predicts the bounded v-target and the noise estimate is
@@ -379,22 +381,18 @@ def cat_forward(batch: TokenBatch, mask: AttentionMask, params: CatParameters) -
     seq, d = batch.tokens.shape
     if d != params.cfg.d:
         raise ShapeMismatchError(f"token width {d} does not match model width {params.cfg.d}")
-    if mask.seq != seq or mask.c != batch.c or mask.v != batch.v:
-        raise ShapeMismatchError(
-            f"mask layout ({mask.seq}, c={mask.c}, v={mask.v}) does not match batch "
-            f"({seq}, c={batch.c}, v={batch.v})"
-        )
     ctx = batch.c + batch.v
     temb = time_embedding(batch.timesteps, params)
     x = batch.tokens + concat([Tensor(np.zeros((ctx, d))), temb], axis=0)
 
-    blocked = mask.blocked
-    if batch.context is not None:  # every noisy row sees every cached row
+    if batch.context is None:
+        blocked = build_mask(batch.c, batch.plan)
+    else:  # one step of noisy rows: each sees every cached row and every other row
         if len(batch.context.keys) != params.cfg.blocks:
             raise ShapeMismatchError(
                 f"cache holds {len(batch.context.keys)} blocks, model has {params.cfg.blocks}"
             )
-        blocked = np.hstack([np.zeros((seq, batch.context.rows), dtype=bool), blocked])
+        blocked = np.zeros((seq, batch.context.rows + seq), dtype=bool)
     x, _ = _blocks(x, blocked, params, batch.context)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])

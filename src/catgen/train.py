@@ -25,6 +25,7 @@ from .autodiff import Tensor, concat, gradients
 from .data import ExpressionMatrix, SplitAssignment
 from .diffusion import (
     DiffusionSchedule,
+    candidate_grid,
     linear_schedule,
     noising_coefficients,
     parse_strategy,
@@ -33,7 +34,6 @@ from .diffusion import (
 from .errors import DegenerateInputError, NumericFailureError, ShapeMismatchError
 from .generate import generate_genes
 from .granger import test_pair
-from .mask import build_mask
 from .metrics import pcc
 from .model import (
     CatParameters,
@@ -79,7 +79,9 @@ class TrainConfig:
             raise ShapeMismatchError(f"ar_decay must be in (0, 1], got {self.ar_decay}")
         if self.gene_order not in ("random", "granger"):
             raise ShapeMismatchError(f"unknown gene_order {self.gene_order!r}")
-        # syntax only: the range of frac:n is checked against T when drawing
+        if self.batch_genes < 1 or self.val_every < 1:
+            raise ShapeMismatchError("batch_genes and val_every must be at least 1")
+        # syntax only: fit checks the range of frac:n against T
         parse_strategy(self.sampling)
         parse_strategy(self.val_sampling)
 
@@ -192,8 +194,7 @@ def training_loss(
     batch = assemble_training_batch(
         st_enc.z * inv_scale, sc_enc.z * inv_scale, plan, token_ts, eps, schedule
     )
-    mask = build_mask(plan.S, plan.S, plan)
-    pred = cat_forward(batch, mask, params)
+    pred = cat_forward(batch, params)
     loss = ((pred - Tensor(eps)) ** 2.0).mean()
     if cfg.train_decoder:
         recon = decode(st_enc.z, params)
@@ -325,6 +326,8 @@ def fit(
         raise ShapeMismatchError("fit expects matrices aligned on the same gene list")
     rng = np.random.default_rng(cfg.seed)
     schedule = linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
+    for spec in (cfg.sampling, cfg.val_sampling):  # fail before warmup, not after it
+        candidate_grid(schedule, parse_strategy(spec))
     params = init_params(model_cfg, rng)
     result = FitResult(params=params)
     if cfg.epochs == 0:

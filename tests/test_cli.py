@@ -1,5 +1,5 @@
 """The command-line entry point end to end: synth, train, generate, eval,
-mask, exit codes and byte-identical reruns."""
+mask, granger, ablate, exit codes and byte-identical reruns."""
 
 import numpy as np
 import pytest
@@ -75,7 +75,16 @@ def test_unknown_flag_is_a_usage_error(trained):
     assert not (trained / "x.csv").exists()
 
 
-@pytest.mark.parametrize("spec", ["diffusion.sampling=adaptive", "train.val_sampling=frac:x"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "diffusion.sampling=adaptive",
+        "train.val_sampling=frac:x",
+        "diffusion.sampling=frac:50",  # n > T=20: only T says it is out of range
+        "train.val_every=0",
+        "train.batch_genes=0",
+    ],
+)
 def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
     calls = []
     warmup_step = train._warmup_step
@@ -103,15 +112,23 @@ def _mask(tmp_path, name, s="7", sz="2,2,3"):
     return code, csv_path, pbm_path
 
 
-def test_mask_matches_build_mask_and_reruns_identically(tmp_path):
+def test_mask_matches_build_mask_and_reruns_identically(tmp_path, capsys):
     code, csv_path, pbm_path = _mask(tmp_path, "first")
     assert code == 0
-    expected = build_mask(7, 2, ARStepPlan(S=7, sz=(2, 2, 3))).matrix
+    expected = build_mask(2, ARStepPlan(S=7, sz=(2, 2, 3)))
     np.testing.assert_array_equal(np.loadtxt(csv_path, delimiter=",", dtype=np.uint8), expected)
+    rows = csv_path.read_text().strip().split("\n")
+    assert len(rows) == 13 and rows[0] == "0,0,1,1,1,1,1,1,1,1,1,1,1"
+    header = pbm_path.read_text().split("\n")
+    assert header[0] == "P1" and header[1] == "13 13"
+    np.testing.assert_array_equal(np.loadtxt(pbm_path, skiprows=2, dtype=np.uint8), expected)
     code, csv_again, pbm_again = _mask(tmp_path, "second")
     assert code == 0
     assert csv_again.read_bytes() == csv_path.read_bytes()
     assert pbm_again.read_bytes() == pbm_path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["mask", "--s", "7", "--c", "2", "--sz", "2,2,3"]) == 0
+    assert capsys.readouterr().out == csv_path.read_text()
 
 
 @pytest.mark.parametrize("s, sz", [("7", "2,x"), ("7", "2,2")])
@@ -119,3 +136,42 @@ def test_mask_bad_sizes_are_data_errors(tmp_path, s, sz):
     code, csv_path, _ = _mask(tmp_path, "bad", s=s, sz=sz)
     assert code == 2
     assert not csv_path.exists()
+
+
+def _granger(root, out, lag="1"):
+    return cli.main([
+        "granger", "--matrix", str(root / "sc.csv"), "--lag", lag, "--top-k", "4",
+        "--out", str(out),
+    ])
+
+
+def test_granger_reruns_identically_and_rejects_lag_zero(trained):
+    first, second, bad = (trained / f"granger_{n}.csv" for n in ("first", "second", "bad"))
+    assert _granger(trained, first) == 0
+    lines = first.read_text().splitlines()
+    assert lines[0] == "driver,target,lag,f_stat,p_value" and len(lines) == 5
+    assert _granger(trained, second) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert _granger(trained, bad, lag="0") == 2
+    assert not bad.exists()
+
+
+def _ablate(root, out, axis="decoder"):
+    return cli.main([
+        "ablate", "--axis", axis, "--st", str(root / "st.csv"), "--sc", str(root / "sc.csv"),
+        "--out", str(out), *SEED, *TINY_TRAIN,
+    ])
+
+
+def test_ablate_reruns_identically_and_rejects_unknown_axis(trained):
+    first, second, bad = (trained / f"ablate_{n}.csv" for n in ("first", "second", "bad"))
+    assert _ablate(trained, first) == 0
+    lines = first.read_text().splitlines()
+    assert lines[0] == "axis,setting,seed,best_val_pcc,best_epoch"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["decoder", "False", "3"], ["decoder", "True", "3"],
+    ]
+    assert _ablate(trained, second) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert _ablate(trained, bad, axis="bogus") == 1
+    assert not bad.exists()

@@ -4,8 +4,17 @@ import dataclasses
 
 import pytest
 
-from catgen.config import REGISTRY, apply_overrides, load_config, train_config
+from catgen.config import (
+    REGISTRY,
+    apply_overrides,
+    load_config,
+    model_config,
+    synth_config,
+    train_config,
+)
 from catgen.errors import ConfigError
+from catgen.model import ModelConfig
+from catgen.synth import ChainEdge, chain_config
 from catgen.train import TrainConfig
 
 # every key accepted before the train.* keys were derived from TrainConfig,
@@ -133,3 +142,27 @@ def test_ini_file_round_trip(tmp_path):
     bad.write_text("[generate]\nar_groups = 2\n")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_model_config_takes_dataclass_defaults_and_set_keys():
+    assert model_config({}, p=6, q=9, variational=False) == ModelConfig(p=6, q=9, variational=False)
+    values = apply_overrides({}, ["model.d=8", "model.blocks=1"])
+    assert model_config(values, p=6, q=9, variational=True) == ModelConfig(
+        p=6, q=9, d=8, blocks=1, variational=True
+    )
+
+
+def test_synth_config_takes_chain_defaults_and_set_keys():
+    assert synth_config({}, 7) == chain_config(seed=7)
+    values = apply_overrides({}, ["synth.n_genes=12", "synth.coeff=0.5", "synth.lag=2"])
+    assert synth_config(values, 7) == chain_config(n_genes=12, coeff=0.5, lag=2, seed=7)
+
+
+def test_synth_edges_override_keeps_other_fields():
+    values = apply_overrides(
+        {}, ["synth.n_genes=12", "synth.noise_sd=0.3", "synth.chain_edges=0->3:0.7,3->5:0.2:2"]
+    )
+    cfg = synth_config(values, 7)
+    base = chain_config(n_genes=12, noise_sd=0.3, seed=7)
+    assert cfg.chain_edges == [ChainEdge(0, 3, 0.7), ChainEdge(3, 5, 0.2, 2)]
+    assert dataclasses.replace(cfg, chain_edges=base.chain_edges) == base

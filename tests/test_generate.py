@@ -21,7 +21,6 @@ from catgen.generate import (
     posterior_variance,
     reverse_step,
 )
-from catgen.mask import build_mask
 from catgen.model import ModelConfig, TokenBatch, cat_forward, decode, encode
 from catgen.synth import chain_config, generate
 from catgen.train import TrainConfig, fit
@@ -163,7 +162,6 @@ def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, g)))
         lo, hi = int(bounds[g]), int(bounds[g + 1])
         plan = ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))
-        mask = build_mask(hi, len(genes), plan)
         clean = np.vstack(finalized) if finalized else np.zeros((0, d))
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
@@ -177,7 +175,7 @@ def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed)
                 noisy=Tensor(raw),
                 alpha_bars=np.full(hi, schedule.alpha_bars[t - 1]),
             )
-            eps_hat = cat_forward(batch, mask, frozen).data[lo:hi]
+            eps_hat = cat_forward(batch, frozen).data[lo:hi]
             x = reverse_step(x, k, eps_hat, chain, rng)
         finalized.append(x)
     return np.clip(decode(np.vstack(finalized) * scale, frozen).data, 0.0, None)
@@ -197,9 +195,9 @@ def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
     pair, params, schedule = trained
     fed = []
 
-    def recording(batch, mask, frozen):
+    def recording(batch, frozen):
         fed.append((batch.tokens.shape[0], batch.context.rows))
-        return cat_forward(batch, mask, frozen)
+        return cat_forward(batch, frozen)
 
     monkeypatch.setattr(generate_module, "cat_forward", recording)
     genes = pair.genes[:7]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from catgen.arplan import ARStepPlan, generate_ar_steps
 from catgen.errors import ShapeMismatchError
-from catgen.mask import AttentionMask, build_mask
+from catgen.mask import build_mask
 
 CONDITION, CLEAN, NOISY = 0, 1, 2
 
@@ -41,7 +41,7 @@ def mask_oracle(s, c, plan):
     """
     roles = token_roles(s, c, plan)
     seq = len(roles)
-    m = np.ones((seq, seq), dtype=np.uint8)
+    m = np.ones((seq, seq), dtype=bool)
     for r, (rkind, rstep) in enumerate(roles):
         for q, (qkind, qstep) in enumerate(roles):
             if qkind == CONDITION:
@@ -55,8 +55,8 @@ def mask_oracle(s, c, plan):
             else:
                 allowed = False
             if allowed:
-                m[r, q] = 0
-    return AttentionMask(seq=seq, c=c, v=s - plan.sz[-1], matrix=m)
+                m[r, q] = False
+    return m
 
 
 def compositions(s):
@@ -74,13 +74,13 @@ def compositions(s):
 
 
 def test_worked_example():
-    mask = build_mask(7, 2, ARStepPlan(S=7, sz=(2, 2, 3)))
-    assert mask.seq == 13
-    assert mask.v == 4
-    assert mask.c + mask.v == 6  # context length
-    assert (mask.matrix[:, :2] == 0).all()
+    mask = build_mask(2, ARStepPlan(S=7, sz=(2, 2, 3)))
+    assert mask.dtype == bool
+    assert mask.shape == (13, 13)  # 2 conditions, 4 clean, 7 noisy
+    assert mask[2:6, 6:].all()  # clean rows 2..5 never see noisy columns
+    assert (mask[:, :2] == 0).all()
     # noisy rows of the first AR step attend only condition + own diagonal block
-    first_step_rows = mask.matrix[6:8]
+    first_step_rows = mask[6:8]
     np.testing.assert_array_equal(first_step_rows[:, :2], 0)
     np.testing.assert_array_equal(first_step_rows[:, 2:6], 1)
     np.testing.assert_array_equal(first_step_rows[:, 6:8], 0)
@@ -88,23 +88,20 @@ def test_worked_example():
 
 
 def test_degenerate_single_token():
-    mask = build_mask(1, 0, ARStepPlan(S=1, sz=(1,)))
-    assert mask.seq == 1 and mask.v == 0
-    np.testing.assert_array_equal(mask.matrix, [[0]])
+    mask = build_mask(0, ARStepPlan(S=1, sz=(1,)))
+    np.testing.assert_array_equal(mask, [[0]])
 
 
 def test_single_step_plan_has_no_clean_tokens():
-    mask = build_mask(5, 3, ARStepPlan(S=5, sz=(5,)))
-    assert mask.v == 0
-    np.testing.assert_array_equal(mask.matrix[:, :3], 0)
-    np.testing.assert_array_equal(mask.matrix[3:, 3:], 0)  # one diagonal block
+    mask = build_mask(3, ARStepPlan(S=5, sz=(5,)))
+    assert mask.shape == (8, 8)  # 3 conditions, 0 clean, 5 noisy
+    np.testing.assert_array_equal(mask[:, :3], 0)
+    np.testing.assert_array_equal(mask[3:, 3:], 0)  # one diagonal block
 
 
 def test_inconsistent_plan_rejected():
     with pytest.raises(ShapeMismatchError):
-        build_mask(6, 1, ARStepPlan(S=5, sz=(5,)))
-    with pytest.raises(ShapeMismatchError):
-        build_mask(5, -1, ARStepPlan(S=5, sz=(5,)))
+        build_mask(-1, ARStepPlan(S=5, sz=(5,)))
 
 
 def test_oracle_equivalence_exhaustive_small():
@@ -112,28 +109,28 @@ def test_oracle_equivalence_exhaustive_small():
         for sz in compositions(s):
             plan = ARStepPlan(S=s, sz=sz)
             for c in range(3):
-                built = build_mask(s, c, plan)
+                built = build_mask(c, plan)
                 oracle = mask_oracle(s, c, plan)
-                np.testing.assert_array_equal(built.matrix, oracle.matrix)
+                np.testing.assert_array_equal(built, oracle)
 
 
 def test_clean_rows_never_attend_noisy():
     for s in range(2, 7):
         for sz in compositions(s):
-            mask = build_mask(s, 2, ARStepPlan(S=s, sz=sz))
-            ctx = mask.c + mask.v
-            np.testing.assert_array_equal(mask.matrix[mask.c : ctx, ctx:], 1)
+            mask = build_mask(2, ARStepPlan(S=s, sz=sz))
+            ctx = 2 + s - sz[-1]
+            np.testing.assert_array_equal(mask[2:ctx, ctx:], 1)
 
 
 def test_no_future_leakage():
     plan = ARStepPlan(S=7, sz=(2, 2, 3))
-    mask = build_mask(7, 2, plan)
+    mask = build_mask(2, plan)
     roles = token_roles(7, 2, plan)
-    ctx = mask.c + mask.v
-    for r in range(ctx, mask.seq):
+    ctx = 2 + 4  # conditions, then the clean tokens of the first two steps
+    for r in range(ctx, len(mask)):
         step = roles[r][1]
-        for q in range(mask.seq):
-            if mask.matrix[r, q] == 0 and q >= mask.c:
+        for q in range(len(mask)):
+            if mask[r, q] == 0 and q >= 2:
                 kind, qstep = roles[q]
                 assert (kind == CLEAN and qstep < step) or (kind == NOISY and qstep == step)
 
@@ -141,8 +138,8 @@ def test_no_future_leakage():
 def test_every_row_attends_something_with_conditions():
     for s in range(1, 7):
         for sz in compositions(s):
-            mask = build_mask(s, 1, ARStepPlan(S=s, sz=sz))
-            assert (mask.matrix == 0).any(axis=1).all()
+            mask = build_mask(1, ARStepPlan(S=s, sz=sz))
+            assert (mask == 0).any(axis=1).all()
 
 
 def test_step_of_maps_tokens_to_groups():
@@ -169,18 +166,7 @@ def test_roles_layout():
 )
 def test_oracle_equivalence_random_plans(s, c, seed):
     plan = generate_ar_steps(s, 0.8, np.random.default_rng(seed))
-    built = build_mask(s, c, plan)
+    built = build_mask(c, plan)
     oracle = mask_oracle(s, c, plan)
-    np.testing.assert_array_equal(built.matrix, oracle.matrix)
+    np.testing.assert_array_equal(built, oracle)
 
-
-def test_csv_and_pbm_emission(tmp_path):
-    mask = build_mask(7, 2, ARStepPlan(S=7, sz=(2, 2, 3)))
-    csv_path = tmp_path / "mask.csv"
-    pbm_path = tmp_path / "mask.pbm"
-    mask.to_csv(csv_path)
-    mask.to_pbm(pbm_path)
-    rows = csv_path.read_text().strip().split("\n")
-    assert len(rows) == 13 and rows[0] == "0,0,1,1,1,1,1,1,1,1,1,1,1"
-    header = pbm_path.read_text().split("\n")
-    assert header[0] == "P1" and header[1] == "13 13"

@@ -8,7 +8,6 @@ from catgen.arplan import ARStepPlan
 from catgen.autodiff import Tensor, concat, gradients
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError, NotOnTapeError, ShapeMismatchError
-from catgen.mask import build_mask
 from catgen.model import (
     CatParameters,
     ModelConfig,
@@ -123,19 +122,9 @@ def test_cat_forward_output_rows_are_noisy_positions(small):
     cfg, params = small
     plan = ARStepPlan(S=5, sz=(2, 3))
     batch, _ = make_batch(params, plan)
-    mask = build_mask(5, 5, plan)
-    out = cat_forward(batch, mask, params)
+    out = cat_forward(batch, params)
     assert out.shape == (5, cfg.d)
     assert np.isfinite(out.data).all()
-
-
-def test_cat_forward_shape_mismatch_rejected(small):
-    cfg, params = small
-    plan = ARStepPlan(S=5, sz=(2, 3))
-    batch, _ = make_batch(params, plan)
-    wrong_mask = build_mask(5, 4, plan)
-    with pytest.raises(ShapeMismatchError):
-        cat_forward(batch, wrong_mask, params)
 
 
 def test_condition_permutation_invariance(small):
@@ -144,8 +133,7 @@ def test_condition_permutation_invariance(small):
     plan = ARStepPlan(S=4, sz=(4,))
     rng = np.random.default_rng(3)
     batch, (cond, clean, noisy) = make_batch(params, plan, c=4, rng=rng)
-    mask = build_mask(4, 4, plan)
-    out = cat_forward(batch, mask, params).data
+    out = cat_forward(batch, params).data
 
     perm = np.array([2, 0, 3, 1])
     tokens_p = concat([Tensor(cond[perm]), Tensor(clean), Tensor(noisy)], axis=0)
@@ -156,7 +144,7 @@ def test_condition_permutation_invariance(small):
         noisy=Tensor(noisy),
         alpha_bars=batch.alpha_bars,
     )
-    out_p = cat_forward(batch_p, mask, params).data
+    out_p = cat_forward(batch_p, params).data
     np.testing.assert_allclose(out, out_p, atol=1e-6)
 
 
@@ -173,8 +161,7 @@ def test_mask_causality_bitwise(small):
         if plan.N == 1:
             continue
         batch, (cond, clean, noisy) = make_batch(params, plan, rng=rng)
-        mask = build_mask(S, S, plan)
-        base = cat_forward(batch, mask, params).data
+        base = cat_forward(batch, params).data
 
         i = int(rng.integers(0, plan.N))
         lo, hi = plan.cs[i], plan.cs[i + 1]
@@ -195,7 +182,7 @@ def test_mask_causality_bitwise(small):
             noisy=Tensor(noisy2),
             alpha_bars=batch.alpha_bars,
         )
-        out2 = cat_forward(batch2, mask, params).data
+        out2 = cat_forward(batch2, params).data
         assert np.array_equal(base[lo:hi], out2[lo:hi])
 
 
@@ -205,11 +192,10 @@ def _random_plan(N, rng):
     return ARStepPlan(S=S, sz=tuple(int(n) for n in np.diff([0, *cuts, S])))
 
 
-def _cached_last_step(params, plan, cond, clean, noisy, mask, timesteps, alpha_bars):
+def _cached_last_step(params, plan, cond, clean, noisy, timesteps, alpha_bars):
     """The last AR step's noisy rows run against a cache of the context rows."""
     v = clean.shape[0]
-    ctx = cond.shape[0] + v
-    context = context_cache(np.vstack([cond, clean]), mask.blocked[:ctx, :ctx], params)
+    context = context_cache(np.vstack([cond, clean]), plan, params)
     step = ARStepPlan(S=plan.S - v, sz=(plan.S - v,))
     batch = TokenBatch(
         tokens=Tensor(noisy[v:]),
@@ -219,7 +205,7 @@ def _cached_last_step(params, plan, cond, clean, noisy, mask, timesteps, alpha_b
         alpha_bars=alpha_bars[v:],
         context=context,
     )
-    return cat_forward(batch, build_mask(step.S, 0, step), params).data
+    return cat_forward(batch, params).data
 
 
 def test_cached_step_matches_full_layout(small):
@@ -234,9 +220,8 @@ def test_cached_step_matches_full_layout(small):
             c = int(rng.choice([k for k in range(1, S + 4) if k != S]))
             ts = rng.integers(1, 50, S)
             batch, (cond, clean, noisy) = make_batch(params, plan, c=c, rng=rng, timesteps=ts)
-            mask = build_mask(S, c, plan)
-            full = cat_forward(batch, mask, params).data[v:]
-            cached = _cached_last_step(params, plan, cond, clean, noisy, mask, ts, batch.alpha_bars)
+            full = cat_forward(batch, params).data[v:]
+            cached = _cached_last_step(params, plan, cond, clean, noisy, ts, batch.alpha_bars)
             assert cached.shape == full.shape
             worst = max(worst, float(np.abs(cached - full).max()))
     assert worst <= 1e-12
@@ -246,15 +231,16 @@ def test_cached_step_feeds_noisy_rows_only(small):
     cfg, params = small
     plan = ARStepPlan(S=4, sz=(2, 2))
     batch, (cond, clean, noisy) = make_batch(params, plan, c=3)
-    mask = build_mask(4, 3, plan)
-    context = context_cache(np.vstack([cond, clean]), mask.blocked[:5, :5], params)
+    context = context_cache(np.vstack([cond, clean]), plan, params)
     with pytest.raises(ShapeMismatchError, match="noisy rows only"):
         TokenBatch(
             tokens=batch.tokens, plan=plan, timesteps=batch.timesteps,
             noisy=batch.noisy, alpha_bars=batch.alpha_bars, context=context,
         )
+    with pytest.raises(ShapeMismatchError):  # fewer rows than the plan's 2 clean ones
+        context_cache(clean[:1], plan, params)
     with pytest.raises(ShapeMismatchError):
-        context_cache(np.vstack([cond, clean]), mask.blocked, params)
+        context_cache(np.vstack([cond, clean])[:, 1:], plan, params)
 
 
 def test_all_finite_for_bounded_inputs(small):
@@ -271,7 +257,7 @@ def test_all_finite_for_bounded_inputs(small):
         noisy=Tensor(big),
         alpha_bars=np.full(3, 0.3),
     )
-    out = cat_forward(batch, build_mask(3, 3, plan), params)
+    out = cat_forward(batch, params)
     assert np.isfinite(out.data).all()
 
 
@@ -323,8 +309,7 @@ def test_gradient_of_blocked_attention_path_is_zero(small):
     cfg, params = small
     plan = ARStepPlan(S=4, sz=(2, 2))
     batch, (cond, clean, noisy) = make_batch(params, plan)
-    mask = build_mask(4, 4, plan)
-    base = (cat_forward(batch, mask, params).rows(0, 2) ** 2.0).sum().item()
+    base = (cat_forward(batch, params).rows(0, 2) ** 2.0).sum().item()
     # noisy tokens of step 2 are blocked for step-1 rows; perturb them hugely
     noisy2 = noisy.copy()
     noisy2[2:] += 1e3
@@ -333,7 +318,7 @@ def test_gradient_of_blocked_attention_path_is_zero(small):
         tokens=tokens2, plan=plan, timesteps=batch.timesteps,
         noisy=Tensor(noisy2), alpha_bars=batch.alpha_bars,
     )
-    perturbed = (cat_forward(batch2, mask, params).rows(0, 2) ** 2.0).sum().item()
+    perturbed = (cat_forward(batch2, params).rows(0, 2) ** 2.0).sum().item()
     assert base == perturbed
 
 

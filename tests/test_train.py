@@ -212,6 +212,10 @@ def test_train_config_validation():
         TrainConfig(ar_decay=0.0)
     with pytest.raises(ShapeMismatchError):
         TrainConfig(gene_order="alphabetical")
+    with pytest.raises(ShapeMismatchError):
+        TrainConfig(val_every=0)
+    with pytest.raises(ShapeMismatchError):
+        TrainConfig(batch_genes=0)
     with pytest.raises(ConfigError):
         TrainConfig(sampling="adaptive")
     with pytest.raises(ConfigError):
