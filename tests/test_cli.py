@@ -117,10 +117,6 @@ def test_mask_matches_build_mask_and_reruns_identically(tmp_path, capsys):
     assert code == 0
     expected = build_mask(2, ARStepPlan(S=7, sz=(2, 2, 3)))
     np.testing.assert_array_equal(np.loadtxt(csv_path, delimiter=",", dtype=np.uint8), expected)
-    rows = csv_path.read_text().strip().split("\n")
-    assert len(rows) == 13 and rows[0] == "0,0,1,1,1,1,1,1,1,1,1,1,1"
-    header = pbm_path.read_text().split("\n")
-    assert header[0] == "P1" and header[1] == "13 13"
     np.testing.assert_array_equal(np.loadtxt(pbm_path, skiprows=2, dtype=np.uint8), expected)
     code, csv_again, pbm_again = _mask(tmp_path, "second")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catgen import cli
 from catgen.arplan import ARStepPlan, generate_ar_steps
 from catgen.errors import ShapeMismatchError
 from catgen.mask import build_mask
@@ -170,3 +171,14 @@ def test_oracle_equivalence_random_plans(s, c, seed):
     oracle = mask_oracle(s, c, plan)
     np.testing.assert_array_equal(built, oracle)
 
+
+
+def test_csv_and_pbm_emission(tmp_path):
+    csv_path = tmp_path / "mask.csv"
+    pbm_path = tmp_path / "mask.pbm"
+    argv = ["mask", "--s", "7", "--c", "2", "--sz", "2,2,3", "--out", str(csv_path), "--pbm", str(pbm_path)]
+    assert cli.main(argv) == 0
+    rows = csv_path.read_text().strip().split("\n")
+    assert len(rows) == 13 and rows[0] == "0,0,1,1,1,1,1,1,1,1,1,1,1"
+    header = pbm_path.read_text().split("\n")
+    assert header[0] == "P1" and header[1] == "13 13"
