@@ -43,6 +43,11 @@ class ARStepPlan:
     def N(self) -> int:
         return len(self.sz)
 
+    @property
+    def v(self) -> int:
+        """Clean tokens: every AR step's genes but the last step's."""
+        return self.S - self.sz[-1]
+
     def to_text(self) -> str:
         return "sz=" + ",".join(str(s) for s in self.sz)
 

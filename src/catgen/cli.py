@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import logging
 import math
 import os
@@ -198,7 +199,7 @@ def _prepare_from_files(st_path, sc_path, values):
     opts = data_options(values)
     st_raw = load_matrix(st_path, modality="ST")
     sc_raw = load_matrix(sc_path, modality=SC)
-    return prepare_pair(st_raw, sc_raw, **opts), opts
+    return prepare_pair(st_raw, sc_raw, **dataclasses.asdict(opts)), opts
 
 
 def cmd_train(args) -> int:
@@ -214,7 +215,7 @@ def cmd_train(args) -> int:
         cfg.gene_order = args.gene_order
     pair, opts = _prepare_from_files(args.st, args.sc, values)
     split = split_genes(range(len(pair.genes)), seed)
-    mcfg = model_config(values, p=pair.st.n_obs, q=pair.sc.n_obs, variational=cfg.variational_encoder)
+    mcfg = model_config(values, p=pair.st.n_obs, q=pair.sc.n_obs)
 
     result = fit(pair.st, pair.sc, split, mcfg, cfg)
     meta = {
@@ -222,9 +223,9 @@ def cmd_train(args) -> int:
         "beta_start": cfg.beta_start,
         "beta_end": cfg.beta_end,
         "seed": seed,
-        "data_normalize": int(opts["apply_normalize"]),
-        "qc_min_genes_sc": opts["min_genes_sc"],
-        "qc_min_genes_st": opts["min_genes_st"],
+        "data_normalize": int(opts.apply_normalize),
+        "qc_min_genes_sc": opts.min_genes_sc,
+        "qc_min_genes_st": opts.min_genes_st,
     }
     save_checkpoint(result.params, args.out, meta)
     history_path = args.history or os.path.join(os.path.dirname(os.path.abspath(args.out)), "history.csv")
@@ -247,17 +248,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .data import SC, load_matrix, normalize, qc_filter, save_matrix
+    from .data import SC, DataOptions, load_matrix, save_matrix
     from .diffusion import linear_schedule, parse_strategy
     from .generate import generate_genes
     from .model import load_checkpoint
 
     params, meta = load_checkpoint(args.ckpt)
     schedule = linear_schedule(int(meta["T"]), meta["beta_start"], meta["beta_end"])
-    sc = load_matrix(args.sc, modality=SC)
-    sc = qc_filter(sc, min_genes_sc=int(meta.get("qc_min_genes_sc", 500)))
-    if int(meta.get("data_normalize", 1)):
-        sc = normalize(sc)
+    opts = DataOptions(  # checkpoints without the data meta used the defaults
+        min_genes_sc=int(meta.get("qc_min_genes_sc", DataOptions.min_genes_sc)),
+        apply_normalize=bool(meta.get("data_normalize", DataOptions.apply_normalize)),
+    )
+    sc = opts.qc_normalize(load_matrix(args.sc, modality=SC))
     with open(args.genes, "r", encoding="utf-8") as fh:
         genes = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
     predicted = generate_genes(
@@ -335,7 +337,7 @@ _ABLATION_AXES = {
     "blocks": ("model.blocks", [1, 2, 3, 4, 5]),
     "sampling": ("diffusion.sampling", ["full", "frac:2", "frac:3", "frac:4", "frac:20"]),
     "decoder": ("train.train_decoder", [False, True]),
-    "encoder_variation": ("train.variational_encoder", [False, True]),
+    "encoder_variation": ("model.variational", [False, True]),
 }
 
 
@@ -357,13 +359,9 @@ def cmd_ablate(args) -> int:
                 seed = base_seed + offset
                 trial = dict(values)
                 trial[key] = setting
-                cfg = train_config(trial, seed)
-                mcfg = model_config(
-                    trial, p=pair.st.n_obs, q=pair.sc.n_obs,
-                    variational=cfg.variational_encoder,
-                )
+                mcfg = model_config(trial, p=pair.st.n_obs, q=pair.sc.n_obs)
                 split = split_genes(range(len(pair.genes)), seed)
-                result = fit(pair.st, pair.sc, split, mcfg, cfg)
+                result = fit(pair.st, pair.sc, split, mcfg, train_config(trial, seed))
                 writer.writerow(
                     [args.axis, setting, seed, repr(result.best_val_pcc), result.best_epoch]
                 )

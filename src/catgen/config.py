@@ -9,6 +9,19 @@ Files are INI-style::
 which flattens to ``train.epochs`` etc. Unknown keys and untypable values are
 rejected. CLI ``--set section.key=value`` overrides go through the same
 registry.
+
+Each setting has one owner, and the registry is derived from the owners'
+typed fields, so a new field is a new key without an edit here:
+
+- ``model.*``: ``ModelConfig`` but ``p`` and ``q``, which the data fixes;
+- ``train.*``, ``diffusion.*`` and ``ar.decay``: ``TrainConfig`` but
+  ``seed``, which ``--seed`` sets;
+- ``data.*``: ``DataOptions``, under the key names of a 4-entry table;
+- ``synth.*``: ``chain_config``'s parameters but ``seed``.
+
+Written by hand are only the key names that differ from their field names
+and ``synth.chain_edges``, a text list of edges. Keys left unset keep their
+owner's defaults.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ import configparser
 import dataclasses
 import typing
 
+from .data import DataOptions
 from .errors import ConfigError
 from .model import ModelConfig
 from .synth import ChainEdge, SynthConfig, chain_config
@@ -32,42 +46,42 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# TrainConfig fields kept outside the ``train`` section; every other field but
-# ``seed`` (which comes from --seed) is ``train.<field>``
-_TRAIN_ALIASES = {
+def _keys(owner, section: str, skip=(), renamed=None) -> dict[str, tuple[str, type]]:
+    """Key -> (name, type) for each typed field or parameter of ``owner`` but ``skip``.
+
+    A name's key is ``<section>.<name>`` unless ``renamed`` gives another.
+    """
+    renamed = renamed or {}
+    return {
+        renamed.get(name, f"{section}.{name}"): (name, kind)
+        for name, kind in typing.get_type_hints(owner).items()
+        if name not in (*skip, "return")
+    }
+
+
+# seed comes from --seed; p and q from the prepared data
+_TRAIN_KEYS = _keys(TrainConfig, "train", skip=("seed",), renamed={
     "ar_decay": "ar.decay",
     "T": "diffusion.T",
     "beta_start": "diffusion.beta_start",
     "beta_end": "diffusion.beta_end",
     "sampling": "diffusion.sampling",
-}
-_TRAIN_KEYS: dict[str, str] = {
-    _TRAIN_ALIASES.get(f.name, f"train.{f.name}"): f.name
-    for f in dataclasses.fields(TrainConfig)
-    if f.name != "seed"
-}
-_TRAIN_TYPES = typing.get_type_hints(TrainConfig)
+})
+_MODEL_KEYS = _keys(ModelConfig, "model", skip=("p", "q"))
+_DATA_KEYS = _keys(DataOptions, "data", renamed={
+    "min_genes_sc": "data.qc_min_genes_sc",
+    "min_genes_st": "data.qc_min_genes_st",
+    "apply_normalize": "data.normalize",
+    "top_fraction": "data.hvg_fraction",
+})
+_SYNTH_KEYS = _keys(chain_config, "synth", skip=("seed",))
 
 REGISTRY: dict[str, type] = {
-    "model.d": int,
-    "model.heads": int,
-    "model.blocks": int,
-    **{key: _TRAIN_TYPES[name] for key, name in _TRAIN_KEYS.items()},
-    "data.qc_min_genes_sc": int,
-    "data.qc_min_genes_st": int,
-    "data.normalize": bool,
-    "data.hvg_fraction": float,
-    "synth.n_genes": int,
-    "synth.n_spots": int,
-    "synth.n_cells": int,
-    "synth.noise_sd": float,
-    "synth.n_factors": int,
-    "synth.dropout_rate": float,
-    "synth.chain_edges": str,
-    "synth.chain_length": int,
-    "synth.coeff": float,
-    "synth.lag": int,
+    key: kind
+    for keys in (_MODEL_KEYS, _TRAIN_KEYS, _DATA_KEYS, _SYNTH_KEYS)
+    for key, (_, kind) in keys.items()
 }
+REGISTRY["synth.chain_edges"] = str  # comma-separated ChainEdge texts
 
 
 def _convert(key: str, raw: str):
@@ -105,38 +119,27 @@ def apply_overrides(values: dict[str, object], overrides) -> dict[str, object]:
     return values
 
 
+def _chosen(values: dict[str, object], keys: dict[str, tuple[str, type]]) -> dict[str, object]:
+    """The keys of one owner that are set, by field name."""
+    return {name: values[key] for key, (name, _) in keys.items() if key in values}
+
+
 def train_config(values: dict[str, object], seed: int) -> TrainConfig:
-    chosen = {name: values[key] for key, name in _TRAIN_KEYS.items() if key in values}
-    return TrainConfig(seed=seed, **chosen)
+    return TrainConfig(seed=seed, **_chosen(values, _TRAIN_KEYS))
 
 
-def _section(values: dict[str, object], prefix: str) -> dict[str, object]:
-    """The registered keys under ``prefix`` that are set, named without it."""
-    return {
-        key[len(prefix):]: values[key]
-        for key in REGISTRY
-        if key.startswith(prefix) and key in values
-    }
+def model_config(values: dict[str, object], p: int, q: int) -> ModelConfig:
+    return ModelConfig(p=p, q=q, **_chosen(values, _MODEL_KEYS))
 
 
-def model_config(values: dict[str, object], p: int, q: int, variational: bool) -> ModelConfig:
-    return ModelConfig(p=p, q=q, variational=variational, **_section(values, "model."))
+def data_options(values: dict[str, object]) -> DataOptions:
+    return DataOptions(**_chosen(values, _DATA_KEYS))
 
 
 def synth_config(values: dict[str, object], seed: int) -> SynthConfig:
-    chosen = _section(values, "synth.")
-    edges_text = str(chosen.pop("chain_edges", "")).strip()
-    base = chain_config(seed=seed, **chosen)
+    base = chain_config(seed=seed, **_chosen(values, _SYNTH_KEYS))
+    edges_text = str(values.get("synth.chain_edges", "")).strip()
     if not edges_text:
         return base
     edges = [ChainEdge.from_text(tok) for tok in edges_text.split(",") if tok.strip()]
     return dataclasses.replace(base, chain_edges=edges)
-
-
-def data_options(values: dict[str, object]) -> dict[str, object]:
-    return {
-        "min_genes_sc": int(values.get("data.qc_min_genes_sc", 500)),
-        "min_genes_st": int(values.get("data.qc_min_genes_st", 1)),
-        "apply_normalize": bool(values.get("data.normalize", True)),
-        "top_fraction": float(values.get("data.hvg_fraction", 0.25)),
-    }

@@ -163,8 +163,25 @@ def save_matrix(m: ExpressionMatrix, path, fmt: str = "csv") -> None:
             writer.writerow([gene, *(repr(float(x)) for x in row)])
 
 
+@dataclass(frozen=True)
+class DataOptions:
+    """Preprocessing settings; the one place their defaults are written."""
+
+    top_fraction: float = 0.25
+    min_genes_sc: int = 500
+    min_genes_st: int = 1
+    apply_normalize: bool = True
+
+    def qc_normalize(self, m: ExpressionMatrix) -> ExpressionMatrix:
+        """Per-matrix steps: QC-filter the observations, then normalize if set."""
+        m = qc_filter(m, self.min_genes_sc, self.min_genes_st)
+        return normalize(m) if self.apply_normalize else m
+
+
 def qc_filter(
-    m: ExpressionMatrix, min_genes_sc: int = 500, min_genes_st: int = 1
+    m: ExpressionMatrix,
+    min_genes_sc: int = DataOptions.min_genes_sc,
+    min_genes_st: int = DataOptions.min_genes_st,
 ) -> ExpressionMatrix:
     """Drop observations detecting too few genes; the gene set is unchanged."""
     threshold = min_genes_sc if m.modality == SC else min_genes_st
@@ -200,7 +217,7 @@ def normalize(m: ExpressionMatrix) -> ExpressionMatrix:
     )
 
 
-def select_hvg(m: ExpressionMatrix, top_fraction: float = 0.25) -> ExpressionMatrix:
+def select_hvg(m: ExpressionMatrix, top_fraction: float) -> ExpressionMatrix:
     """Keep the ceil(top_fraction * n_genes) most variable genes, input order preserved.
 
     Variance is the population variance across observations; ties at the cut
@@ -270,26 +287,17 @@ class PreparedPair:
         self.genes = list(self.st.gene_ids)
 
 
-def prepare_pair(
-    st_raw: ExpressionMatrix,
-    sc_raw: ExpressionMatrix,
-    top_fraction: float = 0.25,
-    min_genes_sc: int = 500,
-    min_genes_st: int = 1,
-    apply_normalize: bool = True,
-) -> PreparedPair:
+def prepare_pair(st_raw: ExpressionMatrix, sc_raw: ExpressionMatrix, **options) -> PreparedPair:
     """Full preprocessing protocol for a paired ST / SC dataset.
 
-    Gene ids are matched case-sensitively; the shared gene order follows the
-    spatial matrix. N for normalization is computed after QC filtering.
+    ``options`` are ``DataOptions`` fields; those not given keep their
+    defaults. Gene ids are matched case-sensitively; the shared gene order
+    follows the spatial matrix. N for normalization is computed after QC
+    filtering.
     """
-    st = qc_filter(st_raw, min_genes_sc=min_genes_sc, min_genes_st=min_genes_st)
-    sc = qc_filter(sc_raw, min_genes_sc=min_genes_sc, min_genes_st=min_genes_st)
-    if apply_normalize:
-        st = normalize(st)
-        sc = normalize(sc)
-    st = select_hvg(st, top_fraction)
-    sc = select_hvg(sc, top_fraction)
+    opts = DataOptions(**options)
+    st = select_hvg(opts.qc_normalize(st_raw), opts.top_fraction)
+    sc = select_hvg(opts.qc_normalize(sc_raw), opts.top_fraction)
     shared = [g for g in st.gene_ids if g in set(sc.gene_ids)]
     if not shared:
         raise EmptyResultError("no genes survive HVG selection in both modalities")

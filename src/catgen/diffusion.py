@@ -90,24 +90,6 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 2e-2) ->
     return DiffusionSchedule.from_betas(betas)
 
 
-def _check_t(t: int, T: int) -> None:
-    if not 1 <= t <= T:
-        raise ShapeMismatchError(f"timestep {t} outside [1, {T}]")
-
-
-def forward_sample(
-    x0: np.ndarray, t: int, schedule: DiffusionSchedule, eps: np.ndarray
-) -> np.ndarray:
-    """Closed-form sample x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if x0.shape != eps.shape:
-        raise ShapeMismatchError(f"x0 {x0.shape} and eps {eps.shape} differ in shape")
-    _check_t(t, schedule.T)
-    ab = schedule.alpha_bars[t - 1]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-
-
 def noising_coefficients(
     schedule: DiffusionSchedule, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -71,16 +71,6 @@ def reverse_step(
     return mu + np.sqrt(var) * rng.standard_normal(xt.shape)
 
 
-def posterior_variance(schedule: DiffusionSchedule, t: int) -> float:
-    if not 1 <= t <= schedule.T:
-        raise ShapeMismatchError(f"timestep {t} outside [1, {schedule.T}]")
-    if t == 1:
-        return 0.0
-    ab_prev = schedule.alpha_bars[t - 2]
-    ab = schedule.alpha_bars[t - 1]
-    return float(schedule.betas[t - 1] * (1.0 - ab_prev) / (1.0 - ab))
-
-
 def equal_width_groups(n: int, groups: int) -> list[int]:
     """Split n genes into at most ``groups`` contiguous groups of near-equal size."""
     k = max(1, min(groups, n))
@@ -88,9 +78,7 @@ def equal_width_groups(n: int, groups: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(k)]
 
 
-def _group_rng(seed: int, index: int, group_seeds) -> np.random.Generator:
-    if group_seeds is not None:
-        return np.random.default_rng(int(group_seeds[index]))
+def _group_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), index)))
 
 
@@ -102,7 +90,6 @@ def generate_genes(
     groups: int = 1,
     strategy: Strategy = Full(),
     seed: int = 0,
-    group_seeds=None,
     trained_T: int | None = None,
 ) -> ExpressionMatrix:
     """Generate spatial profiles for ``target_genes`` conditioned on ``sc``."""
@@ -130,7 +117,7 @@ def generate_genes(
 
     finalized: list[np.ndarray] = []
     for g, size in enumerate(sizes):
-        rng = _group_rng(seed, g, group_seeds)
+        rng = _group_rng(seed, g)
         lo, hi = int(bounds[g]), int(bounds[g + 1])
         group_plan = ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))
         context = context_cache(np.vstack([cond, *finalized]), group_plan, frozen)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,26 +160,29 @@ def rank_results(results: list[GrangerResult], top_k: int) -> list[GrangerResult
     return ordered[: max(top_k, 0)]
 
 
-def screen(m: ExpressionMatrix, lag: int = 1, top_k: int = 5) -> list[GrangerResult]:
-    """Evaluate every ordered gene pair and keep the strongest ``top_k``.
+def all_pairs(m: ExpressionMatrix, lag: int = 1) -> Iterator[GrangerResult]:
+    """Test every ordered gene pair, drivers in row order, each against every other row.
 
     Pairs that fail with degenerate input (constant profiles) are skipped and
-    counted in a single warning.
+    counted in a single warning once every pair is tested.
     """
-    if m.n_genes < 2:
-        raise ShapeMismatchError("screen needs at least 2 genes")
-    results: list[GrangerResult] = []
     skipped = 0
     for i, driver in enumerate(m.gene_ids):
         for j, target in enumerate(m.gene_ids):
             if i == j:
                 continue
             try:
-                results.append(
-                    test_pair(m.values[i], m.values[j], lag=lag, driver=driver, target=target)
-                )
+                result = test_pair(m.values[i], m.values[j], lag=lag, driver=driver, target=target)
             except DegenerateInputError:
                 skipped += 1
+                continue
+            yield result
     if skipped:
         log.warning("granger screen skipped %d degenerate gene pairs", skipped)
-    return rank_results(results, top_k)
+
+
+def screen(m: ExpressionMatrix, lag: int = 1, top_k: int = 5) -> list[GrangerResult]:
+    """Evaluate every ordered gene pair and keep the strongest ``top_k``."""
+    if m.n_genes < 2:
+        raise ShapeMismatchError("screen needs at least 2 genes")
+    return rank_results(list(all_pairs(m, lag)), top_k)

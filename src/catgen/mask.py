@@ -22,8 +22,7 @@ def build_mask(c: int, plan: ARStepPlan) -> np.ndarray:
     """Block-write construction of the (seq, seq) causal mask, ``True`` = blocked."""
     if c < 0:
         raise ShapeMismatchError(f"condition length must be nonnegative, got {c}")
-    s, cs = plan.S, plan.cs
-    v = s - plan.sz[-1]
+    s, cs, v = plan.S, plan.cs, plan.v
     ctx = c + v
     seq = ctx + s
 

@@ -155,18 +155,14 @@ class Encoded(NamedTuple):
 
 
 def encode(
-    x,
-    head: str,
-    params: CatParameters,
-    variational: bool = False,
-    rng: np.random.Generator | None = None,
+    x, head: str, params: CatParameters, rng: np.random.Generator | None = None
 ) -> Encoded:
     """Map expression profiles into the shared latent space.
 
     ``head`` selects the spatial (``st``) or single-cell (``sc``) input head.
-    With ``variational`` the latent is reparameterized as
-    mean + exp(logvar / 2) * eps and (mean, logvar) are returned for the KL
-    term; otherwise the mean is the latent and the call is deterministic.
+    Given an ``rng``, a variational model reparameterizes the latent as
+    mean + exp(logvar / 2) * eps and returns (mean, logvar) for the KL term;
+    otherwise the mean is the latent, ``logvar`` is None and nothing is drawn.
     """
     if head not in ("st", "sc"):
         raise ShapeMismatchError(f"unknown encoder head {head!r}")
@@ -179,12 +175,8 @@ def encode(
         )
     hidden = gelu(x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"])
     mean = hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
-    if not variational:
+    if rng is None or not params.cfg.variational:
         return Encoded(z=mean, mean=mean, logvar=None)
-    if not params.cfg.variational:
-        raise ShapeMismatchError("model was built without a variational head")
-    if rng is None:
-        raise ShapeMismatchError("variational encoding needs an rng")
     logvar = (hidden @ params["enc_var.w"] + params["enc_var.b"]).clamp(LOGVAR_MIN, LOGVAR_MAX)
     eps = rng.standard_normal(mean.shape)
     z = mean + (0.5 * logvar).exp() * eps
@@ -307,7 +299,7 @@ def context_cache(tokens, plan: ARStepPlan, params: CatParameters) -> ContextCac
     """
     tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
     rows = tokens.shape[0]
-    c = rows - (plan.S - plan.sz[-1])
+    c = rows - plan.v
     if tokens.shape[-1] != params.cfg.d or c < 0:
         raise ShapeMismatchError(
             f"context of shape {tokens.shape} does not fit plan {plan.to_text()} "
@@ -363,7 +355,7 @@ class TokenBatch:
 
     @property
     def v(self) -> int:
-        return self.plan.S - self.plan.sz[-1]
+        return self.plan.v
 
 
 def cat_forward(batch: TokenBatch, params: CatParameters) -> Tensor:

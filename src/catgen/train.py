@@ -5,11 +5,13 @@ Each diffusion step draws a fresh AR plan, noises every gene token at its own
 sampled timestep, assembles [condition | clean | noisy] tokens under the
 causal mask, and minimizes noise-prediction MSE (plus optional decoder
 reconstruction and KL terms). Clean tokens are never noised; conditions are
-never noised either. The warmup phase trains the two encoder heads and the
-decoder so the latent space is fixed before diffusion training starts; unless
-``train_decoder`` is set, the spatial head, variational head and decoder stay
-frozen afterwards so generation always decodes from the space the model was
-trained in.
+never noised either. ``ModelConfig.variational`` alone decides whether the
+encoder is variational: only such a model has the variational head, samples
+its spatial latents in training steps and pays the KL term. The warmup phase
+trains the two encoder heads and the decoder so the latent space is fixed
+before diffusion training starts; unless ``train_decoder`` is set, the
+spatial head, variational head and decoder stay frozen afterwards so
+generation always decodes from the space the model was trained in.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .diffusion import (
 )
 from .errors import DegenerateInputError, NumericFailureError, ShapeMismatchError
 from .generate import generate_genes
-from .granger import test_pair
+from .granger import all_pairs
 from .metrics import pcc
 from .model import (
     CatParameters,
@@ -55,7 +57,6 @@ class TrainConfig:
     lr: float = 2e-3
     ar_decay: float = 0.8
     train_decoder: bool = False
-    variational_encoder: bool = True
     sampling: str = "full"
     seed: int = 42
     T: int = 2000
@@ -128,19 +129,13 @@ def diffusion_trainable(params: CatParameters, cfg: TrainConfig) -> list[str]:
     they only keep training when the decoder is co-trained, otherwise the
     warmup-fitted space (and with it the conditioning) stays frozen.
     """
-    frozen = ["latent."]
-    if not cfg.train_decoder:
-        frozen += ["e1.", "enc_var.", "dec."]
-    if not cfg.variational_encoder:
-        frozen.append("enc_var.")
-    return [n for n in params.names() if not n.startswith(tuple(frozen))]
+    frozen = ("latent.",) if cfg.train_decoder else ("latent.", "e1.", "enc_var.", "dec.")
+    return [n for n in params.names() if not n.startswith(frozen)]
 
 
-def warmup_trainable(params: CatParameters, cfg: TrainConfig) -> list[str]:
-    prefixes = ["e1.", "e2.", "dec."]
-    if cfg.variational_encoder:
-        prefixes.append("enc_var.")
-    return [n for n in params.names() if n.startswith(tuple(prefixes))]
+def warmup_trainable(params: CatParameters) -> list[str]:
+    """The encoder heads, with the variational head if the model has one, and the decoder."""
+    return [n for n in params.names() if n.startswith(("e1.", "e2.", "enc_var.", "dec."))]
 
 
 def _kl_term(mean: Tensor, logvar: Tensor) -> Tensor:
@@ -162,10 +157,9 @@ def assemble_training_batch(
     latent, which ties each noisy slot to the gene it must denoise. Clean
     tokens are the un-noised latents of every AR step but the last.
     """
-    v = plan.S - plan.sz[-1]
     sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
     noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
-    tokens = concat([z_sc, z_st.rows(0, v), noised + z_sc], axis=0)
+    tokens = concat([z_sc, z_st.rows(0, plan.v), noised + z_sc], axis=0)
     return TokenBatch(
         tokens=tokens,
         plan=plan,
@@ -188,7 +182,7 @@ def training_loss(
 ) -> Tensor:
     """Blended objective for one already-permuted gene batch."""
     assert (token_ts >= 1).all(), "clean tokens are the only un-noised gene tokens"
-    st_enc = encode(st_values, "st", params, variational=cfg.variational_encoder, rng=enc_rng)
+    st_enc = encode(st_values, "st", params, rng=enc_rng)
     sc_enc = encode(sc_values, "sc", params)
     inv_scale = 1.0 / float(params["latent.scale"].data)
     batch = assemble_training_batch(
@@ -199,7 +193,7 @@ def training_loss(
     if cfg.train_decoder:
         recon = decode(st_enc.z, params)
         loss = loss + cfg.lambda_rec * ((recon - Tensor(st_values)) ** 2.0).mean()
-    if cfg.variational_encoder:
+    if st_enc.logvar is not None:
         loss = loss + cfg.lambda_kl * _kl_term(st_enc.mean, st_enc.logvar)
     return loss
 
@@ -228,12 +222,11 @@ def train_step(
     if cfg.gene_order == "random":
         perm = rng.permutation(S)
         st_batch, sc_batch = st_batch[perm], sc_batch[perm]
-    enc_rng = rng if cfg.variational_encoder else None
     plan = generate_ar_steps(S, cfg.ar_decay, rng)
     token_ts = sample_timesteps(schedule, parse_strategy(cfg.sampling), S, rng)
     eps = rng.standard_normal((S, params.cfg.d))
 
-    loss = training_loss(st_batch, sc_batch, plan, token_ts, eps, params, cfg, schedule, enc_rng)
+    loss = training_loss(st_batch, sc_batch, plan, token_ts, eps, params, cfg, schedule, rng)
     value = loss.item()
     if not math.isfinite(value):
         raise NumericFailureError(
@@ -262,8 +255,7 @@ def _warmup_step(
     decoder learns to contract off-manifold directions; generated latents
     land near the manifold, never exactly on it.
     """
-    enc_rng = rng if cfg.variational_encoder else None
-    st_enc = encode(st_batch, "st", params, variational=cfg.variational_encoder, rng=enc_rng)
+    st_enc = encode(st_batch, "st", params, rng=rng)
     sc_enc = encode(sc_batch, "sc", params)
     target = Tensor(st_batch)
     sigma = cfg.warmup_latent_noise * float(st_enc.z.data.std())
@@ -272,7 +264,7 @@ def _warmup_step(
     loss = loss + ((decode(st_enc.z + jitter, params) - target) ** 2.0).mean()
     loss = loss + ((sc_enc.z - st_enc.mean.detach()) ** 2.0).mean()
     loss = loss + ((decode(sc_enc.z + jitter, params) - target) ** 2.0).mean()
-    if cfg.variational_encoder:
+    if st_enc.logvar is not None:
         loss = loss + cfg.lambda_kl * _kl_term(st_enc.mean, st_enc.logvar)
     value = loss.item()
     if not math.isfinite(value):
@@ -290,18 +282,13 @@ class FitResult:
     best_epoch: int = -1
 
 
-def _granger_gene_order(values: np.ndarray, genes: list[int]) -> list[int]:
+def _granger_gene_order(st: ExpressionMatrix, genes: list[int]) -> list[int]:
     """Order genes by descending outgoing causal strength (max pairwise F)."""
     strength = dict.fromkeys(genes, 0.0)
-    for gi in genes:
-        for gj in genes:
-            if gi == gj:
-                continue
-            try:
-                result = test_pair(values[gi], values[gj], lag=1)
-            except DegenerateInputError:
-                continue
-            strength[gi] = max(strength[gi], result.f_stat)
+    index = st.gene_index()
+    for result in all_pairs(st.subset_genes(genes), lag=1):
+        driver = index[result.driver]
+        strength[driver] = max(strength[driver], result.f_stat)
     return sorted(genes, key=lambda g: (-strength[g], g))
 
 
@@ -336,10 +323,10 @@ def fit(
     train_genes = list(split.train_genes)
     val_genes = list(split.val_genes)
     if cfg.gene_order == "granger":
-        train_genes = _granger_gene_order(st.values, train_genes)
+        train_genes = _granger_gene_order(st, train_genes)
 
     warmup_opt = Adam(cfg.recon_lr)
-    warm_names = warmup_trainable(params, cfg)
+    warm_names = warmup_trainable(params)
     for epoch in range(cfg.recon_epochs):
         order = train_genes if cfg.gene_order == "granger" else [
             train_genes[i] for i in rng.permutation(len(train_genes))

@@ -17,6 +17,12 @@ def test_worked_example_boundaries():
     assert ARStepPlan.from_text("sz=2,2,3") == plan
 
 
+def test_clean_token_count_covers_every_step_but_the_last():
+    assert ARStepPlan(S=7, sz=(2, 2, 3)).v == 4
+    assert ARStepPlan(S=5, sz=(5,)).v == 0
+    assert ARStepPlan(S=3, sz=(1, 1, 1)).v == 2
+
+
 class _ScriptedRng:
     """Returns a fixed script of integers(); lets a test force N and cut points."""
 

@@ -2,10 +2,13 @@
 
 ``catbench/tracing.py`` looks each traced function up with
 ``vars(module)[name]`` (or ``vars(cls)[name]`` for a method), so renaming or
-removing one breaks every traced benchmark run.
+removing one breaks every traced benchmark run. The smoke run checks the
+rest of what the benchmark calls: ``prepare_pair``'s keywords, ``TrainConfig``
+and the CLI keys of its ``pipeline``.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,3 +78,14 @@ def test_traced_runs_count_forward_rows():
     assert tracer.counts["generate.rows_consumed"] == 5 * steps
     assert sum(span[0] == "model.cat_forward" for span in tracer.spans) == 1 + 2 * steps
     assert tracing.leftover_wrappers() == []
+
+
+def test_smoke_run_passes():
+    """``catbench/run.py --smoke`` runs every workload at tiny sizes and checks its metrics."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "catbench" / "run.py"), "--smoke"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "smoke: ok" in done.stdout

@@ -6,7 +6,11 @@ import pytest
 
 from catgen import cli, train
 from catgen.arplan import ARStepPlan
+from catgen.data import SC, ExpressionMatrix, normalize, save_matrix
+from catgen.diffusion import linear_schedule
+from catgen.generate import generate_genes
 from catgen.mask import build_mask
+from catgen.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 SEED = ["--seed", "3"]
 TINY_TRAIN = [
@@ -83,6 +87,7 @@ def test_unknown_flag_is_a_usage_error(trained):
         "diffusion.sampling=frac:50",  # n > T=20: only T says it is out of range
         "train.val_every=0",
         "train.batch_genes=0",
+        "train.variational_encoder=off",  # now model.variational, with no alias
     ],
 )
 def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
@@ -102,6 +107,46 @@ def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
     assert cli.main(argv) == 2
     assert not out.exists()
     assert calls == []
+
+
+def test_non_variational_model_trains_and_generates(trained):
+    out = trained / "flat.catg"
+    argv = [
+        "train", "--st", str(trained / "st.csv"), "--sc", str(trained / "sc.csv"),
+        "--out", str(out), "--history", str(trained / "flat_history.csv"),
+        *SEED, *TINY_TRAIN, "--set", "model.variational=off",
+    ]
+    assert cli.main(argv) == 0
+    _, meta = load_checkpoint(out)
+    assert meta["variational"] == 0
+    assert b"enc_var" not in out.read_bytes()
+    assert cli.main([
+        "generate", "--ckpt", str(out), "--sc", str(trained / "sc.csv"),
+        "--genes", str(trained / "prep" / "genes_test.txt"),
+        "--out", str(trained / "flat_pred.csv"), *SEED,
+    ]) == 0
+
+
+def test_generate_without_data_meta_prepares_sc_with_the_defaults(tmp_path):
+    """A checkpoint holding only T, the betas and the seed, as the benchmark's
+    ``generate_ar`` writes it, falls back to QC at 500 detected genes and
+    normalization."""
+    values = np.random.default_rng(0).uniform(1.0, 3.0, size=(520, 5))
+    values[30:, 4] = 0.0  # the last cell detects 30 genes and fails QC
+    sc = ExpressionMatrix([f"G{i}" for i in range(520)], [f"c{j}" for j in range(5)], values, SC)
+    save_matrix(sc, tmp_path / "sc.csv")
+    params = init_params(ModelConfig(p=3, q=4, d=4, heads=1, blocks=1), np.random.default_rng(1))
+    meta = {"T": 10, "beta_start": 1e-4, "beta_end": 2e-2, "seed": 0}
+    save_checkpoint(params, tmp_path / "model.catg", meta)
+    (tmp_path / "genes.txt").write_text("G0\nG1\nG2\n")
+    assert cli.main([
+        "generate", "--ckpt", str(tmp_path / "model.catg"), "--sc", str(tmp_path / "sc.csv"),
+        "--genes", str(tmp_path / "genes.txt"), "--out", str(tmp_path / "pred.csv"), *SEED,
+    ]) == 0
+    prepared = normalize(sc.subset_obs(range(4)))
+    expected = generate_genes(prepared, ["G0", "G1", "G2"], params, linear_schedule(10), seed=3)
+    save_matrix(expected, tmp_path / "expected.csv")
+    assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def _mask(tmp_path, name, s="7", sz="2,2,3"):

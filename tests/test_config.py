@@ -7,22 +7,26 @@ import pytest
 from catgen.config import (
     REGISTRY,
     apply_overrides,
+    data_options,
     load_config,
     model_config,
     synth_config,
     train_config,
 )
+from catgen.data import DataOptions
 from catgen.errors import ConfigError
 from catgen.model import ModelConfig
 from catgen.synth import ChainEdge, chain_config
 from catgen.train import TrainConfig
 
 # every key accepted before the train.* keys were derived from TrainConfig,
-# with its type; the unused generate.ar_groups is gone
+# with its type; the unused generate.ar_groups is gone, and
+# train.variational_encoder became model.variational
 EXPECTED_KEYS = {
     "model.d": int,
     "model.heads": int,
     "model.blocks": int,
+    "model.variational": bool,
     "diffusion.T": int,
     "diffusion.beta_start": float,
     "diffusion.beta_end": float,
@@ -35,7 +39,6 @@ EXPECTED_KEYS = {
     "train.recon_lr": float,
     "train.warmup_latent_noise": float,
     "train.train_decoder": bool,
-    "train.variational_encoder": bool,
     "train.val_every": int,
     "train.val_sampling": str,
     "train.val_ar_groups": int,
@@ -66,7 +69,6 @@ OVERRIDES = {
     "train.lr": ("0.01", "lr", 0.01),
     "ar.decay": ("0.5", "ar_decay", 0.5),
     "train.train_decoder": ("true", "train_decoder", True),
-    "train.variational_encoder": ("off", "variational_encoder", False),
     "diffusion.sampling": ("frac:5", "sampling", "frac:5"),
     "diffusion.T": ("300", "T", 300),
     "diffusion.beta_start": ("0.001", "beta_start", 0.001),
@@ -101,7 +103,9 @@ def test_every_train_field_is_set_from_its_key():
     assert train_config({}, seed=5) == TrainConfig(seed=5)
 
 
-@pytest.mark.parametrize("item", ["generate.ar_groups=7", "train.seed=3", "train.nope=1"])
+@pytest.mark.parametrize(
+    "item", ["generate.ar_groups=7", "train.seed=3", "train.nope=1", "model.p=4"]
+)
 def test_unknown_keys_are_rejected(item):
     with pytest.raises(ConfigError):
         apply_overrides({}, [item])
@@ -145,11 +149,17 @@ def test_ini_file_round_trip(tmp_path):
 
 
 def test_model_config_takes_dataclass_defaults_and_set_keys():
-    assert model_config({}, p=6, q=9, variational=False) == ModelConfig(p=6, q=9, variational=False)
-    values = apply_overrides({}, ["model.d=8", "model.blocks=1"])
-    assert model_config(values, p=6, q=9, variational=True) == ModelConfig(
-        p=6, q=9, d=8, blocks=1, variational=True
+    assert model_config({}, p=6, q=9) == ModelConfig(p=6, q=9)
+    values = apply_overrides({}, ["model.d=8", "model.blocks=1", "model.variational=off"])
+    assert model_config(values, p=6, q=9) == ModelConfig(
+        p=6, q=9, d=8, blocks=1, variational=False
     )
+
+
+def test_data_options_take_the_owner_defaults_and_set_keys():
+    assert data_options({}) == DataOptions()
+    values = apply_overrides({}, ["data.qc_min_genes_sc=1", "data.normalize=no"])
+    assert data_options(values) == DataOptions(min_genes_sc=1, apply_normalize=False)
 
 
 def test_synth_config_takes_chain_defaults_and_set_keys():

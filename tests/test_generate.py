@@ -15,12 +15,7 @@ from catgen.diffusion import (
     respaced_chain,
 )
 from catgen.errors import ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
-from catgen.generate import (
-    equal_width_groups,
-    generate_genes,
-    posterior_variance,
-    reverse_step,
-)
+from catgen.generate import equal_width_groups, generate_genes, reverse_step
 from catgen.model import ModelConfig, TokenBatch, cat_forward, decode, encode
 from catgen.synth import chain_config, generate
 from catgen.train import TrainConfig, fit
@@ -44,6 +39,13 @@ def test_reverse_step_noop_in_zero_beta_limit():
     eps_hat = RNG.standard_normal((3, 4))
     out = reverse_step(xt, 3, eps_hat, schedule, np.random.default_rng(2))
     np.testing.assert_allclose(out, xt, atol=1e-4)
+
+
+def posterior_variance(schedule, t):
+    """Reference beta_t * (1 - abar_{t-1}) / (1 - abar_t) of the step from t to t-1 > 0."""
+    ab_prev = schedule.alpha_bars[t - 2]
+    ab = schedule.alpha_bars[t - 1]
+    return float(schedule.betas[t - 1] * (1.0 - ab_prev) / (1.0 - ab))
 
 
 def test_reverse_step_variance_matches_posterior():
@@ -120,12 +122,20 @@ def test_generate_empty_request(trained):
         generate_genes(pair.sc, [], params, schedule, seed=0)
 
 
-def test_ar_group_causality_bitwise(trained):
+def test_ar_group_causality_bitwise(trained, monkeypatch):
     """Re-seeding a later group leaves earlier groups' outputs bit-identical."""
     pair, params, schedule = trained
     genes = pair.genes[:6]
-    a = generate_genes(pair.sc, genes, params, schedule, groups=2, group_seeds=[11, 22])
-    b = generate_genes(pair.sc, genes, params, schedule, groups=2, group_seeds=[11, 99])
+
+    def generate_with(group_seeds):
+        monkeypatch.setattr(
+            generate_module, "_group_rng",
+            lambda seed, index: np.random.default_rng(group_seeds[index]),
+        )
+        return generate_genes(pair.sc, genes, params, schedule, groups=2)
+
+    a = generate_with([11, 22])
+    b = generate_with([11, 99])
     assert np.array_equal(a.values[:3], b.values[:3])
     assert not np.array_equal(a.values[3:], b.values[3:])
 

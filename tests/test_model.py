@@ -1,6 +1,8 @@
 """CAT network: encoder/decoder contracts, masked attention causality,
 gradient fidelity, checkpoint round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ RNG = np.random.default_rng(123)
 
 @pytest.fixture(scope="module")
 def small():
-    cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=2, variational=True)
+    cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=2)
     return cfg, init_params(cfg, np.random.default_rng(0))
 
 
@@ -89,17 +91,25 @@ def test_encode_variational_clamp_limit(small):
     frozen = params.copy()
     frozen.tensors["enc_var.b"].data[:] = -1e6
     x = RNG.standard_normal((5, cfg.p))
-    enc = encode(x, "st", frozen, variational=True, rng=np.random.default_rng(0))
+    enc = encode(x, "st", frozen, rng=np.random.default_rng(0))
     np.testing.assert_array_equal(enc.logvar.data, -20.0)
     # sample spread is exp(-10) ~ 4.5e-5 per unit noise
     np.testing.assert_allclose(enc.z.data, enc.mean.data, atol=2e-4)
     assert np.abs(enc.z.data - enc.mean.data).mean() < 1e-4
 
 
-def test_encode_variational_needs_rng(small):
+def test_encode_samples_only_in_a_variational_model(small):
     cfg, params = small
-    with pytest.raises(ShapeMismatchError):
-        encode(np.zeros((1, cfg.p)), "st", params, variational=True)
+    x = RNG.standard_normal((3, cfg.p))
+    flat = init_params(dataclasses.replace(cfg, variational=False), np.random.default_rng(0))
+    rng = np.random.default_rng(4)
+    enc = encode(x, "st", flat, rng=rng)
+    assert enc.logvar is None
+    assert enc.z is enc.mean
+    np.testing.assert_array_equal(enc.mean.data, encode(x, "st", flat).mean.data)
+    # nothing was drawn: the rng's next draw is its first
+    assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
+    assert encode(x, "st", params).logvar is None  # a variational model without an rng
 
 
 def test_decode_shapes_and_zero_latent(small):
@@ -267,7 +277,7 @@ def test_gradients_match_finite_differences(small):
     from catgen.train import TrainConfig, training_loss
 
     schedule = linear_schedule(20)
-    tcfg = TrainConfig(T=20, variational_encoder=True, train_decoder=True, seed=0)
+    tcfg = TrainConfig(T=20, train_decoder=True, seed=0)
     rng = np.random.default_rng(2)
     S = 4
     st = rng.standard_normal((S, cfg.p))

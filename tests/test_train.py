@@ -1,8 +1,11 @@
 """Training step and fit loop: objective structure, determinism, freezing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from catgen import granger
 from catgen.arplan import ARStepPlan, generate_ar_steps
 from catgen.data import SC, ST, ExpressionMatrix, split_genes
 from catgen.diffusion import (
@@ -18,6 +21,7 @@ from catgen.synth import chain_config, generate
 from catgen.train import (
     Adam,
     TrainConfig,
+    _granger_gene_order,
     clip_global_norm,
     diffusion_trainable,
     fit,
@@ -64,7 +68,7 @@ def make_step_args(mcfg, cfg, seed=1):
 
 def test_zero_noise_edge_loss_is_pure_prediction_power(tiny_setup):
     st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=5, variational_encoder=False, train_decoder=False, seed=0)
+    cfg = TrainConfig(T=5, train_decoder=False, seed=0)
     mcfg0 = ModelConfig(p=mcfg.p, q=mcfg.q, d=8, heads=2, blocks=2, variational=False)
     params = init_params(mcfg0, np.random.default_rng(1))
     # beta ~ 0 edge schedule: x_t = x0 exactly when eps = 0
@@ -164,7 +168,7 @@ def test_decoder_updates_when_cotrained(tiny_setup):
 
 def test_loss_invariant_to_within_group_permutation(tiny_setup):
     st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=30, variational_encoder=False, seed=0)
+    cfg = TrainConfig(T=30, seed=0)
     mcfg0 = ModelConfig(p=mcfg.p, q=mcfg.q, d=8, heads=2, blocks=2, variational=False)
     params = init_params(mcfg0, np.random.default_rng(2))
     schedule = linear_schedule(30)
@@ -191,10 +195,14 @@ def test_trainable_sets(tiny_setup):
     names2 = diffusion_trainable(params, cotrain_cfg)
     assert any(n.startswith("dec.") for n in names2)
     assert "latent.scale" not in names2
-    warm = warmup_trainable(params, frozen_cfg)
+    warm = warmup_trainable(params)
     assert any(n.startswith("enc_var.") for n in warm)
-    off = TrainConfig(variational_encoder=False)
-    assert not any(n.startswith("enc_var.") for n in warmup_trainable(params, off))
+    flat = init_params(dataclasses.replace(mcfg, variational=False), np.random.default_rng(0))
+    assert not any(n.startswith("enc_var.") for n in flat.names())
+    assert warmup_trainable(flat) == [n for n in warm if not n.startswith("enc_var.")]
+    assert diffusion_trainable(flat, cotrain_cfg) == [
+        n for n in names2 if not n.startswith("enc_var.")
+    ]
 
 
 def test_clip_global_norm():
@@ -273,6 +281,19 @@ def test_fit_granger_gene_order_runs():
     )
     result = fit(pair.st, pair.sc, split, mcfg, cfg)
     assert len(result.history) == 2
+
+
+def test_granger_gene_order_ranks_drivers_by_their_strongest_f():
+    pair, split = prepared_dataset()
+    genes = list(split.train_genes)
+    strength = dict.fromkeys(genes, 0.0)  # reference: the pairwise loop, written out
+    for gi in genes:
+        for gj in genes:
+            if gi != gj:
+                f_stat = granger.test_pair(pair.st.values[gi], pair.st.values[gj], lag=1).f_stat
+                strength[gi] = max(strength[gi], f_stat)
+    expected = sorted(genes, key=lambda g: (-strength[g], g))
+    assert _granger_gene_order(pair.st, genes) == expected
 
 
 def test_fit_requires_aligned_matrices():
