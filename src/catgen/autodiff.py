@@ -7,6 +7,14 @@ on the Tensors of one forward pass and is garbage-collected with them, so
 there is no global mutable state and independent forward passes never
 interact.
 
+A walk visits only the nodes that lead to a leaf whose gradient was asked
+for, so ``gradients`` of a few leaves skips the branches that feed only
+other leaves. A node's gradient array is made by its first contribution:
+a fresh C-contiguous result is adopted as it is, anything else is copied,
+so no two nodes share an array and each gradient has the memory layout of
+its node's data. An inner node's gradient is dropped as soon as its rule
+has passed it on.
+
 Only the operations the model actually needs are implemented. Each backward
 rule is exercised against central finite differences in the test suite.
 """
@@ -18,6 +26,27 @@ import numpy as np
 from .errors import NotOnTapeError, ShapeMismatchError
 
 _SQRT_2_OVER_PI = 0.7978845608028654
+
+
+def _accumulate(node: "Tensor", g) -> None:
+    """Add the contribution ``g`` to ``node.grad``.
+
+    The first contribution becomes the gradient array. It is adopted when it
+    owns its memory and is C-contiguous like the node's data: backward rules
+    pass an incoming gradient on only through views, so such an array was
+    computed for this contribution alone. Anything else is copied into an
+    array laid out like the node's data.
+    """
+    if node.grad is not None:
+        node.grad += g
+    elif (
+        isinstance(g, np.ndarray) and g.flags.owndata and g.flags.c_contiguous
+        and node.data.flags.c_contiguous and g.shape == node.data.shape
+    ):
+        node.grad = g
+    else:
+        node.grad = np.empty_like(node.data)
+        node.grad[...] = g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -34,7 +63,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Node of the computation graph; holds a float64 array and its gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_needed")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -43,6 +72,7 @@ class Tensor:
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._needed = False  # set by each walk: does a requested gradient lie behind it
 
     # -- construction helpers -------------------------------------------------
 
@@ -80,10 +110,10 @@ class Tensor:
         data = self.data + other.data
 
         def backward(g, a=self, b=other):
-            if a.requires_grad:
-                a.grad += _unbroadcast(g, a.shape)
-            if b.requires_grad:
-                b.grad += _unbroadcast(g, b.shape)
+            if a._needed:
+                _accumulate(a, _unbroadcast(g, a.shape))
+            if b._needed:
+                _accumulate(b, _unbroadcast(g, b.shape))
 
         return Tensor._make(data, (self, other), backward)
 
@@ -91,8 +121,8 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(g, a=self):
-            if a.requires_grad:
-                a.grad += -g
+            if a._needed:
+                _accumulate(a, -g)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -107,10 +137,10 @@ class Tensor:
         data = self.data * other.data
 
         def backward(g, a=self, b=other):
-            if a.requires_grad:
-                a.grad += _unbroadcast(g * b.data, a.shape)
-            if b.requires_grad:
-                b.grad += _unbroadcast(g * a.data, b.shape)
+            if a._needed:
+                _accumulate(a, _unbroadcast(g * b.data, a.shape))
+            if b._needed:
+                _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
         return Tensor._make(data, (self, other), backward)
 
@@ -128,8 +158,8 @@ class Tensor:
         data = self.data ** e
 
         def backward(g, a=self):
-            if a.requires_grad:
-                a.grad += g * e * a.data ** (e - 1.0)
+            if a._needed:
+                _accumulate(a, g * e * a.data ** (e - 1.0))
 
         return Tensor._make(data, (self,), backward)
 
@@ -146,20 +176,20 @@ class Tensor:
 
         def backward(g, x=self, y=other):
             if x.data.ndim == 1:  # vector @ matrix
-                if x.requires_grad:
-                    x.grad += y.data @ g
-                if y.requires_grad:
-                    y.grad += np.outer(x.data, g)
+                if x._needed:
+                    _accumulate(x, y.data @ g)
+                if y._needed:
+                    _accumulate(y, np.outer(x.data, g))
             elif y.data.ndim == 1:  # matrix @ vector
-                if x.requires_grad:
-                    x.grad += np.outer(g, y.data)
-                if y.requires_grad:
-                    y.grad += x.data.T @ g
+                if x._needed:
+                    _accumulate(x, np.outer(g, y.data))
+                if y._needed:
+                    _accumulate(y, x.data.T @ g)
             else:
-                if x.requires_grad:
-                    x.grad += g @ np.swapaxes(y.data, -1, -2)
-                if y.requires_grad:
-                    y.grad += np.swapaxes(x.data, -1, -2) @ g
+                if x._needed:
+                    _accumulate(x, g @ np.swapaxes(y.data, -1, -2))
+                if y._needed:
+                    _accumulate(y, np.swapaxes(x.data, -1, -2) @ g)
 
         return Tensor._make(data, (self, other), backward)
 
@@ -169,13 +199,13 @@ class Tensor:
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g, a=self, ax=axis, kd=keepdims):
-            if not a.requires_grad:
+            if not a._needed:
                 return
             if ax is None:
-                a.grad += np.broadcast_to(g, a.shape)
+                _accumulate(a, np.broadcast_to(g, a.shape))
             else:
                 gg = g if kd else np.expand_dims(g, ax)
-                a.grad += np.broadcast_to(gg, a.shape)
+                _accumulate(a, np.broadcast_to(gg, a.shape))
 
         return Tensor._make(data, (self,), backward)
 
@@ -192,8 +222,8 @@ class Tensor:
         data = self.data.reshape(shape)
 
         def backward(g, a=self):
-            if a.requires_grad:
-                a.grad += g.reshape(a.shape)
+            if a._needed:
+                _accumulate(a, g.reshape(a.shape))
 
         return Tensor._make(data, (self,), backward)
 
@@ -204,8 +234,8 @@ class Tensor:
         data = self.data.transpose(axes)
 
         def backward(g, a=self, inv=tuple(inv)):
-            if a.requires_grad:
-                a.grad += g.transpose(inv)
+            if a._needed:
+                _accumulate(a, g.transpose(inv))
 
         return Tensor._make(data, (self,), backward)
 
@@ -214,7 +244,9 @@ class Tensor:
         data = self.data[start:stop]
 
         def backward(g, a=self, s=start, e=stop):
-            if a.requires_grad:
+            if a._needed:
+                if a.grad is None:  # g covers rows s:e only
+                    a.grad = np.zeros_like(a.data)
                 a.grad[s:e] += g
 
         return Tensor._make(data, (self,), backward)
@@ -225,8 +257,8 @@ class Tensor:
         data = np.exp(self.data)
 
         def backward(g, a=self, out=data):
-            if a.requires_grad:
-                a.grad += g * out
+            if a._needed:
+                _accumulate(a, g * out)
 
         return Tensor._make(data, (self,), backward)
 
@@ -234,8 +266,8 @@ class Tensor:
         data = np.tanh(self.data)
 
         def backward(g, a=self, out=data):
-            if a.requires_grad:
-                a.grad += g * (1.0 - out * out)
+            if a._needed:
+                _accumulate(a, g * (1.0 - out * out))
 
         return Tensor._make(data, (self,), backward)
 
@@ -244,39 +276,22 @@ class Tensor:
         inside = (self.data >= lo) & (self.data <= hi)
 
         def backward(g, a=self, m=inside):
-            if a.requires_grad:
-                a.grad += g * m
+            if a._needed:
+                _accumulate(a, g * m)
 
         return Tensor._make(data, (self,), backward)
 
     # -- backward pass -------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Set ``grad`` on every leaf of this scalar's tape that requires one.
+
+        Each call starts from no gradients, so a leaf on two tapes holds the
+        gradient of the last walk only. Inner nodes keep no gradient.
+        """
         if self.data.size != 1:
             raise ShapeMismatchError("backward() requires a scalar loss")
-        order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        for node in order:
-            if node.requires_grad:
-                node.grad = np.zeros_like(node.data)
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+        _walk(self, collect_tape(self), None)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -287,10 +302,10 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     def backward(g, parts=tuple(tensors), sizes=tuple(sizes), ax=axis):
         offset = 0
         for part, n in zip(parts, sizes):
-            if part.requires_grad:
+            if part._needed:
                 idx = [slice(None)] * g.ndim
                 idx[ax] = slice(offset, offset + n)
-                part.grad += g[tuple(idx)]
+                _accumulate(part, g[tuple(idx)])
             offset += n
 
     return Tensor._make(data, tuple(tensors), backward)
@@ -313,9 +328,9 @@ def masked_softmax(logits: Tensor, blocked: np.ndarray) -> Tensor:
     out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g, a=logits, s=out):
-        if a.requires_grad:
+        if a._needed:
             inner = (g * s).sum(axis=-1, keepdims=True)
-            a.grad += s * (g - inner)
+            _accumulate(a, s * (g - inner))
 
     return Tensor._make(out, (logits,), backward)
 
@@ -326,28 +341,89 @@ def gelu(x: Tensor) -> Tensor:
     return 0.5 * x * (1.0 + inner.tanh())
 
 
-def collect_tape(loss: Tensor) -> set[int]:
-    """ids of every tensor reachable from ``loss`` (used for on-tape checks)."""
-    seen: set[int] = set()
-    stack = [loss]
+def collect_tape(loss: Tensor) -> dict[int, Tensor]:
+    """Every tensor reachable from ``loss``, by id, each after all of its parents.
+
+    Iterating the result in reverse gives the order in which a walk applies
+    the backward rules; ``id(t) in tape`` tells whether ``t`` is on it.
+    """
+    tape: dict[int, Tensor] = {}
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
+        node, processed = stack.pop()
+        if processed:
+            tape[id(node)] = node
             continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-    return seen
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return tape
 
 
-def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+def _walk(loss: Tensor, tape: dict[int, Tensor], into: dict[int, np.ndarray] | None) -> None:
+    """Apply the backward rules of ``tape`` from ``loss`` down.
+
+    ``into`` maps the id of each leaf whose gradient is wanted to the zeroed
+    array it accumulates into; None wants every leaf that requires a
+    gradient. A node is visited only if a wanted leaf lies behind it, and an
+    inner node's gradient is dropped once its rule has run, so afterwards
+    only the wanted leaves hold one.
+    """
+    for node in tape.values():  # parents first, so their marks are set
+        node.grad = None
+        if into is None:
+            node._needed = node.requires_grad
+        else:
+            node._needed = node.requires_grad and (
+                id(node) in into or any(p._needed for p in node._parents)
+            )
+    if into is not None:
+        for node_id, out in into.items():
+            tape[node_id].grad = out
+    if loss.grad is None:
+        loss.grad = np.ones_like(loss.data)
+    else:  # the loss is itself a wanted leaf
+        loss.grad[...] = 1.0
+    for node in reversed(tape.values()):
+        if node._needed and node._backward is not None:
+            node._backward(node.grad)
+            node.grad = None
+
+
+class Gradients(dict):
+    """Gradients by parameter name, each a view into the one array ``flat``.
+
+    The views lie in ``flat`` back to back, in the order the parameters were
+    requested.
+    """
+
+    def __init__(self, flat: np.ndarray, views: dict[str, np.ndarray]):
+        super().__init__(views)
+        self.flat = flat
+
+
+def gradients(loss: Tensor, params: dict[str, Tensor]) -> Gradients:
     """Exact reverse-mode gradients of ``loss`` for each named parameter.
 
-    Raises NotOnTapeError for any parameter the recorded forward computation
-    never consumed.
+    Each parameter's gradient accumulates straight into its view of one
+    zeroed flat array, laid out in the order of ``params``; the walk skips
+    every node that leads to none of them. Raises NotOnTapeError for any
+    parameter the recorded forward computation never consumed.
     """
     tape = collect_tape(loss)
     missing = [name for name, p in params.items() if id(p) not in tape]
     if missing:
         raise NotOnTapeError(f"parameters not on tape: {', '.join(sorted(missing))}")
-    loss.backward()
-    return {name: p.grad.copy() for name, p in params.items()}
+    flat = np.zeros(sum(p.data.size for p in params.values()))
+    views: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, p in params.items():
+        views[name] = flat[offset : offset + p.data.size].reshape(p.shape)
+        offset += p.data.size
+    _walk(loss, tape, {id(params[name]): view for name, view in views.items()})
+    return Gradients(flat, views)

@@ -298,11 +298,11 @@ def prepare_pair(st_raw: ExpressionMatrix, sc_raw: ExpressionMatrix, **options) 
     opts = DataOptions(**options)
     st = select_hvg(opts.qc_normalize(st_raw), opts.top_fraction)
     sc = select_hvg(opts.qc_normalize(sc_raw), opts.top_fraction)
-    shared = [g for g in st.gene_ids if g in set(sc.gene_ids)]
+    sc_idx = sc.gene_index()
+    shared = [g for g in st.gene_ids if g in sc_idx]
     if not shared:
         raise EmptyResultError("no genes survive HVG selection in both modalities")
     st_idx = st.gene_index()
-    sc_idx = sc.gene_index()
     return PreparedPair(
         st=st.subset_genes([st_idx[g] for g in shared]),
         sc=sc.subset_genes([sc_idx[g] for g in shared]),

@@ -21,6 +21,7 @@ training metadata travel as scalar ``meta.*`` tensors in the same container.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -94,12 +95,54 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+# Order of the name groups in the flat buffer: warmup trains e1 to e2,
+# diffusion e2 to time, and diffusion with a co-trained decoder e1 to time,
+# so each is one contiguous slice; latent.scale is never trained.
+_LAYOUT = ("e1.", "enc_var.", "dec.", "e2.", "blk", "out.", "time.", "latent.")
+
+
+@functools.lru_cache(maxsize=8)
+def _bounds(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
+    """(start, stop) of each tensor in the flat buffer, in buffer order."""
+    shapes = parameter_shapes(cfg)
+    rank = {name: next(i for i, g in enumerate(_LAYOUT) if name.startswith(g)) for name in shapes}
+    bounds, offset = {}, 0
+    for name in sorted(shapes, key=rank.__getitem__):  # stable: parameter_shapes order within a group
+        size = math.prod(shapes[name])
+        bounds[name] = (offset, offset + size)
+        offset += size
+    return bounds
+
+
 @dataclass
 class CatParameters:
-    """All trainable tensors, addressed by dotted name."""
+    """All trainable tensors, addressed by dotted name.
+
+    One float64 buffer, ``flat``, holds every tensor; each tensor's data is
+    a view into it, so writing through a tensor writes the buffer, and the
+    optimizer updates a trainable set as one slice of it (``span``).
+    """
 
     cfg: ModelConfig
+    flat: np.ndarray
     tensors: dict[str, Tensor]
+
+    @classmethod
+    def from_flat(
+        cls, cfg: ModelConfig, flat: np.ndarray, requires_grad: bool = True
+    ) -> "CatParameters":
+        """Parameters whose tensors are views into ``flat``, in buffer order."""
+        shapes = parameter_shapes(cfg)
+        tensors = {
+            name: Tensor(flat[a:b].reshape(shapes[name]), requires_grad=requires_grad, name=name)
+            for name, (a, b) in _bounds(cfg).items()
+        }
+        return cls(cfg=cfg, flat=flat, tensors=tensors)
+
+    @classmethod
+    def empty(cls, cfg: ModelConfig) -> "CatParameters":
+        """Parameters over a new buffer whose values are not yet set."""
+        return cls.from_flat(cfg, np.empty(max(stop for _, stop in _bounds(cfg).values())))
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -110,39 +153,36 @@ class CatParameters:
     def data(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.tensors.items()}
 
+    def span(self, names: list[str]) -> slice:
+        """The slice of ``flat`` that holds exactly ``names``, given in buffer order."""
+        bounds = _bounds(self.cfg)
+        parts = [bounds[n] for n in names]
+        if not parts or any(a[1] != b[0] for a, b in zip(parts, parts[1:])):
+            raise ShapeMismatchError("names do not lie back to back in the parameter buffer")
+        return slice(parts[0][0], parts[-1][1])
+
     def copy(self) -> "CatParameters":
-        return CatParameters(
-            cfg=self.cfg,
-            tensors={
-                k: Tensor(v.data.copy(), requires_grad=v.requires_grad, name=k)
-                for k, v in self.tensors.items()
-            },
-        )
+        return CatParameters.from_flat(self.cfg, self.flat.copy())
 
     def detached(self) -> "CatParameters":
-        """Same arrays, no gradient tracking; for inference-only forwards."""
-        return CatParameters(
-            cfg=self.cfg,
-            tensors={k: Tensor(v.data, name=k) for k, v in self.tensors.items()},
-        )
+        """Same buffer, no gradient tracking; for inference-only forwards."""
+        return CatParameters.from_flat(self.cfg, self.flat, requires_grad=False)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
-    tensors: dict[str, Tensor] = {}
+    """Fresh parameters; weights are drawn in ``parameter_shapes`` order."""
+    params = CatParameters.empty(cfg)
     for name, shape in parameter_shapes(cfg).items():
+        value = params[name].data
         leaf = name.rsplit(".", 1)[-1]
-        if name == "latent.scale":
-            value = np.ones(shape)
-        elif leaf == "g":
-            value = np.ones(shape)
+        if name == "latent.scale" or leaf == "g":
+            value[...] = 1.0
         elif leaf.startswith("b"):
-            value = np.zeros(shape)
-            if name == "enc_var.b":
-                value += -8.0  # start near-deterministic when variational
+            value[...] = -8.0 if name == "enc_var.b" else 0.0  # near-deterministic when variational
         else:
-            value = rng.standard_normal(shape) / math.sqrt(shape[0])
-        tensors[name] = Tensor(value, requires_grad=True, name=name)
-    return CatParameters(cfg=cfg, tensors=tensors)
+            rng.standard_normal(out=value)
+            value /= math.sqrt(shape[0])
+    return params
 
 
 # -- encoder / decoder -----------------------------------------------------------
@@ -450,7 +490,11 @@ def _read_exact(fh, count: int, path) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
-    """Read a checkpoint; rejects unknown format versions."""
+    """Read a checkpoint; rejects unknown format versions.
+
+    The headers are read first, skipping each tensor's data; then every
+    parameter's bytes are read straight into its view of a new buffer.
+    """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a CATG checkpoint")
@@ -458,32 +502,42 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        entries: dict[str, np.ndarray] = {}
+        meta: dict[str, float] = {}
+        found: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, data offset)
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
             name = _read_exact(fh, name_len, path).decode("utf-8")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
             shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, path)) if ndim else ()
             size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 8 * size, path), dtype="<f8")
-            entries[name] = data.reshape(shape).astype(np.float64)
+            if name.startswith("meta."):
+                if size != 1:
+                    raise DataFormatError(f"{path}: {name} is not a scalar")
+                (meta[name[len("meta."):]],) = struct.unpack("<d", _read_exact(fh, 8, path))
+            else:
+                found[name] = (shape, fh.tell())
+                fh.seek(8 * size, os.SEEK_CUR)
+        if fh.tell() > os.fstat(fh.fileno()).st_size:
+            raise DataFormatError(f"{path}: truncated checkpoint")
 
-    meta = {k[len("meta."):]: float(v) for k, v in entries.items() if k.startswith("meta.")}
-    for required in ("p", "q", "d", "heads", "blocks", "variational"):
-        if required not in meta:
-            raise DataFormatError(f"{path}: checkpoint missing meta.{required}")
-    cfg = ModelConfig(
-        p=int(meta["p"]), q=int(meta["q"]), d=int(meta["d"]),
-        heads=int(meta["heads"]), blocks=int(meta["blocks"]),
-        variational=bool(meta["variational"]),
-    )
-    tensors = {}
-    for name, shape in parameter_shapes(cfg).items():
-        if name not in entries:
-            raise DataFormatError(f"{path}: checkpoint missing tensor {name}")
-        if entries[name].shape != shape:
-            raise DataFormatError(
-                f"{path}: tensor {name} has shape {entries[name].shape}, expected {shape}"
-            )
-        tensors[name] = Tensor(entries[name].copy(), requires_grad=True, name=name)
-    return CatParameters(cfg=cfg, tensors=tensors), meta
+        for required in ("p", "q", "d", "heads", "blocks", "variational"):
+            if required not in meta:
+                raise DataFormatError(f"{path}: checkpoint missing meta.{required}")
+        cfg = ModelConfig(
+            p=int(meta["p"]), q=int(meta["q"]), d=int(meta["d"]),
+            heads=int(meta["heads"]), blocks=int(meta["blocks"]),
+            variational=bool(meta["variational"]),
+        )
+        params = CatParameters.empty(cfg)
+        for name, shape in parameter_shapes(cfg).items():
+            if name not in found:
+                raise DataFormatError(f"{path}: checkpoint missing tensor {name}")
+            if found[name][0] != shape:
+                raise DataFormatError(
+                    f"{path}: tensor {name} has shape {found[name][0]}, expected {shape}"
+                )
+            fh.seek(found[name][1])
+            fh.readinto(memoryview(params[name].data.reshape(-1)).cast("B"))
+    if not np.little_endian:  # the file stores little-endian float64
+        params.flat.byteswap(inplace=True)
+    return params, meta

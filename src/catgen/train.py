@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arplan import ARStepPlan, generate_ar_steps
-from .autodiff import Tensor, concat, gradients
+from .autodiff import Gradients, Tensor, concat, gradients
 from .data import ExpressionMatrix, SplitAssignment
 from .diffusion import (
     DiffusionSchedule,
@@ -88,54 +88,82 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with bias correction; state keyed by parameter name."""
+    """Adam with bias correction over one flat slice of parameters.
+
+    ``m``, ``v`` and one step counter are made at the first step for the
+    slice it is given; every later step must update a slice of that size.
+    Each step applies Adam's per-element arithmetic (Kingma & Ba 2015) in
+    the order ``lr * m_hat / (sqrt(v_hat) + eps)``, so every element comes
+    out bitwise as a per-tensor update would give it, and it works through
+    two reused scratch arrays, so it makes no array after the first step.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
+        self._t = 0
+        self._m = self._v = self._a = self._b = None  # m, v and two scratch arrays
 
-    def step(self, params: CatParameters, grads: dict[str, np.ndarray]) -> None:
-        for name, g in grads.items():
-            m = self._m.setdefault(name, np.zeros_like(g))
-            v = self._v.setdefault(name, np.zeros_like(g))
-            t = self._t.get(name, 0) + 1
-            self._t[name] = t
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            params[name].data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    def step(self, values: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``values`` in place from its gradient ``grad`` (same shape)."""
+        if self._m is None:
+            self._m, self._v, self._a, self._b = (np.zeros_like(grad) for _ in range(4))
+        elif grad.shape != self._m.shape:
+            raise ShapeMismatchError(
+                f"Adam state is for {self._m.size} values, got a gradient of {grad.size}"
+            )
+        self._t += 1
+        m, v, a, b = self._m, self._v, self._a, self._b
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, grad, out=a)
+        np.divide(m, 1.0 - self.beta1**self._t, out=a)  # m_hat
+        a *= self.lr
+        np.divide(v, 1.0 - self.beta2**self._t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        values -= np.divide(a, b, out=a)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_global_norm(grads: Gradients, max_norm: float) -> None:
+    """Scale ``grads.flat`` in place so that its norm is at most ``max_norm``.
+
+    The squared norm adds one sum of squares per tensor, in name order: one
+    sum over the whole flat array would round differently in the last bits.
+    """
+    total = math.sqrt(sum(float((grads[n] * grads[n]).sum()) for n in sorted(grads)))
     if total > max_norm > 0:
-        scale = max_norm / total
-        return {k: g * scale for k, g in grads.items()}
-    return grads
+        grads.flat *= max_norm / total
+
+
+def _update(
+    loss: Tensor, params: CatParameters, names: list[str], opt: Adam, max_norm: float
+) -> None:
+    """Backward walk, clipping and one Adam step on the buffer slice holding ``names``."""
+    grads = gradients(loss, {n: params[n] for n in names})
+    clip_global_norm(grads, max_norm)
+    opt.step(params.flat[params.span(names)], grads.flat)
 
 
 def diffusion_trainable(params: CatParameters, cfg: TrainConfig) -> list[str]:
-    """Names updated during diffusion training.
+    """Names updated during diffusion training, in parameter-buffer order.
 
     The encoder heads and decoder define the latent space diffusion runs in;
     they only keep training when the decoder is co-trained, otherwise the
     warmup-fitted space (and with it the conditioning) stays frozen.
     """
     frozen = ("latent.",) if cfg.train_decoder else ("latent.", "e1.", "enc_var.", "dec.")
-    return [n for n in params.names() if not n.startswith(frozen)]
+    return [n for n in params.tensors if not n.startswith(frozen)]
 
 
 def warmup_trainable(params: CatParameters) -> list[str]:
-    """The encoder heads, with the variational head if the model has one, and the decoder."""
-    return [n for n in params.names() if n.startswith(("e1.", "e2.", "enc_var.", "dec."))]
+    """The encoder heads, with the variational head if the model has one, and the
+    decoder, in parameter-buffer order."""
+    return [n for n in params.tensors if n.startswith(("e1.", "e2.", "enc_var.", "dec."))]
 
 
 def _kl_term(mean: Tensor, logvar: Tensor) -> Tensor:
@@ -234,8 +262,7 @@ def train_step(
             f"max |input| = {np.abs(st_batch).max():.3e})"
         )
     names = diffusion_trainable(params, cfg) if trainable is None else trainable
-    grads = gradients(loss, {n: params[n] for n in names})
-    opt.step(params, clip_global_norm(grads, cfg.grad_clip))
+    _update(loss, params, names, opt, cfg.grad_clip)
     return params, value
 
 
@@ -269,8 +296,7 @@ def _warmup_step(
     value = loss.item()
     if not math.isfinite(value):
         raise NumericFailureError("non-finite warmup loss")
-    grads = gradients(loss, {n: params[n] for n in trainable})
-    opt.step(params, clip_global_norm(grads, cfg.grad_clip))
+    _update(loss, params, trainable, opt, cfg.grad_clip)
     return value
 
 

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from catgen.arplan import generate_ar_steps
 from catgen.autodiff import Tensor, concat, collect_tape, gelu, gradients, masked_softmax
+from catgen.diffusion import linear_schedule
 from catgen.errors import NotOnTapeError, ShapeMismatchError
+from catgen.model import ModelConfig, init_params
+from catgen.train import TrainConfig, diffusion_trainable, training_loss
 
 RNG = np.random.default_rng(20240817)
 
@@ -154,3 +158,59 @@ def test_collect_tape_covers_parents():
     out = (a + 1.0) * 2.0
     tape = collect_tape(out)
     assert id(a) in tape
+
+
+def diffusion_loss(params, seed=0):
+    """A diffusion training loss of a tiny model on 8 random genes."""
+    rng = np.random.default_rng(seed)
+    cfg = params.cfg
+    st, sc = rng.uniform(0.1, 2.0, (8, cfg.p)), rng.uniform(0.1, 2.0, (8, cfg.q))
+    plan = generate_ar_steps(8, 0.8, rng)
+    ts = rng.integers(1, 21, size=8)
+    eps = rng.standard_normal((8, cfg.d))
+    tcfg = TrainConfig(T=20)
+    return training_loss(st, sc, plan, ts, eps, params, tcfg, linear_schedule(20), rng), tcfg
+
+
+def test_walk_skips_branches_that_reach_no_requested_parameter():
+    params = init_params(ModelConfig(p=6, q=10, d=8, heads=2, blocks=2), np.random.default_rng(1))
+    loss, tcfg = diffusion_loss(params)
+    names = diffusion_trainable(params, tcfg)
+    tape = collect_tape(loss)
+    grads = gradients(loss, {n: params[n] for n in names})
+
+    frozen = [n for n in params.names() if n.startswith(("e1.", "enc_var.", "dec."))]
+    assert frozen and all(params[n].grad is None for n in frozen)
+    visited = [t for t in tape.values() if t._needed]
+    assert len(visited) < sum(t.requires_grad for t in tape.values()) < len(tape)
+    # after the walk only the requested leaves hold a gradient
+    assert {id(t) for t in tape.values() if t.grad is not None} == {id(params[n]) for n in names}
+    assert all(grads[n] is params[n].grad and grads[n].flags.c_contiguous for n in names)
+    assert all(np.shares_memory(grads[n], grads.flat) for n in names)
+
+
+def test_backward_without_arguments_fills_every_leaf():
+    params = init_params(ModelConfig(p=6, q=10, d=8, heads=2, blocks=2), np.random.default_rng(1))
+    loss, _ = diffusion_loss(params)
+    leaves = [t for t in collect_tape(loss).values() if t.requires_grad and not t._parents]
+    assert {"e1.w1", "enc_var.w", "blk0.wq"} <= {t.name for t in leaves}
+    loss.backward()
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape, leaf.name
+        assert leaf.grad.flags.c_contiguous, leaf.name
+    full = {leaf.name: leaf.grad for leaf in leaves}
+    pruned = gradients(loss, {"e1.w1": params["e1.w1"], "blk0.wq": params["blk0.wq"]})
+    for name, grad in pruned.items():
+        np.testing.assert_array_equal(grad, full[name])
+
+
+def test_first_contribution_never_aliases_another_gradient():
+    a = Tensor(RNG.standard_normal(3), requires_grad=True)
+    b = Tensor(RNG.standard_normal(3), requires_grad=True)
+    c = Tensor(RNG.standard_normal(3), requires_grad=True)
+    ((a + b) * c).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, c.data)
+    a.grad += 1.0  # writing one leaf's gradient leaves the other alone
+    np.testing.assert_array_equal(b.grad, c.data)
+    assert all(t.grad.flags.c_contiguous for t in (a, b, c))

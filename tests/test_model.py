@@ -2,6 +2,8 @@
 gradient fidelity, checkpoint round-trips."""
 
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from catgen.model import (
     encode,
     init_params,
     load_checkpoint,
+    parameter_shapes,
     save_checkpoint,
     sinusoidal_basis,
 )
@@ -351,6 +354,68 @@ def test_checkpoint_round_trip(tmp_path, small):
         np.testing.assert_array_equal(loaded[name].data, params[name].data)
 
 
+def test_checkpoint_round_trip_is_bitwise(tmp_path, small):
+    cfg, params = small
+    path = tmp_path / "model.catg"
+    save_checkpoint(params, path, {"T": 2000})
+    loaded, _ = load_checkpoint(path)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    again = tmp_path / "again.catg"
+    save_checkpoint(loaded, again, {"T": 2000})
+    assert again.read_bytes() == path.read_bytes()
+
+
+def reference_init(cfg, rng):
+    """Each tensor drawn as an array of its own, in ``parameter_shapes`` order."""
+    values = {}
+    for name, shape in parameter_shapes(cfg).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if name == "latent.scale" or leaf == "g":
+            values[name] = np.ones(shape)
+        elif leaf.startswith("b"):
+            values[name] = np.zeros(shape) + (-8.0 if name == "enc_var.b" else 0.0)
+        else:
+            values[name] = rng.standard_normal(shape) / math.sqrt(shape[0])
+    return values
+
+
+@pytest.mark.parametrize("variational", [True, False])
+def test_init_params_draws_each_tensor_as_its_own_array(variational):
+    cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=2, variational=variational)
+    params = init_params(cfg, np.random.default_rng(5))
+    reference = reference_init(cfg, np.random.default_rng(5))
+    assert sorted(reference) == params.names()
+    for name, value in reference.items():
+        assert params[name].data.tobytes() == value.tobytes(), name
+
+
+def test_parameters_are_views_into_one_buffer(small):
+    cfg, source = small
+    params = source.copy()
+    assert params.flat.size == sum(t.data.size for t in params.tensors.values())
+    params["latent.scale"].data[()] = 2.5
+    assert 2.5 in params.flat
+    copy = params.copy()
+    copy.flat[:] = 0.0
+    assert not np.shares_memory(copy.flat, params.flat)
+    assert params["latent.scale"].data == 2.5 and copy["latent.scale"].data == 0.0
+    detached = params.detached()
+    assert detached.flat is params.flat and not detached["e2.w1"].requires_grad
+    detached["e2.w1"].data[0, 0] = 7.0
+    assert params["e2.w1"].data[0, 0] == 7.0
+
+
+def test_trainable_sets_are_slices_of_the_buffer(small):
+    cfg, params = small
+    warmup = [n for n in params.tensors if n.startswith(("e1.", "enc_var.", "dec.", "e2."))]
+    diffusion = [n for n in params.tensors if not n.startswith(("e1.", "enc_var.", "dec.", "latent."))]
+    for names in (warmup, diffusion):
+        span = params.span(names)
+        assert span.stop - span.start == sum(params[n].data.size for n in names)
+    with pytest.raises(ShapeMismatchError):
+        params.span(["e1.w1", "e2.w1"])
+
+
 def test_checkpoint_rejects_bad_magic_and_version(tmp_path, small):
     cfg, params = small
     path = tmp_path / "model.catg"
@@ -368,6 +433,17 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path, small):
     truncated.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataFormatError, match="truncated"):
         load_checkpoint(truncated)
+
+
+def test_checkpoint_rejects_non_scalar_meta(tmp_path):
+    path = tmp_path / "bad.catg"
+    name = b"meta.p"
+    path.write_bytes(
+        b"CATG" + struct.pack("<II", 1, 1) + struct.pack("<I", len(name)) + name
+        + struct.pack("<IQ", 1, 2) + struct.pack("<2d", 4.0, 4.0)
+    )
+    with pytest.raises(DataFormatError, match="not a scalar"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_write_is_atomic(tmp_path, small):

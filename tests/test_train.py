@@ -1,12 +1,14 @@
 """Training step and fit loop: objective structure, determinism, freezing."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from catgen import granger
+from catgen import granger, train
 from catgen.arplan import ARStepPlan, generate_ar_steps
+from catgen.autodiff import Gradients
 from catgen.data import SC, ST, ExpressionMatrix, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
@@ -22,6 +24,7 @@ from catgen.train import (
     Adam,
     TrainConfig,
     _granger_gene_order,
+    _warmup_step,
     clip_global_norm,
     diffusion_trainable,
     fit,
@@ -206,11 +209,85 @@ def test_trainable_sets(tiny_setup):
 
 
 def test_clip_global_norm():
-    grads = {"a": np.array([3.0, 4.0])}
-    clipped = clip_global_norm(grads, 1.0)
-    np.testing.assert_allclose(np.linalg.norm(clipped["a"]), 1.0)
-    same = clip_global_norm({"a": np.array([0.1])}, 1.0)
-    np.testing.assert_array_equal(same["a"], [0.1])
+    flat = np.array([3.0, 4.0])
+    clip_global_norm(Gradients(flat, {"a": flat}), 1.0)
+    np.testing.assert_allclose(np.linalg.norm(flat), 1.0)
+    same = np.array([0.1])
+    clip_global_norm(Gradients(same, {"a": same}), 1.0)
+    np.testing.assert_array_equal(same, [0.1])
+
+
+class ReferenceAdam:
+    """Adam with its state kept per parameter name: the reference for the flat Adam."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._m, self._v, self._t = {}, {}, {}
+
+    def step(self, params, grads):
+        for name, g in grads.items():
+            m = self._m.setdefault(name, np.zeros_like(g))
+            v = self._v.setdefault(name, np.zeros_like(g))
+            t = self._t.get(name, 0) + 1
+            self._t[name] = t
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            params[name].data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_clip(grads, max_norm):
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > max_norm > 0:
+        scale = max_norm / total
+        return {k: g * scale for k, g in grads.items()}, True
+    return grads, False
+
+
+@pytest.mark.parametrize("train_decoder", [False, True])
+@pytest.mark.parametrize("grad_clip", [1e-3, 1e3])
+def test_flat_update_matches_per_tensor_reference(tiny_setup, monkeypatch, grad_clip, train_decoder):
+    """30 warmup and 30 diffusion steps give bitwise the parameters of an
+    unpruned walk, a per-tensor clip in name order and a per-tensor Adam."""
+    st, sc, mcfg = tiny_setup
+    cfg = TrainConfig(T=20, seed=0, grad_clip=grad_clip, train_decoder=train_decoder)
+    clipped = []
+
+    def reference_update(loss, params, names, opt, max_norm):
+        loss.backward()  # every tensor that requires a gradient, no pruning
+        grads, scaled = reference_clip({n: params[n].grad.copy() for n in sorted(names)}, max_norm)
+        clipped.append(scaled)
+        opt.step(params, grads)
+
+    def run(optimizer):
+        params, schedule, _ = make_step_args(mcfg, cfg)
+        rng = np.random.default_rng(7)
+        warm_opt, opt = optimizer(cfg.recon_lr), optimizer(cfg.lr)
+        losses = [
+            _warmup_step(st, sc, params, cfg, rng, warm_opt, warmup_trainable(params))
+            for _ in range(30)
+        ]
+        losses += [train_step(st, sc, params, cfg, rng, schedule, opt)[1] for _ in range(30)]
+        return params, losses
+
+    flat, flat_losses = run(Adam)
+    with monkeypatch.context() as patched:
+        patched.setattr(train, "_update", reference_update)
+        ref, ref_losses = run(ReferenceAdam)
+    assert clipped == [grad_clip < 1.0] * 60
+    assert flat_losses == ref_losses
+    for name in ref.names():
+        assert np.array_equal(flat[name].data, ref[name].data), name
+
+
+def test_adam_rejects_a_slice_of_another_size():
+    opt = Adam(1e-3)
+    opt.step(np.zeros(4), np.ones(4))
+    with pytest.raises(ShapeMismatchError):
+        opt.step(np.zeros(3), np.ones(3))
 
 
 def test_train_config_validation():
