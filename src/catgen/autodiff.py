@@ -1,5 +1,13 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
+The model's forward functions are written once, with operations that a
+Tensor and a plain ``np.ndarray`` share. Training calls them on Tensors and
+gets a graph to differentiate; inference calls them on arrays and gets the
+same numbers, element by element, without recording anything. A Tensor
+meeting an ndarray in a binary operation wins (``__array_ufunc__ = None``
+makes numpy defer), so mixing the two gives a Tensor; ``concat``,
+``masked_softmax`` and ``gelu`` return an array when given only arrays.
+
 A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the recorded graph once and accumulates
 gradients into every reachable leaf. The tape is the graph itself: it lives
@@ -64,6 +72,7 @@ class Tensor:
     """Node of the computation graph; holds a float64 array and its gradient."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_needed")
+    __array_ufunc__ = None  # ndarray <op> Tensor defers to the Tensor's reflected operator
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -193,6 +202,9 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
+    def __rmatmul__(self, other) -> "Tensor":
+        return Tensor._lift(other) @ self
+
     # -- reductions and reshapes -------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -239,8 +251,11 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def rows(self, start: int, stop: int) -> "Tensor":
-        """Contiguous row slice along the first axis."""
+    def __getitem__(self, key: slice) -> "Tensor":
+        """Contiguous row slice along the first axis, ``t[start:stop]``."""
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise ShapeMismatchError("a Tensor is indexed by one contiguous row slice only")
+        start, stop, _ = key.indices(self.data.shape[0])
         data = self.data[start:stop]
 
         def backward(g, a=self, s=start, e=stop):
@@ -294,7 +309,13 @@ class Tensor:
         _walk(self, collect_tape(self), None)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+Operand = Tensor | np.ndarray  # what a forward function takes and gives back
+
+
+def concat(tensors: list[Operand], axis: int = 0) -> Operand:
+    """Join along ``axis``; an array if every part is one, else a Tensor."""
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [Tensor._lift(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
@@ -311,21 +332,24 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(data, tuple(tensors), backward)
 
 
-def masked_softmax(logits: Tensor, blocked: np.ndarray) -> Tensor:
+def masked_softmax(logits: Operand, blocked: np.ndarray) -> Operand:
     """Softmax over the last axis with ``blocked`` entries forced to weight 0.
 
     ``blocked`` is broadcast against ``logits`` (1/True = no attention). Every
     row must keep at least one allowed entry. Blocked positions receive exactly
     zero weight and exactly zero gradient, which is what makes the causality
-    guarantees of the attention mask bitwise rather than approximate.
+    guarantees of the attention mask bitwise rather than approximate. Array
+    logits give an array.
     """
     blocked = np.broadcast_to(np.asarray(blocked, dtype=bool), logits.shape)
     if bool(blocked.all(axis=-1).any()):
         raise ShapeMismatchError("masked_softmax: some row has every key blocked")
-    z = np.where(blocked, -np.inf, logits.data)
+    z = np.where(blocked, -np.inf, as_array(logits))
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=-1, keepdims=True)
+    if not isinstance(logits, Tensor):
+        return out
 
     def backward(g, a=logits, s=out):
         if a._needed:
@@ -335,10 +359,19 @@ def masked_softmax(logits: Tensor, blocked: np.ndarray) -> Tensor:
     return Tensor._make(out, (logits,), backward)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh-form GELU, composed from differentiable primitives."""
+def gelu(x: Operand) -> Operand:
+    """tanh-form GELU, composed from differentiable primitives; arrays give an array."""
     inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))  # float pow is ~50x slower
-    return 0.5 * x * (1.0 + inner.tanh())
+    return 0.5 * x * (1.0 + (inner.tanh() if isinstance(inner, Tensor) else np.tanh(inner)))
+
+
+def as_array(x: Operand) -> np.ndarray:
+    """The numbers of ``x``: a Tensor's data, or the array itself.
+
+    An ndarray's own ``.data`` is a memoryview, so code that takes either
+    reads values through this.
+    """
+    return x.data if isinstance(x, Tensor) else x
 
 
 def collect_tape(loss: Tensor) -> dict[int, Tensor]:

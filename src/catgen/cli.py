@@ -99,7 +99,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--ar-groups", type=int, default=1)
     p.add_argument("--sampling", default="full")
-    p.add_argument("--embeddings", default=None, help="write generated latents as CSV")
+    p.add_argument("--embeddings", default=None, help="write each gene's condition latent as CSV")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_generate)
 
@@ -280,7 +280,7 @@ def cmd_generate(args) -> int:
         with open(args.embeddings, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["gene_id"] + [f"z{i}" for i in range(params.cfg.d)])
-            for gene, row in zip(genes, latents.z.data):
+            for gene, row in zip(genes, latents.z):
                 writer.writerow([gene] + [repr(float(x)) for x in row])
     return 0
 

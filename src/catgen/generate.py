@@ -16,6 +16,10 @@ fixed for the whole group. They are computed once per group
 current group's noisy rows only. The noisy rows of finished groups are
 invisible to later groups under the mask, so they are no longer fed at all.
 
+Every forward runs on ``params.detached()``, plain arrays over the model's
+parameter buffer, so generation records no autodiff graph; training runs
+the same model functions on Tensors.
+
 Fractional sampling strategies denoise along their anchored timestep grid
 using a respaced schedule whose cumulative signal levels match the base
 schedule at every grid point.
@@ -23,13 +27,14 @@ schedule at every grid point.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 from .arplan import ARStepPlan
-from .autodiff import Tensor
 from .data import ST, ExpressionMatrix
 from .diffusion import DiffusionSchedule, Full, Strategy, respaced_chain
-from .errors import ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
+from .errors import DataFormatError, ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
 from .model import (
     CatParameters,
     ContextCache,
@@ -104,12 +109,15 @@ def generate_genes(
     missing = [g for g in target_genes if g not in index]
     if missing:
         raise UnknownGeneError(f"genes absent from the SC matrix: {', '.join(missing)}")
+    repeated = [g for g, n in collections.Counter(target_genes).items() if n > 1]
+    if repeated:
+        raise DataFormatError(f"target genes requested more than once: {', '.join(repeated)}")
 
     frozen = params.detached()
     d = frozen.cfg.d
-    scale = float(frozen["latent.scale"].data)
+    scale = float(frozen["latent.scale"])
     rows = [index[g] for g in target_genes]
-    cond = encode(sc.values[rows], "sc", frozen).z.data / scale  # (S, d) deterministic
+    cond = encode(sc.values[rows], "sc", frozen).z / scale  # (S, d) deterministic
 
     sizes = equal_width_groups(len(target_genes), groups)
     grid, chain = respaced_chain(schedule, strategy)
@@ -131,7 +139,7 @@ def generate_genes(
         finalized.append(x)
 
     latents = np.vstack(finalized) * scale
-    values = np.clip(decode(latents, frozen).data, 0.0, None)
+    values = np.clip(decode(latents, frozen), 0.0, None)
     obs_ids = [f"spot{j}" for j in range(frozen.cfg.p)]
     return ExpressionMatrix(
         gene_ids=target_genes, obs_ids=obs_ids, values=values, modality=ST
@@ -159,11 +167,11 @@ def _predict_noise(
     """
     size = plan.S
     batch = TokenBatch(
-        tokens=Tensor(x + cond),  # condition injection ties noisy slots to their genes
+        tokens=x + cond,  # condition injection ties noisy slots to their genes
         plan=plan,
         timesteps=np.full(size, t_raw, dtype=np.int64),
-        noisy=Tensor(x),
+        noisy=x,
         alpha_bars=np.full(size, schedule.alpha_bars[t_raw - 1]),
         context=context,
     )
-    return cat_forward(batch, frozen).data
+    return cat_forward(batch, frozen)

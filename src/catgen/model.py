@@ -6,8 +6,14 @@ laid out as [condition | clean | noisy]; its attention mask follows from the
 batch's AR plan and condition count, so no caller builds one. The time
 embedding is added to noisy tokens only, conditions and clean tokens carry no
 positional identity, and the output rows are the predicted noise for the
-noisy tokens. All parameters are autodiff leaves, so gradients come straight
-off the recorded forward computation.
+noisy tokens.
+
+Each forward function is written once and runs on either kind of parameter.
+Training passes ``CatParameters`` whose tensors are autodiff leaves, so
+gradients come straight off the recorded forward computation; inference
+passes ``params.detached()``, plain ndarray views of the same buffer, and
+the same functions then compute the same numbers on arrays without
+recording a graph.
 
 One block loop serves three callers: training runs every row under the full
 mask; ``context_cache`` runs the context rows [condition | clean] alone and
@@ -32,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arplan import ARStepPlan
-from .autodiff import Tensor, concat, gelu, gradients, masked_softmax
+from .autodiff import Operand, Tensor, as_array, concat, gelu, masked_softmax
 from .errors import (
     DataFormatError,
     NumericFailureError,
@@ -114,28 +120,32 @@ def _bounds(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     return bounds
 
 
+def _views(cfg: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each tensor's view into ``flat``, in buffer order."""
+    shapes = parameter_shapes(cfg)
+    return {name: flat[a:b].reshape(shapes[name]) for name, (a, b) in _bounds(cfg).items()}
+
+
 @dataclass
 class CatParameters:
-    """All trainable tensors, addressed by dotted name.
+    """All model parameters, addressed by dotted name.
 
-    One float64 buffer, ``flat``, holds every tensor; each tensor's data is
-    a view into it, so writing through a tensor writes the buffer, and the
-    optimizer updates a trainable set as one slice of it (``span``).
+    One float64 buffer, ``flat``, holds every parameter; each is a view into
+    it, so writing through one writes the buffer, and the optimizer updates
+    a trainable set as one slice of it (``span``). The parameters are
+    autodiff leaves, except in ``detached()``, where they are plain arrays.
     """
 
     cfg: ModelConfig
     flat: np.ndarray
-    tensors: dict[str, Tensor]
+    tensors: dict[str, Operand]
 
     @classmethod
-    def from_flat(
-        cls, cfg: ModelConfig, flat: np.ndarray, requires_grad: bool = True
-    ) -> "CatParameters":
-        """Parameters whose tensors are views into ``flat``, in buffer order."""
-        shapes = parameter_shapes(cfg)
+    def from_flat(cls, cfg: ModelConfig, flat: np.ndarray) -> "CatParameters":
+        """Trainable parameters whose tensors are views into ``flat``, in buffer order."""
         tensors = {
-            name: Tensor(flat[a:b].reshape(shapes[name]), requires_grad=requires_grad, name=name)
-            for name, (a, b) in _bounds(cfg).items()
+            name: Tensor(view, requires_grad=True, name=name)
+            for name, view in _views(cfg, flat).items()
         }
         return cls(cfg=cfg, flat=flat, tensors=tensors)
 
@@ -144,14 +154,14 @@ class CatParameters:
         """Parameters over a new buffer whose values are not yet set."""
         return cls.from_flat(cfg, np.empty(max(stop for _, stop in _bounds(cfg).values())))
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> Operand:
         return self.tensors[name]
 
     def names(self) -> list[str]:
         return sorted(self.tensors)
 
     def data(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.tensors.items()}
+        return _views(self.cfg, self.flat)
 
     def span(self, names: list[str]) -> slice:
         """The slice of ``flat`` that holds exactly ``names``, given in buffer order."""
@@ -165,8 +175,13 @@ class CatParameters:
         return CatParameters.from_flat(self.cfg, self.flat.copy())
 
     def detached(self) -> "CatParameters":
-        """Same buffer, no gradient tracking; for inference-only forwards."""
-        return CatParameters.from_flat(self.cfg, self.flat, requires_grad=False)
+        """The same buffer as plain ndarray views: the inference form.
+
+        Every forward function given these computes on arrays and returns
+        arrays, the same numbers a call on the Tensor parameters holds in
+        its ``.data``, and records no graph.
+        """
+        return CatParameters(cfg=self.cfg, flat=self.flat, tensors=_views(self.cfg, self.flat))
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
@@ -189,9 +204,9 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
 
 
 class Encoded(NamedTuple):
-    z: Tensor
-    mean: Tensor
-    logvar: Tensor | None
+    z: Operand
+    mean: Operand
+    logvar: Operand | None
 
 
 def encode(
@@ -203,12 +218,12 @@ def encode(
     Given an ``rng``, a variational model reparameterizes the latent as
     mean + exp(logvar / 2) * eps and returns (mean, logvar) for the KL term;
     otherwise the mean is the latent, ``logvar`` is None and nothing is drawn.
+    Sampling is a training path: it takes Tensor parameters.
     """
     if head not in ("st", "sc"):
         raise ShapeMismatchError(f"unknown encoder head {head!r}")
     prefix = "e1" if head == "st" else "e2"
     expected = params.cfg.p if head == "st" else params.cfg.q
-    x = x if isinstance(x, Tensor) else Tensor(x)
     if x.shape[-1] != expected:
         raise ShapeMismatchError(
             f"encoder head {head} expects feature dim {expected}, got {x.shape[-1]}"
@@ -223,9 +238,8 @@ def encode(
     return Encoded(z=z, mean=mean, logvar=logvar)
 
 
-def decode(latent, params: CatParameters) -> Tensor:
+def decode(latent, params: CatParameters) -> Operand:
     """Deterministic map from latent space back to the spatial feature space."""
-    latent = latent if isinstance(latent, Tensor) else Tensor(latent)
     if latent.shape[-1] != params.cfg.d:
         raise ShapeMismatchError(f"decoder expects width {params.cfg.d}, got {latent.shape[-1]}")
     hidden = gelu(latent @ params["dec.w1"] + params["dec.b1"])
@@ -247,22 +261,24 @@ def sinusoidal_basis(ts: np.ndarray, d: int) -> np.ndarray:
     return basis
 
 
-def time_embedding(ts: np.ndarray, params: CatParameters) -> Tensor:
-    return Tensor(sinusoidal_basis(ts, params.cfg.d)) @ params["time.w"] + params["time.b"]
+def time_embedding(ts: np.ndarray, params: CatParameters) -> Operand:
+    return sinusoidal_basis(ts, params.cfg.d) @ params["time.w"] + params["time.b"]
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
+def layer_norm(x: Operand, gain: Operand, bias: Operand) -> Operand:
+    # means as sum * (1/n), which is Tensor.mean's arithmetic; ndarray.mean divides
+    inv_n = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * inv_n
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
     return centered * ((var + _LN_EPS) ** -0.5) * gain + bias
 
 
 class ContextCache(NamedTuple):
     """Each block's attention keys and values, (heads, ctx, dh), for fixed context rows."""
 
-    keys: tuple[Tensor, ...]
-    values: tuple[Tensor, ...]
+    keys: tuple[Operand, ...]
+    values: tuple[Operand, ...]
 
     @property
     def rows(self) -> int:
@@ -270,12 +286,12 @@ class ContextCache(NamedTuple):
 
 
 def _attention(
-    x: Tensor,
+    x: Operand,
     blocked: np.ndarray,
     block: str,
     params: CatParameters,
-    prefix: tuple[Tensor, Tensor] | None = None,
-) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    prefix: tuple[Operand, Operand] | None = None,
+) -> tuple[Operand, tuple[Operand, Operand]]:
     """Masked multi-head attention of the rows of ``x``.
 
     ``prefix`` holds cached keys and values of context rows that come before
@@ -287,7 +303,7 @@ def _attention(
     dh = d // heads
     length = x.shape[0]
 
-    def split(t: Tensor) -> Tensor:
+    def split(t: Operand) -> Operand:
         return t.reshape(length, heads, dh).transpose(1, 0, 2)
 
     q = split(x @ params[f"{block}.wq"] + params[f"{block}.bq"])
@@ -305,8 +321,8 @@ def _attention(
 
 
 def _blocks(
-    x: Tensor, blocked: np.ndarray, params: CatParameters, cache: ContextCache | None = None
-) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    x: Operand, blocked: np.ndarray, params: CatParameters, cache: ContextCache | None = None
+) -> tuple[Operand, list[tuple[Operand, Operand]]]:
     """The transformer blocks, shared by every forward pass.
 
     With ``cache`` each block's attention also sees that block's cached
@@ -337,7 +353,6 @@ def context_cache(tokens, plan: ARStepPlan, params: CatParameters) -> ContextCac
     generate); its clean rows end ``tokens``, and the rows before them are
     conditions.
     """
-    tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
     rows = tokens.shape[0]
     c = rows - plan.v
     if tokens.shape[-1] != params.cfg.d or c < 0:
@@ -365,10 +380,10 @@ class TokenBatch:
     plan, c = v = 0), which attend to every cached row and to each other.
     """
 
-    tokens: Tensor  # (seq, d), time embedding not yet applied
+    tokens: Operand  # (seq, d), time embedding not yet applied
     plan: ARStepPlan
     timesteps: np.ndarray  # (S,) 1-based diffusion step per noisy token
-    noisy: Tensor  # (S, d) raw x_t per noisy token
+    noisy: Operand  # (S, d) raw x_t per noisy token
     alpha_bars: np.ndarray  # (S,) cumulative signal level at each token's timestep
     context: ContextCache | None = None
 
@@ -398,7 +413,7 @@ class TokenBatch:
         return self.plan.v
 
 
-def cat_forward(batch: TokenBatch, params: CatParameters) -> Tensor:
+def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
     """Predicted noise for every noisy token, shape (S, d).
 
     The transformer predicts the bounded v-target and the noise estimate is
@@ -415,7 +430,7 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Tensor:
         raise ShapeMismatchError(f"token width {d} does not match model width {params.cfg.d}")
     ctx = batch.c + batch.v
     temb = time_embedding(batch.timesteps, params)
-    x = batch.tokens + concat([Tensor(np.zeros((ctx, d))), temb], axis=0)
+    x = batch.tokens + concat([np.zeros((ctx, d)), temb], axis=0)
 
     if batch.context is None:
         blocked = build_mask(batch.c, batch.plan)
@@ -428,13 +443,13 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Tensor:
     x, _ = _blocks(x, blocked, params, batch.context)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
-    v_hat = (x @ params["out.w"] + params["out.b"]).rows(ctx, seq)
+    v_hat = (x @ params["out.w"] + params["out.b"])[ctx:seq]
     signal = batch.alpha_bars[:, None]
     pred = batch.noisy * np.sqrt(1.0 - signal) + v_hat * np.sqrt(signal)
-    if not np.isfinite(pred.data).all():
+    if not np.isfinite(as_array(pred)).all():
         raise NumericFailureError(
             f"non-finite activations in forward pass (max |token| = "
-            f"{np.abs(batch.tokens.data).max():.3e})"
+            f"{np.abs(as_array(batch.tokens)).max():.3e})"
         )
     return pred
 

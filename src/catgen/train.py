@@ -187,7 +187,7 @@ def assemble_training_batch(
     """
     sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
     noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
-    tokens = concat([z_sc, z_st.rows(0, plan.v), noised + z_sc], axis=0)
+    tokens = concat([z_sc, z_st[: plan.v], noised + z_sc], axis=0)
     return TokenBatch(
         tokens=tokens,
         plan=plan,
@@ -366,7 +366,7 @@ def fit(
 
     # pin the diffusion substrate to unit spread (the noise head's analytic
     # skip assumes data at the same scale as the injected Gaussian noise)
-    train_latents = encode(st.values[train_genes], "st", params).mean.data
+    train_latents = encode(st.values[train_genes], "st", params.detached()).mean
     params["latent.scale"].data[()] = max(float(train_latents.std()), 1e-6)
     log.info("latent scale set to %.4f", float(params["latent.scale"].data))
 

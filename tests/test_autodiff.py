@@ -82,9 +82,39 @@ def test_reductions_and_reshape():
 
 def test_rows_and_concat():
     check_grads(
-        lambda ts: (concat([ts[0], ts[1]], axis=0).rows(1, 4) ** 2.0).sum(),
+        lambda ts: (concat([ts[0], ts[1]], axis=0)[1:4] ** 2.0).sum(),
         [(3, 2), (2, 2)],
     )
+
+
+def test_row_slice_takes_one_contiguous_slice_only():
+    t = Tensor(np.zeros((4, 2)))
+    assert t[-3:].shape == (3, 2)
+    with pytest.raises(ShapeMismatchError):
+        _ = t[0]
+    with pytest.raises(ShapeMismatchError):
+        _ = t[::2]
+
+
+def test_ndarray_on_the_left_lifts_into_the_tensor():
+    w, b = RNG.standard_normal((3, 3)), RNG.standard_normal((3, 4))
+    out = w @ Tensor(b)
+    assert isinstance(out, Tensor) and np.array_equal(out.data, w @ b)
+    check_grads(lambda ts: (w @ ts[0] + b * ts[0] - b + (b - ts[0])).sum(), [(3, 4)])
+
+
+def test_array_inputs_give_the_same_arrays_and_record_nothing():
+    x = RNG.standard_normal((2, 3, 4))
+    blocked = np.zeros((3, 4), dtype=bool)
+    blocked[:, 0] = True
+    t = Tensor(x, requires_grad=True)
+    for array_out, tensor_out in (
+        (gelu(x), gelu(t)),
+        (masked_softmax(x, blocked), masked_softmax(t, blocked)),
+        (concat([x, x], axis=1), concat([t, x], axis=1)),
+    ):
+        assert type(array_out) is np.ndarray and isinstance(tensor_out, Tensor)
+        assert np.array_equal(array_out, tensor_out.data)
 
 
 def test_exp_tanh_gelu():

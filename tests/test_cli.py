@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from catgen import cli, train
+from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
-from catgen.data import SC, ExpressionMatrix, normalize, save_matrix
+from catgen.data import SC, DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
 from catgen.diffusion import linear_schedule
 from catgen.generate import generate_genes
 from catgen.mask import build_mask
-from catgen.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from catgen.model import ModelConfig, encode, init_params, load_checkpoint, save_checkpoint
 
 SEED = ["--seed", "3"]
 TINY_TRAIN = [
@@ -68,6 +69,50 @@ def test_absent_gene_is_a_data_error(trained):
     genes = trained / "absent.txt"
     genes.write_text("NOT_A_GENE\n")
     assert _generate(trained, genes, trained / "absent.csv") == 2
+
+
+def test_repeated_gene_fails_before_any_forward(trained, monkeypatch, capsys):
+    calls = []
+    forward = generate_module.cat_forward
+
+    def counting(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(generate_module, "cat_forward", counting)
+    first, second = (trained / "prep" / "genes_test.txt").read_text().split()[:2]
+    genes = trained / "repeated.txt"
+    genes.write_text(f"{first}\n{second}\n{first}\n")
+    out = trained / "repeated.csv"
+    assert _generate(trained, genes, out) == 2
+    assert calls == []
+    assert not out.exists()
+    assert first in capsys.readouterr().err
+
+
+def test_embeddings_hold_each_genes_condition_latent(trained):
+    genes = trained / "prep" / "genes_test.txt"
+    names = genes.read_text().split()
+    paths = [trained / f"embeddings_{n}.csv" for n in ("first", "second")]
+    for path in paths:
+        argv = [
+            "generate", "--ckpt", str(trained / "model.catg"), "--sc", str(trained / "sc.csv"),
+            "--genes", str(genes), "--out", str(trained / "emb_pred.csv"),
+            "--embeddings", str(path), *SEED,
+        ]
+        assert cli.main(argv) == 0
+    params, meta = load_checkpoint(trained / "model.catg")
+    lines = paths[0].read_text().splitlines()
+    assert lines[0] == ",".join(["gene_id"] + [f"z{i}" for i in range(params.cfg.d)])
+    assert [line.split(",")[0] for line in lines[1:]] == names
+    opts = DataOptions(
+        min_genes_sc=int(meta["qc_min_genes_sc"]), apply_normalize=bool(meta["data_normalize"])
+    )
+    sc = opts.qc_normalize(load_matrix(trained / "sc.csv", modality=SC))
+    expected = encode(sc.values[[sc.gene_index()[g] for g in names]], "sc", params).z.data
+    written = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
+    assert np.array_equal(written, expected)
+    assert paths[1].read_bytes() == paths[0].read_bytes()
 
 
 def test_unknown_flag_is_a_usage_error(trained):

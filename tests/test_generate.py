@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from catgen import autodiff
 from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
 from catgen.autodiff import Tensor, concat
@@ -155,15 +156,33 @@ def test_fractional_inference_runs(trained):
     assert np.isfinite(out.values).all()
 
 
+def test_generation_constructs_no_tensor(trained, monkeypatch):
+    pair, params, schedule = trained
+    made = []
+    init = autodiff.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", counting)
+    out = generate_genes(pair.sc, pair.genes[:4], params, schedule, groups=2, seed=1)
+    assert out.values.shape == (4, pair.st.n_obs)
+    assert made == []
+    encode(pair.sc.values[:1], "sc", params)  # the counter sees a recorded forward
+    assert made
+
+
 def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed):
     """Reference sampler without a context cache: every reverse step feeds the
     whole [c | v | S] layout of the accumulated plan, with zeros in the noisy
-    slots of finished groups, and keeps only the current group's rows."""
-    frozen = params.detached()
-    d = frozen.cfg.d
-    scale = float(frozen["latent.scale"].data)
+    slots of finished groups, and keeps only the current group's rows. It runs
+    on the Tensor parameters, so it also checks the array forwards against
+    the recorded ones."""
+    d = params.cfg.d
+    scale = float(params["latent.scale"].data)
     index = sc.gene_index()
-    cond = encode(sc.values[[index[g] for g in genes]], "sc", frozen).z.data / scale
+    cond = encode(sc.values[[index[g] for g in genes]], "sc", params).z.data / scale
     sizes = equal_width_groups(len(genes), groups)
     grid, chain = respaced_chain(schedule, strategy)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -185,10 +204,10 @@ def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed)
                 noisy=Tensor(raw),
                 alpha_bars=np.full(hi, schedule.alpha_bars[t - 1]),
             )
-            eps_hat = cat_forward(batch, frozen).data[lo:hi]
+            eps_hat = cat_forward(batch, params).data[lo:hi]
             x = reverse_step(x, k, eps_hat, chain, rng)
         finalized.append(x)
-    return np.clip(decode(np.vstack(finalized) * scale, frozen).data, 0.0, None)
+    return np.clip(decode(np.vstack(finalized) * scale, params).data, 0.0, None)
 
 
 @pytest.mark.parametrize("strategy", [Full(), Fractional(5)], ids=["full", "frac5"])

@@ -317,12 +317,56 @@ def test_gradients_match_finite_differences(small):
     assert checked > 100
 
 
+@pytest.mark.parametrize("variational", [True, False])
+def test_array_forwards_match_tensor_forwards_bitwise(variational):
+    """On ``detached()`` each forward gives arrays equal to the Tensor call's ``.data``."""
+    # a width of 12 makes 1/n inexact, so a mean that divides would differ
+    cfg = ModelConfig(p=6, q=9, d=12, heads=3, blocks=2, variational=variational)
+    params = init_params(cfg, np.random.default_rng(3))
+    frozen = params.detached()
+    rng = np.random.default_rng(5)
+
+    def same(array_out, tensor_out):
+        assert type(array_out) is np.ndarray and isinstance(tensor_out, Tensor)
+        assert np.array_equal(array_out, tensor_out.data)
+
+    for head, width in (("st", cfg.p), ("sc", cfg.q)):
+        x = rng.standard_normal((5, width))
+        same(encode(x, head, frozen).z, encode(x, head, params).z)
+    latent = rng.standard_normal((3, cfg.d))
+    same(decode(latent, frozen), decode(latent, params))
+
+    plan = ARStepPlan(S=5, sz=(2, 2, 1))
+    context = rng.standard_normal((plan.S + plan.v, cfg.d))  # conditions, then clean rows
+    cached, reference = context_cache(context, plan, frozen), context_cache(context, plan, params)
+    for array_kv, tensor_kv in zip(cached.keys + cached.values, reference.keys + reference.values):
+        same(array_kv, tensor_kv)
+
+    ts, abars = rng.integers(1, 50, plan.S), rng.uniform(0.05, 0.95, plan.S)
+
+    def forward(p, tokens, step_plan, noisy, kv=None):
+        batch = TokenBatch(
+            tokens=tokens, plan=step_plan, timesteps=ts[: step_plan.S], noisy=noisy,
+            alpha_bars=abars[: step_plan.S], context=kv,
+        )
+        return cat_forward(batch, p)
+
+    noisy = rng.standard_normal((plan.S, cfg.d))
+    tokens = np.vstack([context, noisy + context[: plan.S]])  # full mask, three AR steps
+    same(forward(frozen, tokens, plan, noisy), forward(params, tokens, plan, noisy))
+    step = ARStepPlan(S=1, sz=(1,))  # the last group's noisy row after the cached context
+    same(
+        forward(frozen, tokens[-1:], step, noisy[-1:], cached),
+        forward(params, tokens[-1:], step, noisy[-1:], reference),
+    )
+
+
 def test_gradient_of_blocked_attention_path_is_zero(small):
     """Perturbing a key the mask blocks leaves the loss untouched."""
     cfg, params = small
     plan = ARStepPlan(S=4, sz=(2, 2))
     batch, (cond, clean, noisy) = make_batch(params, plan)
-    base = (cat_forward(batch, params).rows(0, 2) ** 2.0).sum().item()
+    base = (cat_forward(batch, params)[0:2] ** 2.0).sum().item()
     # noisy tokens of step 2 are blocked for step-1 rows; perturb them hugely
     noisy2 = noisy.copy()
     noisy2[2:] += 1e3
@@ -331,7 +375,7 @@ def test_gradient_of_blocked_attention_path_is_zero(small):
         tokens=tokens2, plan=plan, timesteps=batch.timesteps,
         noisy=Tensor(noisy2), alpha_bars=batch.alpha_bars,
     )
-    perturbed = (cat_forward(batch2, params).rows(0, 2) ** 2.0).sum().item()
+    perturbed = (cat_forward(batch2, params)[0:2] ** 2.0).sum().item()
     assert base == perturbed
 
 
@@ -400,8 +444,8 @@ def test_parameters_are_views_into_one_buffer(small):
     assert not np.shares_memory(copy.flat, params.flat)
     assert params["latent.scale"].data == 2.5 and copy["latent.scale"].data == 0.0
     detached = params.detached()
-    assert detached.flat is params.flat and not detached["e2.w1"].requires_grad
-    detached["e2.w1"].data[0, 0] = 7.0
+    assert detached.flat is params.flat and type(detached["e2.w1"]) is np.ndarray
+    detached["e2.w1"][0, 0] = 7.0
     assert params["e2.w1"].data[0, 0] == 7.0
 
 
