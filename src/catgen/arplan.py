@@ -9,7 +9,8 @@ step is non-empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,26 +19,24 @@ from .errors import ShapeMismatchError
 
 @dataclass(frozen=True)
 class ARStepPlan:
-    """Sizes and cumulative boundaries of the autoregressive gene groups."""
+    """Sizes of the autoregressive gene groups, in order; every other figure
+    of the plan derives from them."""
 
-    S: int
     sz: tuple[int, ...]
-    cs: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        cs = self.cs
-        if not cs:
-            acc = [0]
-            for size in self.sz:
-                acc.append(acc[-1] + size)
-            object.__setattr__(self, "cs", tuple(acc))
-            cs = self.cs
-        if sum(self.sz) != self.S:
-            raise ShapeMismatchError(f"split sizes {self.sz} do not sum to S={self.S}")
-        if any(s < 1 for s in self.sz):
+        if not self.sz or any(s < 1 for s in self.sz):
             raise ShapeMismatchError(f"empty AR step in {self.sz}")
-        if cs[0] != 0 or cs[-1] != self.S or any(a >= b for a, b in zip(cs, cs[1:])):
-            raise ShapeMismatchError(f"cumulative boundaries {cs} are not strictly increasing 0..S")
+
+    @property
+    def cs(self) -> tuple[int, ...]:
+        """Cumulative boundaries 0, sz[0], sz[0] + sz[1], ..., S."""
+        return (0, *itertools.accumulate(self.sz))
+
+    @property
+    def S(self) -> int:
+        """Gene tokens over all steps."""
+        return sum(self.sz)
 
     @property
     def N(self) -> int:
@@ -60,7 +59,7 @@ class ARStepPlan:
             sizes = tuple(int(tok) for tok in body.split(","))
         except ValueError as exc:
             raise ShapeMismatchError(f"split sizes {text!r} are not integers") from exc
-        return cls(S=sum(sizes), sz=sizes)
+        return cls(sizes)
 
 
 def step_count_weights(S: int, alpha: float) -> np.ndarray:
@@ -97,4 +96,4 @@ def generate_ar_steps(S: int, alpha: float, rng: np.random.Generator) -> ARStepP
     cuts = _sample_cuts(S, N - 1, rng)
     bounds = np.concatenate(([0], cuts, [S]))
     sizes = tuple(int(d) for d in np.diff(bounds))
-    return ARStepPlan(S=S, sz=sizes)
+    return ARStepPlan(sizes)

@@ -155,13 +155,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        return self * (other ** -1.0)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._lift(other) * (self ** -1.0)
-
     def __pow__(self, exponent: float) -> "Tensor":
         e = float(exponent)
         data = self.data ** e
@@ -175,6 +168,8 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self.data, other.data
+        if a.ndim < 2 or b.ndim < 2:
+            raise ShapeMismatchError(f"matmul takes matrices, got {a.shape} @ {b.shape}")
         if a.ndim > 2 or b.ndim > 2:
             # batched matmul: leading dims must agree exactly
             if a.shape[:-2] != b.shape[:-2]:
@@ -184,21 +179,10 @@ class Tensor:
         data = a @ b
 
         def backward(g, x=self, y=other):
-            if x.data.ndim == 1:  # vector @ matrix
-                if x._needed:
-                    _accumulate(x, y.data @ g)
-                if y._needed:
-                    _accumulate(y, np.outer(x.data, g))
-            elif y.data.ndim == 1:  # matrix @ vector
-                if x._needed:
-                    _accumulate(x, np.outer(g, y.data))
-                if y._needed:
-                    _accumulate(y, x.data.T @ g)
-            else:
-                if x._needed:
-                    _accumulate(x, g @ np.swapaxes(y.data, -1, -2))
-                if y._needed:
-                    _accumulate(y, np.swapaxes(x.data, -1, -2) @ g)
+            if x._needed:
+                _accumulate(x, g @ np.swapaxes(y.data, -1, -2))
+            if y._needed:
+                _accumulate(y, np.swapaxes(x.data, -1, -2) @ g)
 
         return Tensor._make(data, (self, other), backward)
 

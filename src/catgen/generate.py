@@ -8,13 +8,16 @@ structure the mask enforced during training. Every group runs on its own
 seeded random stream derived from (seed, group index), which keeps earlier
 groups bit-identical when later groups are re-seeded.
 
-The context rows of a group (the conditions of all requested genes, then the
-finalized latents of earlier groups) carry no time embedding and attend only
-to condition and clean rows, so their keys and values in every block are
-fixed for the whole group. They are computed once per group
-(``model.context_cache``), and each reverse step feeds the transformer the
-current group's noisy rows only. The noisy rows of finished groups are
-invisible to later groups under the mask, so they are no longer fed at all.
+The groups of a request are one ARStepPlan, and group g's context plan is its
+first g + 1 groups. The context rows of a group (the conditions of all
+requested genes, then the finalized latents of earlier groups) carry no time
+embedding and attend only to condition and clean rows, so their keys and
+values in every block are fixed for the whole group. They are computed once
+per group (``model.context_cache``), and each reverse step feeds the
+transformer the current group's noisy rows only, laid out by
+``TokenBatch.assemble``; this module stacks no rows for the model. The noisy
+rows of finished groups are invisible to later groups under the mask, so
+they are no longer fed at all.
 
 Every forward runs on ``params.detached()``, plain arrays over the model's
 parameter buffer, so generation records no autodiff graph; training runs
@@ -119,22 +122,17 @@ def generate_genes(
     rows = [index[g] for g in target_genes]
     cond = encode(sc.values[rows], "sc", frozen).z / scale  # (S, d) deterministic
 
-    sizes = equal_width_groups(len(target_genes), groups)
+    plan = ARStepPlan(tuple(equal_width_groups(len(target_genes), groups)))
     grid, chain = respaced_chain(schedule, strategy)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
 
     finalized: list[np.ndarray] = []
-    for g, size in enumerate(sizes):
+    for g, size in enumerate(plan.sz):
         rng = _group_rng(seed, g)
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        group_plan = ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))
-        context = context_cache(np.vstack([cond, *finalized]), group_plan, frozen)
-        plan = ARStepPlan(S=size, sz=(size,))
+        lo, hi = plan.cs[g], plan.cs[g + 1]
+        context = context_cache((cond, *finalized), ARStepPlan(plan.sz[: g + 1]), frozen)
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
-            eps_hat = _predict_noise(
-                x, int(grid[k - 1]), schedule, cond[lo:hi], context, plan, frozen
-            )
+            eps_hat = _predict_noise(x, int(grid[k - 1]), schedule, cond[lo:hi], context, frozen)
             x = reverse_step(x, k, eps_hat, chain, rng)
         finalized.append(x)
 
@@ -152,26 +150,20 @@ def _predict_noise(
     schedule: DiffusionSchedule,
     cond: np.ndarray,
     context: ContextCache,
-    plan: ARStepPlan,
     frozen: CatParameters,
 ) -> np.ndarray:
     """CAT noise prediction for the current group's noisy latents ``x``.
 
     Only the group's own rows are fed: x_t plus each gene's condition latent,
-    under a one-step ``plan``, so they attend to each other.
+    as one AR step, so they attend to each other.
     They also attend to every row of ``context``, the cached keys and values
     of the condition and clean rows. Those rows carry no time embedding and
     attend only to each other, so the cache is exact for every step of the
     group; the noisy rows of finished groups, which the mask hides from this
     group, are not fed.
     """
-    size = plan.S
-    batch = TokenBatch(
-        tokens=x + cond,  # condition injection ties noisy slots to their genes
-        plan=plan,
-        timesteps=np.full(size, t_raw, dtype=np.int64),
-        noisy=x,
-        alpha_bars=np.full(size, schedule.alpha_bars[t_raw - 1]),
-        context=context,
+    size = x.shape[0]
+    batch = TokenBatch.assemble(
+        ARStepPlan((size,)), x, cond, np.full(size, t_raw), schedule, context=context
     )
     return cat_forward(batch, frozen)

@@ -2,8 +2,11 @@
 blocks, sinusoidal time embedding, noise-prediction head and decoder.
 
 Tokens are d-dimensional gene latents. A forward pass consumes a TokenBatch
-laid out as [condition | clean | noisy]; its attention mask follows from the
-batch's AR plan and condition count, so no caller builds one. The time
+laid out as [condition | clean | noisy], and ``TokenBatch.assemble`` is the
+one code that writes that layout: training and generation hand it their
+parts, and ``context_cache`` takes the same prefix parts. It looks up each
+token's signal level and derives the attention mask from the AR plan and the
+condition count, so no caller builds either. The time
 embedding is added to noisy tokens only, conditions and clean tokens carry no
 positional identity, and the output rows are the predicted noise for the
 noisy tokens.
@@ -32,6 +35,7 @@ import math
 import os
 import struct
 import tempfile
+import typing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +43,7 @@ import numpy as np
 
 from .arplan import ARStepPlan
 from .autodiff import Operand, Tensor, as_array, concat, gelu, masked_softmax
+from .diffusion import DiffusionSchedule
 from .errors import (
     DataFormatError,
     NumericFailureError,
@@ -343,16 +348,17 @@ def _blocks(
     return x, own
 
 
-def context_cache(tokens, plan: ARStepPlan, params: CatParameters) -> ContextCache:
+def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCache:
     """Every block's keys and values for the context rows [condition | clean].
 
     Context rows carry no time embedding and, under the causal mask, attend
     only to context rows, so their keys and values do not depend on any noisy
     row or timestep: one cache serves every reverse step of an AR group.
-    ``plan`` is the group's plan (the finished groups, then the group still to
-    generate); its clean rows end ``tokens``, and the rows before them are
-    conditions.
+    ``prefix`` holds the context rows in parts, laid out as a TokenBatch lays
+    out its own; ``plan`` is the group's plan (the finished groups, then the
+    group still to generate), whose clean rows end the prefix.
     """
+    tokens = concat(list(prefix), axis=0)
     rows = tokens.shape[0]
     c = rows - plan.v
     if tokens.shape[-1] != params.cfg.d or c < 0:
@@ -368,16 +374,15 @@ def context_cache(tokens, plan: ARStepPlan, params: CatParameters) -> ContextCac
 class TokenBatch:
     """Assembled token sequence: conditions, clean latents, then noisy latents.
 
-    The layout follows from the plan: ``v`` clean rows cover every AR step but
-    the last, ``S`` noisy rows cover all steps, and the ``c`` rows before them
-    are conditions. ``tokens`` is the transformer input (noisy slots may carry
-    extra conditioning added in); ``noisy`` keeps the raw diffused latents x_t
-    and ``alpha_bars`` their cumulative signal levels, which the noise head
-    needs for its analytic skip connection.
+    ``assemble`` is the one constructor. ``tokens`` is every row fed to the
+    transformer (noisy slots carry their gene's condition added in);
+    ``noisy`` keeps the raw diffused latents x_t and ``alpha_bars`` their
+    cumulative signal levels, which the noise head needs for its analytic
+    skip connection; ``blocked`` is the attention mask over ``tokens``.
 
     A cached step carries ``context``: the keys and values of context rows
     that precede the sequence. Its tokens are then noisy rows only (a one-step
-    plan, c = v = 0), which attend to every cached row and to each other.
+    plan), which attend to every cached row and to each other.
     """
 
     tokens: Operand  # (seq, d), time embedding not yet applied
@@ -385,32 +390,57 @@ class TokenBatch:
     timesteps: np.ndarray  # (S,) 1-based diffusion step per noisy token
     noisy: Operand  # (S, d) raw x_t per noisy token
     alpha_bars: np.ndarray  # (S,) cumulative signal level at each token's timestep
+    blocked: np.ndarray  # (seq, context rows + seq), True = no attention
     context: ContextCache | None = None
 
-    def __post_init__(self):
-        self.timesteps = np.asarray(self.timesteps, dtype=np.int64)
-        self.alpha_bars = np.asarray(self.alpha_bars, dtype=np.float64)
-        s = self.plan.S
-        if self.c < 0:
-            raise ShapeMismatchError("token batch layout does not match the plan")
-        if self.context is not None and self.c + self.v:
-            raise ShapeMismatchError("a cached step feeds noisy rows only")
-        if self.timesteps.shape != (s,):
-            raise ShapeMismatchError(f"need one timestep per noisy token, got {self.timesteps.shape}")
-        if self.timesteps.min() < 1:
+    @classmethod
+    def assemble(
+        cls,
+        plan: ARStepPlan,
+        x_t: Operand,
+        cond: Operand,
+        timesteps,
+        schedule: DiffusionSchedule,
+        prefix=(),
+        context: ContextCache | None = None,
+    ) -> "TokenBatch":
+        """Lay out [*prefix | x_t + cond] for ``plan``.
+
+        ``prefix`` holds the condition rows, then the plan's ``v`` clean
+        rows, in any number of parts; ``x_t`` is one noisy latent per gene
+        token and ``cond`` that gene's condition latent, added in to tie the
+        noisy slot to its gene. Each token's signal level is looked up from
+        ``schedule`` at its 1-based timestep. A cached step passes
+        ``context`` and no prefix rows.
+        """
+        timesteps = np.asarray(timesteps, dtype=np.int64)
+        s = plan.S
+        if timesteps.shape != (s,):
+            raise ShapeMismatchError(f"need one timestep per noisy token, got {timesteps.shape}")
+        if timesteps.min() < 1:
             raise ShapeMismatchError("timesteps are 1-based")
-        if self.noisy.shape != (s, self.tokens.shape[1]):
-            raise ShapeMismatchError(f"raw noisy latents must be ({s}, d), got {self.noisy.shape}")
-        if self.alpha_bars.shape != (s,) or ((self.alpha_bars <= 0) | (self.alpha_bars > 1)).any():
-            raise ShapeMismatchError("need one alpha_bar in (0, 1] per noisy token")
-
-    @property
-    def c(self) -> int:
-        return self.tokens.shape[0] - self.v - self.plan.S
-
-    @property
-    def v(self) -> int:
-        return self.plan.v
+        if x_t.shape != (s, x_t.shape[-1]) or cond.shape != x_t.shape:
+            raise ShapeMismatchError(
+                f"need ({s}, d) noisy and condition latents, got {x_t.shape} and {cond.shape}"
+            )
+        ctx = sum(part.shape[0] for part in prefix)
+        if context is not None and ctx:
+            raise ShapeMismatchError("a cached step feeds noisy rows only")
+        if ctx < plan.v:
+            raise ShapeMismatchError("token batch layout does not match the plan")
+        if context is None:
+            blocked = build_mask(ctx - plan.v, plan)
+        else:  # one step of noisy rows: each sees every cached row and every other row
+            blocked = np.zeros((s, context.rows + s), dtype=bool)
+        return cls(
+            tokens=concat([*prefix, x_t + cond], axis=0) if prefix else x_t + cond,
+            plan=plan,
+            timesteps=timesteps,
+            noisy=x_t,
+            alpha_bars=schedule.alpha_bars[timesteps - 1],
+            blocked=blocked,
+            context=context,
+        )
 
 
 def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
@@ -428,19 +458,14 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
     seq, d = batch.tokens.shape
     if d != params.cfg.d:
         raise ShapeMismatchError(f"token width {d} does not match model width {params.cfg.d}")
-    ctx = batch.c + batch.v
+    if batch.context is not None and len(batch.context.keys) != params.cfg.blocks:
+        raise ShapeMismatchError(
+            f"cache holds {len(batch.context.keys)} blocks, model has {params.cfg.blocks}"
+        )
+    ctx = seq - batch.plan.S
     temb = time_embedding(batch.timesteps, params)
     x = batch.tokens + concat([np.zeros((ctx, d)), temb], axis=0)
-
-    if batch.context is None:
-        blocked = build_mask(batch.c, batch.plan)
-    else:  # one step of noisy rows: each sees every cached row and every other row
-        if len(batch.context.keys) != params.cfg.blocks:
-            raise ShapeMismatchError(
-                f"cache holds {len(batch.context.keys)} blocks, model has {params.cfg.blocks}"
-            )
-        blocked = np.zeros((seq, batch.context.rows + seq), dtype=bool)
-    x, _ = _blocks(x, blocked, params, batch.context)
+    x, _ = _blocks(x, batch.blocked, params, batch.context)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
     v_hat = (x @ params["out.w"] + params["out.b"])[ctx:seq]
@@ -457,13 +482,13 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
 # -- checkpoints ----------------------------------------------------------------------
 
 
+# the model's shape travels as one scalar ``meta.<field>`` per ModelConfig field
+_CONFIG_FIELDS: dict[str, type] = typing.get_type_hints(ModelConfig)
+
+
 def _meta_tensors(cfg: ModelConfig, extra: dict[str, float]) -> dict[str, np.ndarray]:
-    meta = {
-        "meta.p": cfg.p, "meta.q": cfg.q, "meta.d": cfg.d,
-        "meta.heads": cfg.heads, "meta.blocks": cfg.blocks,
-        "meta.variational": int(cfg.variational),
-        "meta.format": CHECKPOINT_VERSION,
-    }
+    meta = {f"meta.{name}": int(getattr(cfg, name)) for name in _CONFIG_FIELDS}
+    meta["meta.format"] = CHECKPOINT_VERSION
     for key, value in extra.items():
         meta[f"meta.{key}"] = float(value)
     return {k: np.asarray(v, dtype=np.float64) for k, v in meta.items()}
@@ -535,14 +560,10 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
         if fh.tell() > os.fstat(fh.fileno()).st_size:
             raise DataFormatError(f"{path}: truncated checkpoint")
 
-        for required in ("p", "q", "d", "heads", "blocks", "variational"):
+        for required in _CONFIG_FIELDS:
             if required not in meta:
                 raise DataFormatError(f"{path}: checkpoint missing meta.{required}")
-        cfg = ModelConfig(
-            p=int(meta["p"]), q=int(meta["q"]), d=int(meta["d"]),
-            heads=int(meta["heads"]), blocks=int(meta["blocks"]),
-            variational=bool(meta["variational"]),
-        )
+        cfg = ModelConfig(**{name: kind(meta[name]) for name, kind in _CONFIG_FIELDS.items()})
         params = CatParameters.empty(cfg)
         for name, shape in parameter_shapes(cfg).items():
             if name not in found:

@@ -2,7 +2,8 @@
 autoregressive-diffusion objective.
 
 Each diffusion step draws a fresh AR plan, noises every gene token at its own
-sampled timestep, assembles [condition | clean | noisy] tokens under the
+sampled timestep, hands the conditions, clean latents and noisy latents to
+``TokenBatch.assemble``, which lays out [condition | clean | noisy] under the
 causal mask, and minimizes noise-prediction MSE (plus optional decoder
 reconstruction and KL terms). Clean tokens are never noised; conditions are
 never noised either. ``ModelConfig.variational`` alone decides whether the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arplan import ARStepPlan, generate_ar_steps
-from .autodiff import Gradients, Tensor, concat, gradients
+from .autodiff import Gradients, Tensor, gradients
 from .data import ExpressionMatrix, SplitAssignment
 from .diffusion import (
     DiffusionSchedule,
@@ -171,32 +172,6 @@ def _kl_term(mean: Tensor, logvar: Tensor) -> Tensor:
     return (-0.5 * (1.0 + logvar - mean * mean - logvar.exp())).mean()
 
 
-def assemble_training_batch(
-    z_st: Tensor,
-    z_sc: Tensor,
-    plan: ARStepPlan,
-    token_ts: np.ndarray,
-    eps: np.ndarray,
-    schedule: DiffusionSchedule,
-) -> TokenBatch:
-    """Build the [condition | clean | noisy] token sequence for one batch.
-
-    Noisy tokens get the forward-diffused latent plus the gene's own condition
-    latent, which ties each noisy slot to the gene it must denoise. Clean
-    tokens are the un-noised latents of every AR step but the last.
-    """
-    sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
-    noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
-    tokens = concat([z_sc, z_st[: plan.v], noised + z_sc], axis=0)
-    return TokenBatch(
-        tokens=tokens,
-        plan=plan,
-        timesteps=token_ts,
-        noisy=noised,
-        alpha_bars=schedule.alpha_bars[token_ts - 1],
-    )
-
-
 def training_loss(
     st_values: np.ndarray,
     sc_values: np.ndarray,
@@ -209,12 +184,14 @@ def training_loss(
     enc_rng: np.random.Generator | None,
 ) -> Tensor:
     """Blended objective for one already-permuted gene batch."""
-    assert (token_ts >= 1).all(), "clean tokens are the only un-noised gene tokens"
     st_enc = encode(st_values, "st", params, rng=enc_rng)
     sc_enc = encode(sc_values, "sc", params)
     inv_scale = 1.0 / float(params["latent.scale"].data)
-    batch = assemble_training_batch(
-        st_enc.z * inv_scale, sc_enc.z * inv_scale, plan, token_ts, eps, schedule
+    z_st, z_sc = st_enc.z * inv_scale, sc_enc.z * inv_scale
+    sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
+    noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
+    batch = TokenBatch.assemble(
+        plan, noised, z_sc, token_ts, schedule, prefix=(z_sc, z_st[: plan.v])
     )
     pred = cat_forward(batch, params)
     loss = ((pred - Tensor(eps)) ** 2.0).mean()
@@ -318,8 +295,15 @@ def _granger_gene_order(st: ExpressionMatrix, genes: list[int]) -> list[int]:
     return sorted(genes, key=lambda g: (-strength[g], g))
 
 
-def _batches(order: list[int], size: int) -> list[list[int]]:
-    return [order[i : i + size] for i in range(0, len(order), size)]
+def _epoch_batches(
+    train_genes: list[int], cfg: TrainConfig, rng: np.random.Generator
+) -> list[list[int]]:
+    """One epoch's gene batches: in the fixed granger order, or in a fresh
+    permutation drawn from ``rng``."""
+    order = train_genes if cfg.gene_order == "granger" else [
+        train_genes[i] for i in rng.permutation(len(train_genes))
+    ]
+    return [order[i : i + cfg.batch_genes] for i in range(0, len(order), cfg.batch_genes)]
 
 
 def fit(
@@ -354,12 +338,9 @@ def fit(
     warmup_opt = Adam(cfg.recon_lr)
     warm_names = warmup_trainable(params)
     for epoch in range(cfg.recon_epochs):
-        order = train_genes if cfg.gene_order == "granger" else [
-            train_genes[i] for i in rng.permutation(len(train_genes))
-        ]
         losses = [
             _warmup_step(st.values[b], sc.values[b], params, cfg, rng, warmup_opt, warm_names)
-            for b in _batches(order, cfg.batch_genes)
+            for b in _epoch_batches(train_genes, cfg, rng)
         ]
         if epoch % 50 == 0:
             log.info("warmup epoch %d: recon loss %.5f", epoch, float(np.mean(losses)))
@@ -372,13 +353,9 @@ def fit(
 
     opt = Adam(cfg.lr)
     trainable = diffusion_trainable(params, cfg)
-    best = FitResult(params=params)
     for epoch in range(cfg.epochs):
-        order = train_genes if cfg.gene_order == "granger" else [
-            train_genes[i] for i in rng.permutation(len(train_genes))
-        ]
         losses = []
-        for batch in _batches(order, cfg.batch_genes):
+        for batch in _epoch_batches(train_genes, cfg, rng):
             _, value = train_step(
                 st.values[batch], sc.values[batch], params, cfg, rng, schedule, opt, trainable
             )
@@ -386,22 +363,14 @@ def fit(
         row: dict = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_pcc": float("nan")}
         if val_genes and (epoch + 1) % cfg.val_every == 0:
             row["val_pcc"] = _validation_pcc(st, sc, val_genes, params, schedule, cfg, epoch)
-            if math.isnan(best.best_val_pcc) or row["val_pcc"] > best.best_val_pcc:
-                best = FitResult(
-                    params=params.copy(), best_val_pcc=row["val_pcc"], best_epoch=epoch
-                )
+            if math.isnan(result.best_val_pcc) or row["val_pcc"] > result.best_val_pcc:
+                result.params = params.copy()
+                result.best_val_pcc, result.best_epoch = row["val_pcc"], epoch
         result.history.append(row)
         if epoch % 20 == 0:
             log.info(
                 "epoch %d: loss %.5f val_pcc %s", epoch, row["train_loss"], row["val_pcc"]
             )
-
-    if best.best_epoch >= 0:
-        result.params = best.params
-        result.best_val_pcc = best.best_val_pcc
-        result.best_epoch = best.best_epoch
-    else:
-        result.params = params
     return result
 
 

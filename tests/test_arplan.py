@@ -10,17 +10,18 @@ from catgen.errors import ShapeMismatchError
 
 
 def test_worked_example_boundaries():
-    plan = ARStepPlan(S=7, sz=(2, 2, 3))
+    plan = ARStepPlan((2, 2, 3))
     assert plan.cs == (0, 2, 4, 7)
+    assert plan.S == 7
     assert plan.N == 3
     assert plan.to_text() == "sz=2,2,3"
     assert ARStepPlan.from_text("sz=2,2,3") == plan
 
 
 def test_clean_token_count_covers_every_step_but_the_last():
-    assert ARStepPlan(S=7, sz=(2, 2, 3)).v == 4
-    assert ARStepPlan(S=5, sz=(5,)).v == 0
-    assert ARStepPlan(S=3, sz=(1, 1, 1)).v == 2
+    assert ARStepPlan((2, 2, 3)).v == 4
+    assert ARStepPlan((5,)).v == 0
+    assert ARStepPlan((1, 1, 1)).v == 2
 
 
 class _ScriptedRng:
@@ -57,7 +58,9 @@ def test_invalid_inputs():
     with pytest.raises(ShapeMismatchError):
         generate_ar_steps(5, 1.2, rng)
     with pytest.raises(ShapeMismatchError):
-        ARStepPlan(S=5, sz=(2, 2))  # sizes do not cover S
+        ARStepPlan((2, 0))  # an empty step
+    with pytest.raises(ShapeMismatchError):
+        ARStepPlan(())
 
 
 def test_weights_normalize_exactly():

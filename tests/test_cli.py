@@ -205,7 +205,7 @@ def _mask(tmp_path, name, s="7", sz="2,2,3"):
 def test_mask_matches_build_mask_and_reruns_identically(tmp_path, capsys):
     code, csv_path, pbm_path = _mask(tmp_path, "first")
     assert code == 0
-    expected = build_mask(2, ARStepPlan(S=7, sz=(2, 2, 3)))
+    expected = build_mask(2, ARStepPlan((2, 2, 3)))
     np.testing.assert_array_equal(np.loadtxt(csv_path, delimiter=",", dtype=np.uint8), expected)
     np.testing.assert_array_equal(np.loadtxt(pbm_path, skiprows=2, dtype=np.uint8), expected)
     code, csv_again, pbm_again = _mask(tmp_path, "second")

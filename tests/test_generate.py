@@ -6,7 +6,7 @@ import pytest
 from catgen import autodiff
 from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
-from catgen.autodiff import Tensor, concat
+from catgen.autodiff import Tensor
 from catgen.data import prepare_pair, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
@@ -190,19 +190,16 @@ def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed)
     for g, size in enumerate(sizes):
         rng = np.random.default_rng(np.random.SeedSequence((seed, g)))
         lo, hi = int(bounds[g]), int(bounds[g + 1])
-        plan = ARStepPlan(S=hi, sz=tuple(sizes[: g + 1]))
+        plan = ARStepPlan(tuple(sizes[: g + 1]))
         clean = np.vstack(finalized) if finalized else np.zeros((0, d))
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
             t = int(grid[k - 1])
             raw = np.zeros((hi, d))
             raw[lo:hi] = x
-            batch = TokenBatch(
-                tokens=concat([Tensor(cond), Tensor(clean), Tensor(raw + cond[:hi])], axis=0),
-                plan=plan,
-                timesteps=np.full(hi, t),
-                noisy=Tensor(raw),
-                alpha_bars=np.full(hi, schedule.alpha_bars[t - 1]),
+            batch = TokenBatch.assemble(
+                plan, Tensor(raw), cond[:hi], np.full(hi, t), schedule,
+                prefix=(Tensor(cond), Tensor(clean)),
             )
             eps_hat = cat_forward(batch, params).data[lo:hi]
             x = reverse_step(x, k, eps_hat, chain, rng)

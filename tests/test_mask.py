@@ -75,7 +75,7 @@ def compositions(s):
 
 
 def test_worked_example():
-    mask = build_mask(2, ARStepPlan(S=7, sz=(2, 2, 3)))
+    mask = build_mask(2, ARStepPlan((2, 2, 3)))
     assert mask.dtype == bool
     assert mask.shape == (13, 13)  # 2 conditions, 4 clean, 7 noisy
     assert mask[2:6, 6:].all()  # clean rows 2..5 never see noisy columns
@@ -89,12 +89,12 @@ def test_worked_example():
 
 
 def test_degenerate_single_token():
-    mask = build_mask(0, ARStepPlan(S=1, sz=(1,)))
+    mask = build_mask(0, ARStepPlan((1,)))
     np.testing.assert_array_equal(mask, [[0]])
 
 
 def test_single_step_plan_has_no_clean_tokens():
-    mask = build_mask(3, ARStepPlan(S=5, sz=(5,)))
+    mask = build_mask(3, ARStepPlan((5,)))
     assert mask.shape == (8, 8)  # 3 conditions, 0 clean, 5 noisy
     np.testing.assert_array_equal(mask[:, :3], 0)
     np.testing.assert_array_equal(mask[3:, 3:], 0)  # one diagonal block
@@ -102,13 +102,13 @@ def test_single_step_plan_has_no_clean_tokens():
 
 def test_inconsistent_plan_rejected():
     with pytest.raises(ShapeMismatchError):
-        build_mask(-1, ARStepPlan(S=5, sz=(5,)))
+        build_mask(-1, ARStepPlan((5,)))
 
 
 def test_oracle_equivalence_exhaustive_small():
     for s in range(1, 7):
         for sz in compositions(s):
-            plan = ARStepPlan(S=s, sz=sz)
+            plan = ARStepPlan(sz)
             for c in range(3):
                 built = build_mask(c, plan)
                 oracle = mask_oracle(s, c, plan)
@@ -118,13 +118,13 @@ def test_oracle_equivalence_exhaustive_small():
 def test_clean_rows_never_attend_noisy():
     for s in range(2, 7):
         for sz in compositions(s):
-            mask = build_mask(2, ARStepPlan(S=s, sz=sz))
+            mask = build_mask(2, ARStepPlan(sz))
             ctx = 2 + s - sz[-1]
             np.testing.assert_array_equal(mask[2:ctx, ctx:], 1)
 
 
 def test_no_future_leakage():
-    plan = ARStepPlan(S=7, sz=(2, 2, 3))
+    plan = ARStepPlan((2, 2, 3))
     mask = build_mask(2, plan)
     roles = token_roles(7, 2, plan)
     ctx = 2 + 4  # conditions, then the clean tokens of the first two steps
@@ -139,19 +139,19 @@ def test_no_future_leakage():
 def test_every_row_attends_something_with_conditions():
     for s in range(1, 7):
         for sz in compositions(s):
-            mask = build_mask(1, ARStepPlan(S=s, sz=sz))
+            mask = build_mask(1, ARStepPlan(sz))
             assert (mask == 0).any(axis=1).all()
 
 
 def test_step_of_maps_tokens_to_groups():
-    plan = ARStepPlan(S=7, sz=(2, 2, 3))
+    plan = ARStepPlan((2, 2, 3))
     assert [step_of(plan, t) for t in range(7)] == [0, 0, 1, 1, 2, 2, 2]
     with pytest.raises(ShapeMismatchError):
         step_of(plan, 7)
 
 
 def test_roles_layout():
-    roles = token_roles(7, 2, ARStepPlan(S=7, sz=(2, 2, 3)))
+    roles = token_roles(7, 2, ARStepPlan((2, 2, 3)))
     assert roles[0] == (CONDITION, -1)
     assert roles[2] == (CLEAN, 0)
     assert roles[5] == (CLEAN, 1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from catgen.arplan import ARStepPlan
-from catgen.autodiff import Tensor, concat, gradients
+from catgen.autodiff import Tensor, gradients
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError, NotOnTapeError, ShapeMismatchError
 from catgen.model import (
@@ -28,12 +28,21 @@ from catgen.model import (
 )
 
 RNG = np.random.default_rng(123)
+SCHEDULE = linear_schedule(50)  # covers every timestep the tests draw
 
 
 @pytest.fixture(scope="module")
 def small():
     cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=2)
     return cfg, init_params(cfg, np.random.default_rng(0))
+
+
+def assemble(plan, cond, clean, noisy, timesteps):
+    """[cond | clean | noisy] with nothing added to the noisy slots."""
+    return TokenBatch.assemble(
+        plan, Tensor(noisy), np.zeros(noisy.shape), timesteps, SCHEDULE,
+        prefix=(Tensor(cond), Tensor(clean)),
+    )
 
 
 def make_batch(params, plan, c=None, rng=None, timesteps=None):
@@ -46,15 +55,7 @@ def make_batch(params, plan, c=None, rng=None, timesteps=None):
     clean = rng.standard_normal((v, d))
     noisy = rng.standard_normal((S, d))
     ts = np.full(S, 3) if timesteps is None else timesteps
-    tokens = concat([Tensor(cond), Tensor(clean), Tensor(noisy)], axis=0)
-    batch = TokenBatch(
-        tokens=tokens,
-        plan=plan,
-        timesteps=ts,
-        noisy=Tensor(noisy),
-        alpha_bars=np.full(S, 0.5),
-    )
-    return batch, (cond, clean, noisy)
+    return assemble(plan, cond, clean, noisy, ts), (cond, clean, noisy)
 
 
 def test_encode_deterministic_and_shapes(small):
@@ -133,7 +134,7 @@ def test_sinusoidal_basis_shape_and_range():
 
 def test_cat_forward_output_rows_are_noisy_positions(small):
     cfg, params = small
-    plan = ARStepPlan(S=5, sz=(2, 3))
+    plan = ARStepPlan((2, 3))
     batch, _ = make_batch(params, plan)
     out = cat_forward(batch, params)
     assert out.shape == (5, cfg.d)
@@ -143,20 +144,13 @@ def test_cat_forward_output_rows_are_noisy_positions(small):
 def test_condition_permutation_invariance(small):
     """Attention over condition tokens is set-like (no positional identity)."""
     cfg, params = small
-    plan = ARStepPlan(S=4, sz=(4,))
+    plan = ARStepPlan((4,))
     rng = np.random.default_rng(3)
     batch, (cond, clean, noisy) = make_batch(params, plan, c=4, rng=rng)
     out = cat_forward(batch, params).data
 
     perm = np.array([2, 0, 3, 1])
-    tokens_p = concat([Tensor(cond[perm]), Tensor(clean), Tensor(noisy)], axis=0)
-    batch_p = TokenBatch(
-        tokens=tokens_p,
-        plan=plan,
-        timesteps=batch.timesteps,
-        noisy=Tensor(noisy),
-        alpha_bars=batch.alpha_bars,
-    )
+    batch_p = assemble(plan, cond[perm], clean, noisy, batch.timesteps)
     out_p = cat_forward(batch_p, params).data
     np.testing.assert_allclose(out, out_p, atol=1e-6)
 
@@ -187,14 +181,7 @@ def test_mask_causality_bitwise(small):
         other[lo:hi] = False
         noisy2[other] += rng.standard_normal((other.sum(), cfg.d))
 
-        tokens2 = concat([Tensor(cond), Tensor(clean2), Tensor(noisy2)], axis=0)
-        batch2 = TokenBatch(
-            tokens=tokens2,
-            plan=plan,
-            timesteps=batch.timesteps,
-            noisy=Tensor(noisy2),
-            alpha_bars=batch.alpha_bars,
-        )
+        batch2 = assemble(plan, cond, clean2, noisy2, batch.timesteps)
         out2 = cat_forward(batch2, params).data
         assert np.array_equal(base[lo:hi], out2[lo:hi])
 
@@ -202,20 +189,16 @@ def test_mask_causality_bitwise(small):
 def _random_plan(N, rng):
     S = N + int(rng.integers(0, 6))
     cuts = np.sort(rng.choice(np.arange(1, S), N - 1, replace=False))
-    return ARStepPlan(S=S, sz=tuple(int(n) for n in np.diff([0, *cuts, S])))
+    return ARStepPlan(tuple(int(n) for n in np.diff([0, *cuts, S])))
 
 
-def _cached_last_step(params, plan, cond, clean, noisy, timesteps, alpha_bars):
+def _cached_last_step(params, plan, cond, clean, noisy, timesteps):
     """The last AR step's noisy rows run against a cache of the context rows."""
     v = clean.shape[0]
-    context = context_cache(np.vstack([cond, clean]), plan, params)
-    step = ARStepPlan(S=plan.S - v, sz=(plan.S - v,))
-    batch = TokenBatch(
-        tokens=Tensor(noisy[v:]),
-        plan=step,
-        timesteps=timesteps[v:],
-        noisy=Tensor(noisy[v:]),
-        alpha_bars=alpha_bars[v:],
+    context = context_cache((cond, clean), plan, params)
+    step = ARStepPlan((plan.S - v,))
+    batch = TokenBatch.assemble(
+        step, Tensor(noisy[v:]), np.zeros(noisy[v:].shape), timesteps[v:], SCHEDULE,
         context=context,
     )
     return cat_forward(batch, params).data
@@ -234,7 +217,7 @@ def test_cached_step_matches_full_layout(small):
             ts = rng.integers(1, 50, S)
             batch, (cond, clean, noisy) = make_batch(params, plan, c=c, rng=rng, timesteps=ts)
             full = cat_forward(batch, params).data[v:]
-            cached = _cached_last_step(params, plan, cond, clean, noisy, ts, batch.alpha_bars)
+            cached = _cached_last_step(params, plan, cond, clean, noisy, ts)
             assert cached.shape == full.shape
             worst = max(worst, float(np.abs(cached - full).max()))
     assert worst <= 1e-12
@@ -242,34 +225,27 @@ def test_cached_step_matches_full_layout(small):
 
 def test_cached_step_feeds_noisy_rows_only(small):
     cfg, params = small
-    plan = ARStepPlan(S=4, sz=(2, 2))
+    plan = ARStepPlan((2, 2))
     batch, (cond, clean, noisy) = make_batch(params, plan, c=3)
-    context = context_cache(np.vstack([cond, clean]), plan, params)
+    context = context_cache((cond, clean), plan, params)
     with pytest.raises(ShapeMismatchError, match="noisy rows only"):
-        TokenBatch(
-            tokens=batch.tokens, plan=plan, timesteps=batch.timesteps,
-            noisy=batch.noisy, alpha_bars=batch.alpha_bars, context=context,
+        TokenBatch.assemble(
+            plan, batch.noisy, np.zeros(noisy.shape), batch.timesteps, SCHEDULE,
+            prefix=(cond, clean), context=context,
         )
     with pytest.raises(ShapeMismatchError):  # fewer rows than the plan's 2 clean ones
-        context_cache(clean[:1], plan, params)
+        context_cache((clean[:1],), plan, params)
     with pytest.raises(ShapeMismatchError):
-        context_cache(np.vstack([cond, clean])[:, 1:], plan, params)
+        context_cache((cond[:, 1:], clean[:, 1:]), plan, params)
 
 
 def test_all_finite_for_bounded_inputs(small):
     cfg, params = small
-    plan = ARStepPlan(S=3, sz=(3,))
+    plan = ARStepPlan((3,))
     rng = np.random.default_rng(5)
     d = cfg.d
     big = 1e3 * rng.standard_normal((3, d))
-    tokens = concat([Tensor(1e3 * rng.standard_normal((3, d))), Tensor(np.zeros((0, d))), Tensor(big)], axis=0)
-    batch = TokenBatch(
-        tokens=tokens,
-        plan=plan,
-        timesteps=np.full(3, 7),
-        noisy=Tensor(big),
-        alpha_bars=np.full(3, 0.3),
-    )
+    batch = assemble(plan, 1e3 * rng.standard_normal((3, d)), np.zeros((0, d)), big, np.full(3, 7))
     out = cat_forward(batch, params)
     assert np.isfinite(out.data).all()
 
@@ -285,7 +261,7 @@ def test_gradients_match_finite_differences(small):
     S = 4
     st = rng.standard_normal((S, cfg.p))
     sc = rng.standard_normal((S, cfg.q))
-    plan = ARStepPlan(S=S, sz=(2, 2))
+    plan = ARStepPlan((2, 2))
     ts = np.array([3, 9, 14, 20])
     eps = rng.standard_normal((S, cfg.d))
 
@@ -336,45 +312,42 @@ def test_array_forwards_match_tensor_forwards_bitwise(variational):
     latent = rng.standard_normal((3, cfg.d))
     same(decode(latent, frozen), decode(latent, params))
 
-    plan = ARStepPlan(S=5, sz=(2, 2, 1))
+    plan = ARStepPlan((2, 2, 1))
     context = rng.standard_normal((plan.S + plan.v, cfg.d))  # conditions, then clean rows
-    cached, reference = context_cache(context, plan, frozen), context_cache(context, plan, params)
+    cached = context_cache((context,), plan, frozen)
+    reference = context_cache((context,), plan, params)
     for array_kv, tensor_kv in zip(cached.keys + cached.values, reference.keys + reference.values):
         same(array_kv, tensor_kv)
 
-    ts, abars = rng.integers(1, 50, plan.S), rng.uniform(0.05, 0.95, plan.S)
+    ts = rng.integers(1, 50, plan.S)
 
-    def forward(p, tokens, step_plan, noisy, kv=None):
-        batch = TokenBatch(
-            tokens=tokens, plan=step_plan, timesteps=ts[: step_plan.S], noisy=noisy,
-            alpha_bars=abars[: step_plan.S], context=kv,
-        )
+    def forward(p, step_plan, noisy, cond, prefix=(), kv=None):
+        batch = TokenBatch.assemble(step_plan, noisy, cond, ts[: step_plan.S], SCHEDULE, prefix, kv)
         return cat_forward(batch, p)
 
     noisy = rng.standard_normal((plan.S, cfg.d))
-    tokens = np.vstack([context, noisy + context[: plan.S]])  # full mask, three AR steps
-    same(forward(frozen, tokens, plan, noisy), forward(params, tokens, plan, noisy))
-    step = ARStepPlan(S=1, sz=(1,))  # the last group's noisy row after the cached context
+    cond = context[: plan.S]  # full mask, three AR steps
     same(
-        forward(frozen, tokens[-1:], step, noisy[-1:], cached),
-        forward(params, tokens[-1:], step, noisy[-1:], reference),
+        forward(frozen, plan, noisy, cond, (context,)),
+        forward(params, plan, noisy, cond, (context,)),
+    )
+    step = ARStepPlan((1,))  # the last group's noisy row after the cached context
+    same(
+        forward(frozen, step, noisy[-1:], cond[-1:], kv=cached),
+        forward(params, step, noisy[-1:], cond[-1:], kv=reference),
     )
 
 
 def test_gradient_of_blocked_attention_path_is_zero(small):
     """Perturbing a key the mask blocks leaves the loss untouched."""
     cfg, params = small
-    plan = ARStepPlan(S=4, sz=(2, 2))
+    plan = ARStepPlan((2, 2))
     batch, (cond, clean, noisy) = make_batch(params, plan)
     base = (cat_forward(batch, params)[0:2] ** 2.0).sum().item()
     # noisy tokens of step 2 are blocked for step-1 rows; perturb them hugely
     noisy2 = noisy.copy()
     noisy2[2:] += 1e3
-    tokens2 = concat([Tensor(cond), Tensor(clean), Tensor(noisy2)], axis=0)
-    batch2 = TokenBatch(
-        tokens=tokens2, plan=plan, timesteps=batch.timesteps,
-        noisy=Tensor(noisy2), alpha_bars=batch.alpha_bars,
-    )
+    batch2 = assemble(plan, cond, clean, noisy2, batch.timesteps)
     perturbed = (cat_forward(batch2, params)[0:2] ** 2.0).sum().item()
     assert base == perturbed
 
@@ -407,6 +380,25 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, small):
     again = tmp_path / "again.catg"
     save_checkpoint(loaded, again, {"T": 2000})
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("variational", [True, False])
+def test_checkpoint_meta_covers_every_model_field(tmp_path, variational):
+    """Each ModelConfig field round-trips, and a file without its meta is refused by name."""
+    cfg = ModelConfig(p=5, q=7, d=12, heads=3, blocks=2, variational=variational)
+    path = tmp_path / "model.catg"
+    save_checkpoint(init_params(cfg, np.random.default_rng(1)), path, {})
+    loaded, _ = load_checkpoint(path)
+    assert loaded.cfg == cfg
+    raw = path.read_bytes()
+    for field in dataclasses.fields(ModelConfig):
+        key = f"meta.{field.name}".encode()
+        entry = struct.pack("<I", len(key)) + key
+        assert raw.count(entry) == 1
+        renamed = tmp_path / f"without_{field.name}.catg"
+        renamed.write_bytes(raw.replace(entry, struct.pack("<I", len(key)) + key.upper()))
+        with pytest.raises(DataFormatError, match=rf"missing meta\.{field.name}$"):
+            load_checkpoint(renamed)
 
 
 def reference_init(cfg, rng):

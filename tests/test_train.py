@@ -8,17 +8,19 @@ import pytest
 
 from catgen import granger, train
 from catgen.arplan import ARStepPlan, generate_ar_steps
-from catgen.autodiff import Gradients
+from catgen.autodiff import Gradients, Tensor, concat, gradients
 from catgen.data import SC, ST, ExpressionMatrix, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
     candidate_grid,
     linear_schedule,
+    noising_coefficients,
     parse_strategy,
     sample_timesteps,
 )
 from catgen.errors import ConfigError, ShapeMismatchError
-from catgen.model import ModelConfig, init_params
+from catgen.mask import build_mask
+from catgen.model import ModelConfig, TokenBatch, cat_forward, decode, encode, init_params
 from catgen.synth import chain_config, generate
 from catgen.train import (
     Adam,
@@ -175,7 +177,7 @@ def test_loss_invariant_to_within_group_permutation(tiny_setup):
     mcfg0 = ModelConfig(p=mcfg.p, q=mcfg.q, d=8, heads=2, blocks=2, variational=False)
     params = init_params(mcfg0, np.random.default_rng(2))
     schedule = linear_schedule(30)
-    plan = ARStepPlan(S=8, sz=(3, 5))
+    plan = ARStepPlan((3, 5))
     ts = np.array([4, 9, 2, 25, 18, 11, 30, 7])
     eps = np.random.default_rng(8).standard_normal((8, 8))
 
@@ -185,6 +187,78 @@ def test_loss_invariant_to_within_group_permutation(tiny_setup):
         st[perm], sc[perm], plan, ts[perm], eps[perm], params, cfg, schedule, None
     ).item()
     assert abs(base - permuted) < 1e-12
+
+
+def reference_assemble_training_batch(z_st, z_sc, plan, token_ts, eps, schedule):
+    """The training layout as the trainer once wrote it by hand: [z_sc | clean | noisy]."""
+    sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
+    noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
+    tokens = concat([z_sc, z_st[: plan.v], noised + z_sc], axis=0)
+    return TokenBatch(
+        tokens=tokens,
+        plan=plan,
+        timesteps=np.asarray(token_ts, dtype=np.int64),
+        noisy=noised,
+        alpha_bars=schedule.alpha_bars[token_ts - 1],
+        blocked=build_mask(tokens.shape[0] - plan.v - plan.S, plan),
+    )
+
+
+def reference_training_loss(st_values, sc_values, plan, token_ts, eps, params, cfg, schedule, rng):
+    """``training_loss`` on the hand-written layout."""
+    st_enc = encode(st_values, "st", params, rng=rng)
+    sc_enc = encode(sc_values, "sc", params)
+    inv_scale = 1.0 / float(params["latent.scale"].data)
+    batch = reference_assemble_training_batch(
+        st_enc.z * inv_scale, sc_enc.z * inv_scale, plan, token_ts, eps, schedule
+    )
+    loss = ((cat_forward(batch, params) - Tensor(eps)) ** 2.0).mean()
+    if cfg.train_decoder:
+        recon = decode(st_enc.z, params)
+        loss = loss + cfg.lambda_rec * ((recon - Tensor(st_values)) ** 2.0).mean()
+    if st_enc.logvar is not None:
+        loss = loss + cfg.lambda_kl * train._kl_term(st_enc.mean, st_enc.logvar)
+    return loss
+
+
+def test_assembled_layout_matches_the_hand_written_reference():
+    """Over 20 random plans, TokenBatch.assemble gives bitwise the reference
+    tokens, noisy rows, signal levels and mask, and training_loss bitwise its
+    value and gradients."""
+    mcfg = ModelConfig(p=6, q=10, d=8, heads=2, blocks=2)
+    cfg = TrainConfig(T=30, seed=0, train_decoder=True)
+    params = init_params(mcfg, np.random.default_rng(4))
+    params["latent.scale"].data[()] = 0.37
+    schedule = linear_schedule(cfg.T)
+    names = diffusion_trainable(params, cfg)
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        S = int(rng.integers(1, 11))
+        plan = generate_ar_steps(S, 0.8, rng)
+        ts = rng.integers(1, cfg.T + 1, S)
+        eps = rng.standard_normal((S, mcfg.d))
+        z_st = Tensor(rng.standard_normal((S, mcfg.d)))
+        z_sc = Tensor(rng.standard_normal((S, mcfg.d)))
+        ref = reference_assemble_training_batch(z_st, z_sc, plan, ts, eps, schedule)
+        sqrt_ab, sqrt_om = noising_coefficients(schedule, ts)
+        noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
+        got = TokenBatch.assemble(plan, noised, z_sc, ts, schedule, prefix=(z_sc, z_st[: plan.v]))
+        for a, b in ((got.tokens, ref.tokens), (got.noisy, ref.noisy)):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert got.alpha_bars.tobytes() == ref.alpha_bars.tobytes()
+        assert np.array_equal(got.blocked, ref.blocked)
+
+        st_values = rng.uniform(0.1, 2.0, (S, mcfg.p))
+        sc_values = rng.uniform(0.1, 2.0, (S, mcfg.q))
+        losses = [
+            loss_fn(
+                st_values, sc_values, plan, ts, eps, params, cfg, schedule, np.random.default_rng(S)
+            )
+            for loss_fn in (training_loss, reference_training_loss)
+        ]
+        assert losses[0].item() == losses[1].item()
+        grads = [gradients(loss, {n: params[n] for n in names}).flat for loss in losses]
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_trainable_sets(tiny_setup):
