@@ -1,27 +1,27 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-The model's forward functions are written once, with operations that a
-Tensor and a plain ``np.ndarray`` share. Training calls them on Tensors and
-gets a graph to differentiate; inference calls them on arrays and gets the
-same numbers, element by element, without recording anything. A Tensor
-meeting an ndarray in a binary operation wins (``__array_ufunc__ = None``
-makes numpy defer), so mixing the two gives a Tensor; ``concat``,
-``masked_softmax`` and ``gelu`` return an array when given only arrays.
+A Tensor is a float64 value that a gradient can flow through: it wraps an
+ndarray and remembers the operation and operands that produced it. Every
+constant is a plain ``np.ndarray``. The model's forward functions are written
+once, with operations that a Tensor and an ndarray share. Training calls them
+on Tensor parameters and gets a graph to differentiate; inference calls them
+on arrays and gets the same numbers, element by element, without recording
+anything. A Tensor meeting an ndarray in a binary operation wins
+(``__array_ufunc__ = None`` makes numpy defer), so mixing the two gives a
+Tensor; ``concat``, ``masked_softmax`` and ``gelu`` return an array when
+given only arrays. The tape is the graph itself: it lives on the Tensors of
+one forward pass and is garbage-collected with them, so there is no global
+mutable state and independent forward passes never interact.
 
-A Tensor wraps a float64 ndarray and remembers how it was produced; calling
-``backward()`` on a scalar walks the recorded graph once and accumulates
-gradients into every reachable leaf. The tape is the graph itself: it lives
-on the Tensors of one forward pass and is garbage-collected with them, so
-there is no global mutable state and independent forward passes never
-interact.
-
-A walk visits only the nodes that lead to a leaf whose gradient was asked
-for, so ``gradients`` of a few leaves skips the branches that feed only
-other leaves. A node's gradient array is made by its first contribution:
-a fresh C-contiguous result is adopted as it is, anything else is copied,
-so no two nodes share an array and each gradient has the memory layout of
-its node's data. An inner node's gradient is dropped as soon as its rule
-has passed it on.
+``gradients`` is the one walk, and the one place that decides where a
+gradient flows. It is given a scalar loss and the leaves whose gradients are
+wanted, and it visits only the nodes that lead to one of them, so the
+branches that feed only other leaves are skipped. A wanted leaf accumulates
+into its view of one flat array. An inner node's gradient array is made by
+its first contribution: a fresh C-contiguous result is adopted as it is,
+anything else is copied, so no two nodes share an array and each gradient
+has the memory layout of its node's data. An inner node's gradient is
+dropped as soon as its rule has passed it on.
 
 Only the operations the model actually needs are implemented. Each backward
 rule is exercised against central finite differences in the test suite.
@@ -69,16 +69,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Node of the computation graph; holds a float64 array and its gradient."""
+    """A float64 value a gradient can flow through; a node of the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_needed")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_needed")
     __array_ufunc__ = None  # ndarray <op> Tensor defers to the Tensor's reflected operator
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._needed = False  # set by each walk: does a requested gradient lie behind it
@@ -92,25 +90,16 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        out._parents = tuple(parents)
+        out._backward = backward
         return out
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -136,7 +125,7 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-Tensor._lift(other))
+        return self + (-other)  # a constant's negation stays an array and records no node
 
     def __rsub__(self, other) -> "Tensor":
         return Tensor._lift(other) + (-self)
@@ -205,16 +194,10 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         data = self.data.reshape(shape)
 
         def backward(g, a=self):
@@ -223,9 +206,7 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
+    def transpose(self, *axes: int) -> "Tensor":
         inv = np.argsort(axes)
         data = self.data.transpose(axes)
 
@@ -279,18 +260,6 @@ class Tensor:
                 _accumulate(a, g * m)
 
         return Tensor._make(data, (self,), backward)
-
-    # -- backward pass -------------------------------------------------------------
-
-    def backward(self) -> None:
-        """Set ``grad`` on every leaf of this scalar's tape that requires one.
-
-        Each call starts from no gradients, so a leaf on two tapes holds the
-        gradient of the last walk only. Inner nodes keep no gradient.
-        """
-        if self.data.size != 1:
-            raise ShapeMismatchError("backward() requires a scalar loss")
-        _walk(self, collect_tape(self), None)
 
 
 Operand = Tensor | np.ndarray  # what a forward function takes and gives back
@@ -382,36 +351,6 @@ def collect_tape(loss: Tensor) -> dict[int, Tensor]:
     return tape
 
 
-def _walk(loss: Tensor, tape: dict[int, Tensor], into: dict[int, np.ndarray] | None) -> None:
-    """Apply the backward rules of ``tape`` from ``loss`` down.
-
-    ``into`` maps the id of each leaf whose gradient is wanted to the zeroed
-    array it accumulates into; None wants every leaf that requires a
-    gradient. A node is visited only if a wanted leaf lies behind it, and an
-    inner node's gradient is dropped once its rule has run, so afterwards
-    only the wanted leaves hold one.
-    """
-    for node in tape.values():  # parents first, so their marks are set
-        node.grad = None
-        if into is None:
-            node._needed = node.requires_grad
-        else:
-            node._needed = node.requires_grad and (
-                id(node) in into or any(p._needed for p in node._parents)
-            )
-    if into is not None:
-        for node_id, out in into.items():
-            tape[node_id].grad = out
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
-    else:  # the loss is itself a wanted leaf
-        loss.grad[...] = 1.0
-    for node in reversed(tape.values()):
-        if node._needed and node._backward is not None:
-            node._backward(node.grad)
-            node.grad = None
-
-
 class Gradients(dict):
     """Gradients by parameter name, each a view into the one array ``flat``.
 
@@ -425,13 +364,18 @@ class Gradients(dict):
 
 
 def gradients(loss: Tensor, params: dict[str, Tensor]) -> Gradients:
-    """Exact reverse-mode gradients of ``loss`` for each named parameter.
+    """Exact reverse-mode gradients of the scalar ``loss`` for each named parameter.
 
     Each parameter's gradient accumulates straight into its view of one
-    zeroed flat array, laid out in the order of ``params``; the walk skips
-    every node that leads to none of them. Raises NotOnTapeError for any
-    parameter the recorded forward computation never consumed.
+    zeroed flat array, laid out in the order of ``params``. A node is visited
+    only if a requested parameter lies behind it, and an inner node's
+    gradient is dropped once its rule has run, so afterwards only the
+    requested parameters hold one. Raises ShapeMismatchError for a loss that
+    is not a scalar, and NotOnTapeError for any parameter the recorded
+    forward computation never consumed.
     """
+    if loss.data.size != 1:
+        raise ShapeMismatchError(f"gradients need a scalar loss, got shape {loss.shape}")
     tape = collect_tape(loss)
     missing = [name for name, p in params.items() if id(p) not in tape]
     if missing:
@@ -442,5 +386,16 @@ def gradients(loss: Tensor, params: dict[str, Tensor]) -> Gradients:
     for name, p in params.items():
         views[name] = flat[offset : offset + p.data.size].reshape(p.shape)
         offset += p.data.size
-    _walk(loss, tape, {id(params[name]): view for name, view in views.items()})
+    into = {id(params[name]): view for name, view in views.items()}
+    for node in tape.values():  # parents first, so their marks are set
+        node.grad = into.get(id(node))
+        node._needed = id(node) in into or any(p._needed for p in node._parents)
+    if loss.grad is None:
+        loss.grad = np.ones_like(loss.data)
+    else:  # the loss is itself a requested parameter
+        loss.grad[...] = 1.0
+    for node in reversed(tape.values()):
+        if node._needed and node._backward is not None:
+            node._backward(node.grad)
+            node.grad = None
     return Gradients(flat, views)

@@ -1,9 +1,9 @@
 """Command-line entry point: synth, granger, mask, train, generate, eval, ablate.
 
 Exit codes: 0 success, 1 usage error, 2 data or numeric error. All randomness
-flows from --seed (default: CATGEN_SEED environment variable, then 42), and
-every subcommand is reproducible byte-for-byte given identical arguments,
-seed and inputs.
+flows from --seed (default: CATGEN_SEED environment variable, then 42; a
+CATGEN_SEED that is not an integer is an error), and every subcommand is
+reproducible byte-for-byte given identical arguments, seed and inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .errors import CatgenError
+from .errors import CatgenError, ConfigError
 
 log = logging.getLogger("catgen")
 
@@ -46,7 +46,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 42
+        raise ConfigError(f"CATGEN_SEED must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -70,7 +70,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lag", type=int, default=1)
     p.add_argument("--top-k", type=int, default=5)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_granger)
 
     p = sub.add_parser("mask", help="emit a causal attention mask")
@@ -289,7 +288,7 @@ def cmd_eval(args) -> int:
     import numpy as np
 
     from .data import load_matrix
-    from .errors import DegenerateInputError, UnknownGeneError
+    from .errors import DegenerateInputError, ShapeMismatchError, UnknownGeneError
     from .metrics import aggregate, js_divergence, pcc, rmse_z, ssim
 
     pred = load_matrix(args.pred)
@@ -298,6 +297,10 @@ def cmd_eval(args) -> int:
     missing = [g for g in pred.gene_ids if g not in truth_index]
     if missing:
         raise UnknownGeneError(f"predicted genes missing from truth: {', '.join(missing)}")
+    if pred.n_obs != truth.n_obs:
+        raise ShapeMismatchError(
+            f"predictions have {pred.n_obs} spots, the truth has {truth.n_obs}"
+        )
 
     columns = {"pcc": pcc, "ssim": ssim, "rmse": rmse_z, "js": js_divergence}
     per_gene: dict[str, list[float]] = {name: [] for name in columns}

@@ -1,7 +1,7 @@
 """Expression matrices and the preprocessing protocol.
 
 Matrices are stored dense, genes x observations, with string identifiers on
-both axes. The on-disk format is UTF-8 CSV/TSV with header
+both axes. The on-disk format is UTF-8 CSV with header
 ``gene_id,<obs1>,<obs2>,...`` and one row per gene. All operations are pure:
 they return new matrices and never mutate their inputs.
 
@@ -92,29 +92,20 @@ class ExpressionMatrix:
         )
 
 
-def _delimiter(fmt: str) -> str:
-    if fmt == "csv":
-        return ","
-    if fmt == "tsv":
-        return "\t"
-    raise DataFormatError(f"unknown matrix format {fmt!r}")
-
-
-def load_matrix(path, fmt: str = "csv", modality: str = ST) -> ExpressionMatrix:
-    """Read a gene x observation matrix from a delimited text file.
+def load_matrix(path, modality: str = ST) -> ExpressionMatrix:
+    """Read a gene x observation matrix from a CSV file.
 
     The first row holds observation ids (first cell is a label for the gene
     column and is ignored); each following row is a gene id followed by its
     expression values. Ragged rows, non-numeric cells and duplicate ids are
     reported with their position.
     """
-    delim = _delimiter(fmt)
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh, delimiter=delim)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -154,10 +145,9 @@ def load_matrix(path, fmt: str = "csv", modality: str = ST) -> ExpressionMatrix:
     )
 
 
-def save_matrix(m: ExpressionMatrix, path, fmt: str = "csv") -> None:
-    delim = _delimiter(fmt)
+def save_matrix(m: ExpressionMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delim, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gene_id", *m.obs_ids])
         for gene, row in zip(m.gene_ids, m.values):
             writer.writerow([gene, *(repr(float(x)) for x in row)])

@@ -148,10 +148,7 @@ class CatParameters:
     @classmethod
     def from_flat(cls, cfg: ModelConfig, flat: np.ndarray) -> "CatParameters":
         """Trainable parameters whose tensors are views into ``flat``, in buffer order."""
-        tensors = {
-            name: Tensor(view, requires_grad=True, name=name)
-            for name, view in _views(cfg, flat).items()
-        }
+        tensors = {name: Tensor(view) for name, view in _views(cfg, flat).items()}
         return cls(cfg=cfg, flat=flat, tensors=tensors)
 
     @classmethod

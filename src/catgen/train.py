@@ -189,15 +189,15 @@ def training_loss(
     inv_scale = 1.0 / float(params["latent.scale"].data)
     z_st, z_sc = st_enc.z * inv_scale, sc_enc.z * inv_scale
     sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
-    noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
+    noised = z_st * sqrt_ab[:, None] + eps * sqrt_om[:, None]
     batch = TokenBatch.assemble(
         plan, noised, z_sc, token_ts, schedule, prefix=(z_sc, z_st[: plan.v])
     )
     pred = cat_forward(batch, params)
-    loss = ((pred - Tensor(eps)) ** 2.0).mean()
+    loss = ((pred - eps) ** 2.0).mean()
     if cfg.train_decoder:
         recon = decode(st_enc.z, params)
-        loss = loss + cfg.lambda_rec * ((recon - Tensor(st_values)) ** 2.0).mean()
+        loss = loss + cfg.lambda_rec * ((recon - st_values) ** 2.0).mean()
     if st_enc.logvar is not None:
         loss = loss + cfg.lambda_kl * _kl_term(st_enc.mean, st_enc.logvar)
     return loss
@@ -261,13 +261,12 @@ def _warmup_step(
     """
     st_enc = encode(st_batch, "st", params, rng=rng)
     sc_enc = encode(sc_batch, "sc", params)
-    target = Tensor(st_batch)
     sigma = cfg.warmup_latent_noise * float(st_enc.z.data.std())
-    jitter = Tensor(sigma * rng.standard_normal(st_enc.z.shape))
-    loss = ((decode(st_enc.z, params) - target) ** 2.0).mean()
-    loss = loss + ((decode(st_enc.z + jitter, params) - target) ** 2.0).mean()
-    loss = loss + ((sc_enc.z - st_enc.mean.detach()) ** 2.0).mean()
-    loss = loss + ((decode(sc_enc.z + jitter, params) - target) ** 2.0).mean()
+    jitter = sigma * rng.standard_normal(st_enc.z.shape)
+    loss = ((decode(st_enc.z, params) - st_batch) ** 2.0).mean()
+    loss = loss + ((decode(st_enc.z + jitter, params) - st_batch) ** 2.0).mean()
+    loss = loss + ((sc_enc.z - st_enc.mean.data) ** 2.0).mean()
+    loss = loss + ((decode(sc_enc.z + jitter, params) - st_batch) ** 2.0).mean()
     if st_enc.logvar is not None:
         loss = loss + cfg.lambda_kl * _kl_term(st_enc.mean, st_enc.logvar)
     value = loss.item()

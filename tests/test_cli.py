@@ -7,7 +7,7 @@ import pytest
 from catgen import cli, train
 from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
-from catgen.data import SC, DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
+from catgen.data import SC, ST, DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
 from catgen.diffusion import linear_schedule
 from catgen.generate import generate_genes
 from catgen.mask import build_mask
@@ -113,6 +113,112 @@ def test_embeddings_hold_each_genes_condition_latent(trained):
     written = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
     assert np.array_equal(written, expected)
     assert paths[1].read_bytes() == paths[0].read_bytes()
+
+
+def test_train_rerun_is_byte_identical(trained):
+    out, history = trained / "rerun.catg", trained / "rerun_history.csv"
+    assert cli.main([
+        "train", "--st", str(trained / "st.csv"), "--sc", str(trained / "sc.csv"),
+        "--out", str(out), "--history", str(history), *SEED, *TINY_TRAIN,
+    ]) == 0
+    assert out.read_bytes() == (trained / "model.catg").read_bytes()
+    assert history.read_bytes() == (trained / "history.csv").read_bytes()
+
+
+SYNTH_FILES = ("st.csv", "sc.csv", "edges.csv")
+
+
+def _synth(out_dir, *extra):
+    return cli.main([
+        "synth", "--out-dir", str(out_dir),
+        "--set", "synth.n_genes=12", "--set", "synth.n_spots=4", "--set", "synth.n_cells=5", *extra,
+    ])
+
+
+def test_synth_rerun_is_byte_identical(tmp_path):
+    assert _synth(tmp_path / "first", *SEED) == 0
+    assert _synth(tmp_path / "second", *SEED) == 0
+    for name in SYNTH_FILES:
+        assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
+
+def test_catgen_seed_sets_the_default_seed(tmp_path, monkeypatch):
+    assert _synth(tmp_path / "flag", "--seed", "5") == 0
+    monkeypatch.setenv("CATGEN_SEED", "5")
+    assert _synth(tmp_path / "env") == 0
+    for name in SYNTH_FILES:
+        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+def test_malformed_catgen_seed_is_an_error_unless_seed_is_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CATGEN_SEED", "abc")
+    assert _synth(tmp_path / "bad") == 2
+    assert not (tmp_path / "bad").exists()
+    assert "CATGEN_SEED" in capsys.readouterr().err
+    assert _synth(tmp_path / "flag", "--seed", "5") == 0  # --seed wins over the variable
+    monkeypatch.delenv("CATGEN_SEED")
+    assert _synth(tmp_path / "reference", "--seed", "5") == 0
+    for name in SYNTH_FILES:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+def _eval_files(tmp_path, pred_genes=("G3", "G0", "G4"), pred_spots=6):
+    """A 5-gene, 6-spot truth and a prediction of ``pred_genes`` over ``pred_spots`` spots."""
+    rng = np.random.default_rng(0)
+    truth = ExpressionMatrix(
+        [f"G{i}" for i in range(5)], [f"s{j}" for j in range(6)], rng.uniform(0.1, 2.0, (5, 6)), ST
+    )
+    pred = ExpressionMatrix(
+        list(pred_genes), [f"s{j}" for j in range(pred_spots)],
+        rng.uniform(0.1, 2.0, (len(pred_genes), pred_spots)), ST,
+    )
+    save_matrix(truth, tmp_path / "truth.csv")
+    save_matrix(pred, tmp_path / "pred.csv")
+    return pred
+
+
+def _eval(tmp_path, out, *extra):
+    return cli.main([
+        "eval", "--pred", str(tmp_path / "pred.csv"), "--truth", str(tmp_path / "truth.csv"),
+        "--out", str(out), *extra,
+    ])
+
+
+def test_eval_rerun_is_byte_identical(tmp_path):
+    _eval_files(tmp_path)
+    assert _eval(tmp_path, tmp_path / "first.csv") == 0
+    assert _eval(tmp_path, tmp_path / "second.csv") == 0
+    rows = [line.split(",")[0] for line in (tmp_path / "first.csv").read_text().splitlines()]
+    assert rows == ["gene_id", "G3", "G0", "G4", "__mean__", "__variance__"]
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+
+def test_eval_of_a_gene_absent_from_the_truth_writes_nothing(tmp_path, capsys):
+    _eval_files(tmp_path, pred_genes=("G1", "NOT_A_GENE"))
+    assert _eval(tmp_path, tmp_path / "eval.csv") == 2
+    assert not (tmp_path / "eval.csv").exists()
+    assert "NOT_A_GENE" in capsys.readouterr().err
+
+
+def test_eval_of_another_spot_count_writes_nothing(tmp_path, capsys):
+    _eval_files(tmp_path, pred_spots=7)
+    assert _eval(tmp_path, tmp_path / "eval.csv") == 2
+    assert not (tmp_path / "eval.csv").exists()
+    err = capsys.readouterr().err
+    assert "7" in err and "6" in err
+
+
+def test_eval_gene_distances_are_euclidean_between_prediction_rows(tmp_path):
+    pred = _eval_files(tmp_path)
+    path = tmp_path / "distances.csv"
+    assert _eval(tmp_path, tmp_path / "eval.csv", "--gene-distances", str(path)) == 0
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    assert lines[0] == ["gene_id", *pred.gene_ids]
+    assert [row[0] for row in lines[1:]] == pred.gene_ids
+    dist = np.array([[float(x) for x in row[1:]] for row in lines[1:]])
+    assert np.array_equal(dist, dist.T) and (np.diag(dist) == 0.0).all()
+    expected = [[np.linalg.norm(a - b) for b in pred.values] for a in pred.values]
+    np.testing.assert_allclose(dist, expected, rtol=1e-12, atol=0.0)
 
 
 def test_unknown_flag_is_a_usage_error(trained):
@@ -240,6 +346,14 @@ def test_granger_reruns_identically_and_rejects_lag_zero(trained):
     assert second.read_bytes() == first.read_bytes()
     assert _granger(trained, bad, lag="0") == 2
     assert not bad.exists()
+
+
+def test_granger_takes_no_seed(trained):
+    out = trained / "granger_seed.csv"
+    assert cli.main([
+        "granger", "--matrix", str(trained / "sc.csv"), "--out", str(out), "--seed", "1",
+    ]) == 1
+    assert not out.exists()
 
 
 def _ablate(root, out, axis="decoder"):

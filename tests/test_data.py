@@ -27,8 +27,8 @@ from catgen.errors import (
 )
 
 
-def write(tmp_path, text, name="m.csv"):
-    path = tmp_path / name
+def write(tmp_path, text):
+    path = tmp_path / "m.csv"
     path.write_text(text)
     return path
 
@@ -45,12 +45,6 @@ def test_load_round_trip(tmp_path):
     again = load_matrix(out)
     assert again.gene_ids == m.gene_ids and again.obs_ids == m.obs_ids
     np.testing.assert_array_equal(again.values, m.values)
-
-
-def test_load_tsv(tmp_path):
-    path = write(tmp_path, "gene_id\to1\to2\nG1\t1\t2\n", name="m.tsv")
-    m = load_matrix(path, fmt="tsv")
-    np.testing.assert_array_equal(m.values, [[1, 2]])
 
 
 def test_load_duplicate_gene(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from catgen import granger, train
 from catgen.arplan import ARStepPlan, generate_ar_steps
-from catgen.autodiff import Gradients, Tensor, concat, gradients
+from catgen.autodiff import Gradients, Tensor, collect_tape, concat, gradients
 from catgen.data import SC, ST, ExpressionMatrix, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
@@ -331,8 +331,9 @@ def test_flat_update_matches_per_tensor_reference(tiny_setup, monkeypatch, grad_
     clipped = []
 
     def reference_update(loss, params, names, opt, max_norm):
-        loss.backward()  # every tensor that requires a gradient, no pruning
-        grads, scaled = reference_clip({n: params[n].grad.copy() for n in sorted(names)}, max_norm)
+        tape = collect_tape(loss)  # every parameter on the tape, not only the trainable ones
+        full = gradients(loss, {n: t for n, t in params.tensors.items() if id(t) in tape})
+        grads, scaled = reference_clip({n: full[n].copy() for n in sorted(names)}, max_norm)
         clipped.append(scaled)
         opt.step(params, grads)
 
