@@ -8,10 +8,17 @@ on Tensor parameters and gets a graph to differentiate; inference calls them
 on arrays and gets the same numbers, element by element, without recording
 anything. A Tensor meeting an ndarray in a binary operation wins
 (``__array_ufunc__ = None`` makes numpy defer), so mixing the two gives a
-Tensor; ``concat``, ``masked_softmax`` and ``gelu`` return an array when
-given only arrays. The tape is the graph itself: it lives on the Tensors of
-one forward pass and is garbage-collected with them, so there is no global
+Tensor; ``concat``, ``masked_softmax`` and the fused layers return an array
+when given only arrays. The tape is the graph itself: it lives on the Tensors
+of one forward pass and is garbage-collected with them, so there is no global
 mutable state and independent forward passes never interact.
+
+The model's layers are fused nodes: ``linear`` (``x @ w + b``),
+``layer_norm`` and ``gelu`` each record one node with an analytic backward
+rule, instead of one node per arithmetic step. Given no Tensor operand, each
+returns straight after its ``isinstance`` checks, through the same numpy
+arithmetic that a Tensor call applies to its data, so inference pays for no
+tape work and gets bitwise the numbers training sees.
 
 ``gradients`` is the one walk, and the one place that decides where a
 gradient flows. It is given a scalar loss and the leaves whose gradients are
@@ -34,6 +41,7 @@ import numpy as np
 from .errors import NotOnTapeError, ShapeMismatchError
 
 _SQRT_2_OVER_PI = 0.7978845608028654
+_LN_EPS = 1e-5
 
 
 def _accumulate(node: "Tensor", g) -> None:
@@ -180,19 +188,12 @@ class Tensor:
 
     # -- reductions and reshapes -------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g, a=self, ax=axis, kd=keepdims):
-            if not a._needed:
-                return
-            if ax is None:
+    def sum(self) -> "Tensor":
+        def backward(g, a=self):
+            if a._needed:
                 _accumulate(a, np.broadcast_to(g, a.shape))
-            else:
-                gg = g if kd else np.expand_dims(g, ax)
-                _accumulate(a, np.broadcast_to(gg, a.shape))
 
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(self.data.sum(), (self,), backward)
 
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.data.size)
@@ -239,15 +240,6 @@ class Tensor:
         def backward(g, a=self, out=data):
             if a._needed:
                 _accumulate(a, g * out)
-
-        return Tensor._make(data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(g, a=self, out=data):
-            if a._needed:
-                _accumulate(a, g * (1.0 - out * out))
 
         return Tensor._make(data, (self,), backward)
 
@@ -312,10 +304,92 @@ def masked_softmax(logits: Operand, blocked: np.ndarray) -> Operand:
     return Tensor._make(out, (logits,), backward)
 
 
+def _needs(x: Operand) -> bool:
+    """Is ``x`` a Tensor that the running walk passes a gradient to."""
+    return isinstance(x, Tensor) and x._needed
+
+
+def _recorded(*operands: Operand) -> tuple[Tensor, ...]:
+    """The Tensors among ``operands``: the parents of a fused node."""
+    return tuple(t for t in operands if isinstance(t, Tensor))
+
+
+def linear(x: Operand, w: Operand, b: Operand) -> Operand:
+    """``x @ w + b`` as one node, for (rows, in) ``x``, (in, out) ``w`` and (out,) ``b``.
+
+    Arrays give an array, by the same arithmetic, and no shape check.
+    """
+    if not (isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor)):
+        return x @ w + b
+    xd, wd, bd = as_array(x), as_array(w), as_array(b)
+    if xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1:
+        raise ShapeMismatchError(
+            "linear takes (rows, in) @ (in, out) + (out,), "
+            f"got {xd.shape} @ {wd.shape} + {bd.shape}"
+        )
+
+    def backward(g):
+        if _needs(x):
+            _accumulate(x, g @ wd.T)
+        if _needs(w):
+            _accumulate(w, xd.T @ g)
+        if _needs(b):
+            _accumulate(b, g.sum(axis=0))
+
+    return Tensor._make(xd @ wd + bd, _recorded(x, w, b), backward)
+
+
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` centered and scaled to unit variance over its last axis, and the scale."""
+    inv_n = 1.0 / x.shape[-1]  # means as sum * (1/n); ndarray.mean divides
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    scale = (var + _LN_EPS) ** -0.5
+    return centered * scale, scale
+
+
+def layer_norm(x: Operand, gain: Operand, bias: Operand) -> Operand:
+    """Layer normalization over the last axis as one node; arrays give an array."""
+    if not (isinstance(x, Tensor) or isinstance(gain, Tensor) or isinstance(bias, Tensor)):
+        xhat, _ = _normalize(x)
+        return xhat * gain + bias
+    xhat, scale = _normalize(as_array(x))
+    gd = as_array(gain)
+
+    def backward(g):
+        if _needs(x):
+            gx = g * gd  # the gradient of xhat
+            inv_n = 1.0 / gx.shape[-1]
+            along = (gx * xhat).sum(axis=-1, keepdims=True) * inv_n
+            gx -= gx.sum(axis=-1, keepdims=True) * inv_n
+            gx -= xhat * along
+            gx *= scale
+            _accumulate(x, gx)
+        if _needs(gain):
+            _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
+        if _needs(bias):
+            _accumulate(bias, _unbroadcast(g, bias.shape))
+
+    return Tensor._make(xhat * gd + as_array(bias), _recorded(x, gain, bias), backward)
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x)))  # float pow is ~50x slower
+
+
 def gelu(x: Operand) -> Operand:
-    """tanh-form GELU, composed from differentiable primitives; arrays give an array."""
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))  # float pow is ~50x slower
-    return 0.5 * x * (1.0 + (inner.tanh() if isinstance(inner, Tensor) else np.tanh(inner)))
+    """tanh-form GELU as one node; arrays give an array."""
+    if not isinstance(x, Tensor):
+        return 0.5 * x * (1.0 + _gelu_tanh(x))
+    xd = x.data
+    t = _gelu_tanh(xd)
+
+    def backward(g):
+        if x._needed:
+            slope = _SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * (xd * xd))
+            _accumulate(x, g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * slope))
+
+    return Tensor._make(0.5 * xd * (1.0 + t), (x,), backward)
 
 
 def as_array(x: Operand) -> np.ndarray:

@@ -44,9 +44,12 @@ def _set_thread_env(argv) -> None:
 def _default_seed() -> int:
     raw = os.environ.get("CATGEN_SEED", "42")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"CATGEN_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ConfigError(f"CATGEN_SEED must not be negative, got {seed}")
+    return seed
 
 
 def build_parser() -> _Parser:
@@ -123,7 +126,12 @@ def build_parser() -> _Parser:
 
 
 def _resolve_seed(args) -> int:
-    return args.seed if getattr(args, "seed", None) is not None else _default_seed()
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        return _default_seed()
+    if seed < 0:
+        raise ConfigError(f"--seed must not be negative, got {seed}")
+    return seed
 
 
 def _load_values(args) -> dict:
@@ -252,6 +260,7 @@ def cmd_generate(args) -> int:
     from .generate import generate_genes
     from .model import load_checkpoint
 
+    seed = _resolve_seed(args)
     params, meta = load_checkpoint(args.ckpt)
     schedule = linear_schedule(int(meta["T"]), meta["beta_start"], meta["beta_end"])
     opts = DataOptions(  # checkpoints without the data meta used the defaults
@@ -268,7 +277,7 @@ def cmd_generate(args) -> int:
         schedule,
         groups=args.ar_groups,
         strategy=parse_strategy(args.sampling),
-        seed=_resolve_seed(args),
+        seed=seed,
         trained_T=int(meta["T"]),
     )
     save_matrix(predicted, args.out)
@@ -325,13 +334,12 @@ def cmd_eval(args) -> int:
 
     if args.gene_distances:
         values = pred.values
-        diff = values[:, None, :] - values[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
         with open(args.gene_distances, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["gene_id", *pred.gene_ids])
-            for gene, row in zip(pred.gene_ids, dist):
-                writer.writerow([gene] + [repr(float(x)) for x in row])
+            for gene, row in zip(pred.gene_ids, values):  # one row at a time: O(genes x spots)
+                dist = np.sqrt(((row - values) ** 2).sum(axis=1))
+                writer.writerow([gene] + [repr(float(x)) for x in dist])
     return 0
 
 

@@ -12,11 +12,12 @@ positional identity, and the output rows are the predicted noise for the
 noisy tokens.
 
 Each forward function is written once and runs on either kind of parameter.
-Training passes ``CatParameters`` whose tensors are autodiff leaves, so
-gradients come straight off the recorded forward computation; inference
-passes ``params.detached()``, plain ndarray views of the same buffer, and
-the same functions then compute the same numbers on arrays without
-recording a graph.
+Its layers are the fused nodes of ``autodiff``: ``linear``, ``layer_norm``
+and ``gelu``, one autodiff node each. Training passes ``CatParameters``
+whose tensors are autodiff leaves, so gradients come straight off the
+recorded forward computation; inference passes ``params.detached()``, plain
+ndarray views of the same buffer, and the same functions then compute the
+same numbers on arrays without recording a graph.
 
 One block loop serves three callers: training runs every row under the full
 mask; ``context_cache`` runs the context rows [condition | clean] alone and
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arplan import ARStepPlan
-from .autodiff import Operand, Tensor, as_array, concat, gelu, masked_softmax
+from .autodiff import Operand, Tensor, as_array, concat, gelu, layer_norm, linear, masked_softmax
 from .diffusion import DiffusionSchedule
 from .errors import (
     DataFormatError,
@@ -52,7 +53,6 @@ from .errors import (
 from .mask import build_mask
 
 LOGVAR_MIN, LOGVAR_MAX = -20.0, 20.0
-_LN_EPS = 1e-5
 
 CHECKPOINT_MAGIC = b"CATG"
 CHECKPOINT_VERSION = 1
@@ -96,7 +96,7 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes.update({
             f"{b}.ln1.g": (d,), f"{b}.ln1.b": (d,),
             f"{b}.wq": (d, d), f"{b}.bq": (d,),
-            f"{b}.wk": (d, d), f"{b}.bk": (d,),
+            f"{b}.wk": (d, d),
             f"{b}.wv": (d, d), f"{b}.bv": (d,),
             f"{b}.wo": (d, d), f"{b}.bo": (d,),
             f"{b}.ln2.g": (d,), f"{b}.ln2.b": (d,),
@@ -230,11 +230,11 @@ def encode(
         raise ShapeMismatchError(
             f"encoder head {head} expects feature dim {expected}, got {x.shape[-1]}"
         )
-    hidden = gelu(x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"])
-    mean = hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
+    hidden = gelu(linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    mean = linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
     if rng is None or not params.cfg.variational:
         return Encoded(z=mean, mean=mean, logvar=None)
-    logvar = (hidden @ params["enc_var.w"] + params["enc_var.b"]).clamp(LOGVAR_MIN, LOGVAR_MAX)
+    logvar = linear(hidden, params["enc_var.w"], params["enc_var.b"]).clamp(LOGVAR_MIN, LOGVAR_MAX)
     eps = rng.standard_normal(mean.shape)
     z = mean + (0.5 * logvar).exp() * eps
     return Encoded(z=z, mean=mean, logvar=logvar)
@@ -244,8 +244,8 @@ def decode(latent, params: CatParameters) -> Operand:
     """Deterministic map from latent space back to the spatial feature space."""
     if latent.shape[-1] != params.cfg.d:
         raise ShapeMismatchError(f"decoder expects width {params.cfg.d}, got {latent.shape[-1]}")
-    hidden = gelu(latent @ params["dec.w1"] + params["dec.b1"])
-    return hidden @ params["dec.w2"] + params["dec.b2"]
+    hidden = gelu(linear(latent, params["dec.w1"], params["dec.b1"]))
+    return linear(hidden, params["dec.w2"], params["dec.b2"])
 
 
 # -- transformer core ---------------------------------------------------------------
@@ -264,16 +264,7 @@ def sinusoidal_basis(ts: np.ndarray, d: int) -> np.ndarray:
 
 
 def time_embedding(ts: np.ndarray, params: CatParameters) -> Operand:
-    return sinusoidal_basis(ts, params.cfg.d) @ params["time.w"] + params["time.b"]
-
-
-def layer_norm(x: Operand, gain: Operand, bias: Operand) -> Operand:
-    # means as sum * (1/n), which is Tensor.mean's arithmetic; ndarray.mean divides
-    inv_n = 1.0 / x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) * inv_n
-    centered = x - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    return centered * ((var + _LN_EPS) ** -0.5) * gain + bias
+    return linear(sinusoidal_basis(ts, params.cfg.d), params["time.w"], params["time.b"])
 
 
 class ContextCache(NamedTuple):
@@ -308,10 +299,11 @@ def _attention(
     def split(t: Operand) -> Operand:
         return t.reshape(length, heads, dh).transpose(1, 0, 2)
 
-    q = split(x @ params[f"{block}.wq"] + params[f"{block}.bq"])
+    q = split(linear(x, params[f"{block}.wq"], params[f"{block}.bq"]))
+    # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
     own = (
-        split(x @ params[f"{block}.wk"] + params[f"{block}.bk"]),
-        split(x @ params[f"{block}.wv"] + params[f"{block}.bv"]),
+        split(x @ params[f"{block}.wk"]),
+        split(linear(x, params[f"{block}.wv"], params[f"{block}.bv"])),
     )
     k, v = own
     if prefix is not None:  # cached context rows come first
@@ -319,7 +311,7 @@ def _attention(
     logits = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
     weights = masked_softmax(logits, blocked)
     context = (weights @ v).transpose(1, 0, 2).reshape(length, d)
-    return context @ params[f"{block}.wo"] + params[f"{block}.bo"], own
+    return linear(context, params[f"{block}.wo"], params[f"{block}.bo"]), own
 
 
 def _blocks(
@@ -341,7 +333,8 @@ def _blocks(
         own.append(kv)
         x = x + attended
         h = layer_norm(x, params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
-        x = x + gelu(h @ params[f"{b}.ff.w1"] + params[f"{b}.ff.b1"]) @ params[f"{b}.ff.w2"] + params[f"{b}.ff.b2"]
+        hidden = gelu(linear(h, params[f"{b}.ff.w1"], params[f"{b}.ff.b1"]))
+        x = x + linear(hidden, params[f"{b}.ff.w2"], params[f"{b}.ff.b2"])
     return x, own
 
 
@@ -465,7 +458,7 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
     x, _ = _blocks(x, batch.blocked, params, batch.context)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
-    v_hat = (x @ params["out.w"] + params["out.b"])[ctx:seq]
+    v_hat = linear(x, params["out.w"], params["out.b"])[ctx:seq]
     signal = batch.alpha_bars[:, None]
     pred = batch.noisy * np.sqrt(1.0 - signal) + v_hat * np.sqrt(signal)
     if not np.isfinite(as_array(pred)).all():
@@ -530,7 +523,9 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
     """Read a checkpoint; rejects unknown format versions.
 
     The headers are read first, skipping each tensor's data; then every
-    parameter's bytes are read straight into its view of a new buffer.
+    parameter's bytes are read straight into its view of a new buffer. A
+    tensor the model does not have is skipped, such as the attention key
+    biases ``blk*.bk`` of files written before keys lost their bias.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:

@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
+from catgen import autodiff
 from catgen.arplan import generate_ar_steps
-from catgen.autodiff import Tensor, concat, collect_tape, gelu, gradients, masked_softmax
+from catgen.autodiff import (
+    Tensor,
+    collect_tape,
+    concat,
+    gelu,
+    gradients,
+    layer_norm,
+    linear,
+    masked_softmax,
+)
 from catgen.diffusion import linear_schedule
 from catgen.errors import NotOnTapeError, ShapeMismatchError
 from catgen.model import ModelConfig, init_params
-from catgen.train import TrainConfig, diffusion_trainable, training_loss
+from catgen.train import TrainConfig, _warmup_step, diffusion_trainable, training_loss
 
 RNG = np.random.default_rng(20240817)
 
@@ -77,9 +87,8 @@ def test_matmul_batch_dim_mismatch():
 
 
 def test_reductions_and_reshape():
-    check_grads(lambda ts: ts[0].sum(axis=0).mean(), [(4, 3)])
-    check_grads(lambda ts: (ts[0].sum(axis=-1, keepdims=True) * (1 / 3)).sum(), [(4, 3)])
-    check_grads(lambda ts: ts[0].reshape(6, 2).transpose(1, 0).sum(axis=1).mean(), [(3, 4)])
+    check_grads(lambda ts: (ts[0].sum() * ts[0]).mean(), [(4, 3)])
+    check_grads(lambda ts: (ts[0].reshape(6, 2).transpose(1, 0) * ts[1]).sum(), [(3, 4), (2, 6)])
 
 
 def test_rows_and_concat():
@@ -117,19 +126,48 @@ def test_array_inputs_give_the_same_arrays_and_record_nothing():
     blocked = np.zeros((3, 4), dtype=bool)
     blocked[:, 0] = True
     t = Tensor(x)
+    # a width of 12 makes 1/n inexact, so a mean that divides would differ
+    rows, w, b = RNG.standard_normal((5, 12)), RNG.standard_normal((12, 3)), RNG.standard_normal(3)
+    gain, bias = RNG.standard_normal(12), RNG.standard_normal(12)
     for array_out, tensor_out in (
         (gelu(x), gelu(t)),
         (masked_softmax(x, blocked), masked_softmax(t, blocked)),
         (concat([x, x], axis=1), concat([t, x], axis=1)),
+        (linear(rows, w, b), linear(rows, Tensor(w), b)),
+        (linear(rows, w, b), linear(Tensor(rows), w, Tensor(b))),
+        (layer_norm(rows, gain, bias), layer_norm(Tensor(rows), gain, bias)),
+        (layer_norm(rows, gain, bias), layer_norm(rows, Tensor(gain), Tensor(bias))),
     ):
         assert type(array_out) is np.ndarray and isinstance(tensor_out, Tensor)
         assert np.array_equal(array_out, tensor_out.data)
 
 
-def test_exp_tanh_gelu():
+def test_exp_and_gelu():
     check_grads(lambda ts: ts[0].exp().sum(), [(7,)])
-    check_grads(lambda ts: ts[0].tanh().sum(), [(7,)])
     check_grads(lambda ts: gelu(ts[0]).sum(), [(7,)])
+    check_grads(lambda ts: (gelu(ts[0]) * ts[1]).sum(), [(3, 4), (3, 4)])
+
+
+def test_linear_gradient():
+    check_grads(
+        lambda ts: (linear(ts[0], ts[1], ts[2]) * ts[3]).sum(), [(5, 12), (12, 3), (3,), (5, 3)]
+    )
+
+
+def test_linear_takes_matrices_and_a_bias_vector():
+    x, w, b = Tensor(np.zeros((2, 3))), np.zeros((3, 4)), np.zeros(4)
+    for args in (
+        (Tensor(np.zeros(3)), w, b), (x, np.zeros((1, 3, 4)), b), (x, w, np.zeros((1, 4)))
+    ):
+        with pytest.raises(ShapeMismatchError):
+            linear(*args)
+
+
+def test_layer_norm_gradient():
+    # a width of 12 makes 1/n inexact; the weights make every output count differently
+    check_grads(
+        lambda ts: (layer_norm(ts[0], ts[1], ts[2]) * ts[3]).sum(), [(4, 12), (12,), (12,), (4, 12)]
+    )
 
 
 def test_clamp_passes_gradient_only_inside():
@@ -259,3 +297,40 @@ def test_first_contribution_never_aliases_another_gradient():
     a.grad += 1.0  # writing one leaf's gradient leaves the other alone
     np.testing.assert_array_equal(b.grad, c.data)
     assert all(t.grad.flags.c_contiguous for t in (a, b, c))
+
+
+def test_first_contribution_is_adopted_when_fresh_and_copied_otherwise():
+    node = Tensor(np.zeros((3, 4)))
+    fresh = RNG.standard_normal((3, 4))
+    autodiff._accumulate(node, fresh)
+    assert node.grad is fresh  # made for this contribution alone
+    source = RNG.standard_normal((4, 4))
+    for g in (source[1:], source.T[1:], np.broadcast_to(source[0], (3, 4))):
+        node.grad = None
+        autodiff._accumulate(node, g)
+        assert node.grad is not g and not np.shares_memory(node.grad, source)
+        assert node.grad.flags.c_contiguous and np.array_equal(node.grad, g)
+    first = node.grad
+    autodiff._accumulate(node, fresh)  # a later contribution adds in place
+    assert node.grad is first
+    np.testing.assert_array_equal(first, np.broadcast_to(source[0], (3, 4)) + fresh)
+
+
+def test_tape_sizes_of_one_diffusion_and_one_warmup_loss(monkeypatch):
+    """Fused linear, layer norm and GELU nodes keep the tapes this small; a
+    layer that records its arithmetic node by node again shows up here."""
+    diffusion, warmup = [], []
+
+    def count(loss, *_):  # stands in for the update, which the count does not need
+        warmup.append(len(collect_tape(loss)))
+
+    monkeypatch.setattr("catgen.train._update", count)
+    cfg = ModelConfig(p=6, q=10, d=8, heads=2, blocks=2)
+    for seed in (1, 2):
+        params = init_params(cfg, np.random.default_rng(seed))
+        loss, tcfg = diffusion_loss(params, seed)
+        diffusion.append(len(collect_tape(loss)))
+        rng = np.random.default_rng(seed)
+        st, sc = rng.uniform(0.1, 2.0, (8, 6)), rng.uniform(0.1, 2.0, (8, 10))
+        _warmup_step(st, sc, params, tcfg, rng, None, [])
+    assert diffusion == [155, 155] and warmup == [84, 84]

@@ -1,6 +1,8 @@
 """The command-line entry point end to end: synth, train, generate, eval,
 mask, granger, ablate, exit codes and byte-identical reruns."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,25 @@ def test_malformed_catgen_seed_is_an_error_unless_seed_is_given(tmp_path, monkey
         assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
 
+def test_negative_seed_is_an_error_before_any_work(tmp_path, monkeypatch, capsys):
+    assert _synth(tmp_path / "flag", "--seed", "-1") == 2
+    assert "--seed" in capsys.readouterr().err
+    monkeypatch.setenv("CATGEN_SEED", "-3")
+    assert _synth(tmp_path / "env") == 2
+    assert "CATGEN_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "env").exists()
+
+
+def test_negative_generate_seed_writes_nothing(trained):
+    out = trained / "negative_seed.csv"
+    argv = [
+        "generate", "--ckpt", str(trained / "model.catg"), "--sc", str(trained / "sc.csv"),
+        "--genes", str(trained / "prep" / "genes_test.txt"), "--out", str(out), "--seed", "-1",
+    ]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+
+
 def _eval_files(tmp_path, pred_genes=("G3", "G0", "G4"), pred_spots=6):
     """A 5-gene, 6-spot truth and a prediction of ``pred_genes`` over ``pred_spots`` spots."""
     rng = np.random.default_rng(0)
@@ -219,6 +240,35 @@ def test_eval_gene_distances_are_euclidean_between_prediction_rows(tmp_path):
     assert np.array_equal(dist, dist.T) and (np.diag(dist) == 0.0).all()
     expected = [[np.linalg.norm(a - b) for b in pred.values] for a in pred.values]
     np.testing.assert_allclose(dist, expected, rtol=1e-12, atol=0.0)
+
+
+def test_eval_gene_distances_match_the_broadcast_formula_byte_for_byte(tmp_path):
+    pred = _eval_files(tmp_path)
+    path = tmp_path / "distances.csv"
+    assert _eval(tmp_path, tmp_path / "eval.csv", "--gene-distances", str(path)) == 0
+    values = pred.values
+    dist = np.sqrt(((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=2))
+    expected = ["gene_id," + ",".join(pred.gene_ids)] + [
+        ",".join([gene] + [repr(float(x)) for x in row]) for gene, row in zip(pred.gene_ids, dist)
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_eval_gene_distances_need_no_genes_by_genes_by_spots_array(tmp_path):
+    """300 genes over 100 spots: a (genes, genes, spots) difference array is 69 MiB."""
+    rng = np.random.default_rng(1)
+    genes, spots = [f"G{i}" for i in range(300)], [f"s{j}" for j in range(100)]
+    for name in ("truth.csv", "pred.csv"):
+        matrix = ExpressionMatrix(genes, spots, rng.uniform(0.1, 2.0, (300, 100)), ST)
+        save_matrix(matrix, tmp_path / name)
+    tracemalloc.start()
+    try:
+        code = _eval(tmp_path, tmp_path / "eval.csv", "--gene-distances", str(tmp_path / "d.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10 * 2**20
 
 
 def test_unknown_flag_is_a_usage_error(trained):

@@ -4,6 +4,7 @@ gradient fidelity, checkpoint round-trips."""
 import dataclasses
 import math
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -380,6 +381,20 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, small):
     again = tmp_path / "again.catg"
     save_checkpoint(loaded, again, {"T": 2000})
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_with_key_biases_still_loads(tmp_path, small):
+    """Files written while attention keys had a bias hold ``blk*.bk``; it is skipped."""
+    cfg, params = small
+    current, older = tmp_path / "current.catg", tmp_path / "older.catg"
+    save_checkpoint(params, current, {"T": 2000})
+    key_biases = {f"blk{i}.bk": np.full(cfg.d, 1e-12) for i in range(cfg.blocks)}
+    with_key_biases = types.SimpleNamespace(cfg=cfg, data=lambda: {**params.data(), **key_biases})
+    save_checkpoint(with_key_biases, older, {"T": 2000})
+    assert older.read_bytes().count(b"blk0.bk") == 1
+    loaded, meta = load_checkpoint(older)
+    assert loaded.flat.tobytes() == load_checkpoint(current)[0].flat.tobytes()
+    assert meta["T"] == 2000 and "blk0.bk" not in loaded.names()
 
 
 @pytest.mark.parametrize("variational", [True, False])
