@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 data or numeric error. All randomness
 flows from --seed (default: CATGEN_SEED environment variable, then 42; a
 CATGEN_SEED that is not an integer is an error), and every subcommand is
 reproducible byte-for-byte given identical arguments, seed and inputs.
+Commands parse their arguments, call the library and write every table
+through ``data.write_csv``; only ``mask`` writes its own header-less CSV.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def _load_values(args) -> dict:
 
 def cmd_synth(args) -> int:
     from .config import synth_config
-    from .data import save_matrix
+    from .data import save_matrix, write_csv
     from .synth import generate
 
     cfg = synth_config(_load_values(args), _resolve_seed(args))
@@ -154,26 +156,18 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     save_matrix(st, os.path.join(args.out_dir, "st.csv"))
     save_matrix(sc, os.path.join(args.out_dir, "sc.csv"))
-    with open(os.path.join(args.out_dir, "edges.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["driver", "target", "coeff", "lag"])
-        for driver, target, coeff, lag in edges:
-            writer.writerow([driver, target, repr(coeff), lag])
+    write_csv(os.path.join(args.out_dir, "edges.csv"), ["driver", "target", "coeff", "lag"], edges)
     log.info("wrote st.csv, sc.csv, edges.csv to %s", args.out_dir)
     return 0
 
 
 def cmd_granger(args) -> int:
-    from .data import load_matrix
+    from .data import load_matrix, write_csv
     from .granger import screen
 
-    matrix = load_matrix(args.matrix)
-    results = screen(matrix, lag=args.lag, top_k=args.top_k)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["driver", "target", "lag", "f_stat", "p_value"])
-        for r in results:
-            writer.writerow([r.driver, r.target, r.lag, repr(r.f_stat), repr(r.p_value)])
+    results = screen(load_matrix(args.matrix), lag=args.lag, top_k=args.top_k)
+    rows = ([r.driver, r.target, r.lag, r.f_stat, r.p_value] for r in results)
+    write_csv(args.out, ["driver", "target", "lag", "f_stat", "p_value"], rows)
     return 0
 
 
@@ -211,7 +205,7 @@ def _prepare_from_files(st_path, sc_path, values):
 
 def cmd_train(args) -> int:
     from .config import model_config, train_config
-    from .data import save_matrix, split_genes
+    from .data import save_matrix, split_genes, write_csv
     from .model import save_checkpoint
     from .train import fit
 
@@ -236,11 +230,8 @@ def cmd_train(args) -> int:
     }
     save_checkpoint(result.params, args.out, meta)
     history_path = args.history or os.path.join(os.path.dirname(os.path.abspath(args.out)), "history.csv")
-    with open(history_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_pcc"])
-        for row in result.history:
-            writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["val_pcc"])])
+    columns = ["epoch", "train_loss", "val_pcc"]
+    write_csv(history_path, columns, ([row[c] for c in columns] for row in result.history))
     if args.save_prepared:
         os.makedirs(args.save_prepared, exist_ok=True)
         save_matrix(pair.st, os.path.join(args.save_prepared, "st_prepared.csv"))
@@ -248,14 +239,15 @@ def cmd_train(args) -> int:
         for name, indices in (
             ("train", split.train_genes), ("val", split.val_genes), ("test", split.test_genes)
         ):
-            with open(os.path.join(args.save_prepared, f"genes_{name}.txt"), "w") as fh:
+            path = os.path.join(args.save_prepared, f"genes_{name}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(pair.genes[i] for i in indices) + "\n")
     log.info("best validation PCC %.4f at epoch %d", result.best_val_pcc, result.best_epoch)
     return 0
 
 
 def cmd_generate(args) -> int:
-    from .data import SC, DataOptions, load_matrix, save_matrix
+    from .data import SC, DataOptions, load_matrix, save_matrix, write_csv
     from .diffusion import linear_schedule, parse_strategy
     from .generate import generate_genes
     from .model import load_checkpoint
@@ -285,20 +277,17 @@ def cmd_generate(args) -> int:
         from .model import encode
 
         latents = encode(sc.values[[sc.gene_index()[g] for g in genes]], "sc", params.detached())
-        with open(args.embeddings, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["gene_id"] + [f"z{i}" for i in range(params.cfg.d)])
-            for gene, row in zip(genes, latents.z):
-                writer.writerow([gene] + [repr(float(x)) for x in row])
+        rows = ([gene, *row.tolist()] for gene, row in zip(genes, latents.z))
+        write_csv(args.embeddings, ["gene_id", *(f"z{i}" for i in range(params.cfg.d))], rows)
     return 0
 
 
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .data import load_matrix
-    from .errors import DegenerateInputError, ShapeMismatchError, UnknownGeneError
-    from .metrics import aggregate, js_divergence, pcc, rmse_z, ssim
+    from .data import load_matrix, write_csv
+    from .errors import ShapeMismatchError, UnknownGeneError
+    from .metrics import aggregate, js_divergence, pcc, rmse_z, score_rows, ssim
 
     pred = load_matrix(args.pred)
     truth = load_matrix(args.truth)
@@ -312,34 +301,23 @@ def cmd_eval(args) -> int:
         )
 
     columns = {"pcc": pcc, "ssim": ssim, "rmse": rmse_z, "js": js_divergence}
-    per_gene: dict[str, list[float]] = {name: [] for name in columns}
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gene_id", *columns])
-        for row, gene in enumerate(pred.gene_ids):
-            scores = []
-            for name, fn in columns.items():
-                try:
-                    value = fn(pred.values[row], truth.values[truth_index[gene]])
-                    per_gene[name].append(value)
-                except DegenerateInputError:
-                    value = float("nan")
-                scores.append(value)
-            writer.writerow([gene] + [repr(float(s)) for s in scores])
-        means, variances = {}, {}
-        for name, valid in per_gene.items():
-            means[name], variances[name] = aggregate(valid) if valid else (math.nan, math.nan)
-        writer.writerow(["__mean__"] + [repr(float(means[n])) for n in columns])
-        writer.writerow(["__variance__"] + [repr(float(variances[n])) for n in columns])
+    truth_rows = truth.values[[truth_index[g] for g in pred.gene_ids]]
+    scores = score_rows(pred.values, truth_rows, list(columns.values()))
+    rows = [[gene, *cells] for gene, *cells in zip(pred.gene_ids, *scores)]
+    # undefined metrics stay NaN cells; the summary rows aggregate the defined ones
+    defined = [[s for s in column if not math.isnan(s)] for column in scores]
+    summary = [aggregate(valid) if valid else (math.nan, math.nan) for valid in defined]
+    rows.append(["__mean__", *(mean for mean, _ in summary)])
+    rows.append(["__variance__", *(variance for _, variance in summary)])
+    write_csv(args.out, ["gene_id", *columns], rows)
 
     if args.gene_distances:
         values = pred.values
-        with open(args.gene_distances, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["gene_id", *pred.gene_ids])
-            for gene, row in zip(pred.gene_ids, values):  # one row at a time: O(genes x spots)
-                dist = np.sqrt(((row - values) ** 2).sum(axis=1))
-                writer.writerow([gene] + [repr(float(x)) for x in dist])
+        rows = (  # one row at a time: O(genes x spots)
+            [gene, *np.sqrt(((row - values) ** 2).sum(axis=1)).tolist()]
+            for gene, row in zip(pred.gene_ids, values)
+        )
+        write_csv(args.gene_distances, ["gene_id", *pred.gene_ids], rows)
     return 0
 
 
@@ -354,7 +332,7 @@ _ABLATION_AXES = {
 
 def cmd_ablate(args) -> int:
     from .config import model_config, train_config
-    from .data import split_genes
+    from .data import split_genes, write_csv
     from .train import fit
 
     base_seed = _resolve_seed(args)
@@ -362,22 +340,18 @@ def cmd_ablate(args) -> int:
     pair, _ = _prepare_from_files(args.st, args.sc, values)
     key, settings = _ABLATION_AXES[args.axis]
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["axis", "setting", "seed", "best_val_pcc", "best_epoch"])
+    def rows():  # each row is written as soon as its fit ends
         for setting in settings:
-            for offset in range(args.seeds):
-                seed = base_seed + offset
-                trial = dict(values)
-                trial[key] = setting
+            for seed in range(base_seed, base_seed + args.seeds):
+                trial = {**values, key: setting}
                 mcfg = model_config(trial, p=pair.st.n_obs, q=pair.sc.n_obs)
                 split = split_genes(range(len(pair.genes)), seed)
                 result = fit(pair.st, pair.sc, split, mcfg, train_config(trial, seed))
-                writer.writerow(
-                    [args.axis, setting, seed, repr(result.best_val_pcc), result.best_epoch]
-                )
                 log.info("ablate %s=%s seed=%d -> %.4f", args.axis, setting, seed,
                          result.best_val_pcc)
+                yield [args.axis, setting, seed, result.best_val_pcc, result.best_epoch]
+
+    write_csv(args.out, ["axis", "setting", "seed", "best_val_pcc", "best_epoch"], rows())
     return 0
 
 

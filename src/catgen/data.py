@@ -5,6 +5,9 @@ both axes. The on-disk format is UTF-8 CSV with header
 ``gene_id,<obs1>,<obs2>,...`` and one row per gene. All operations are pure:
 they return new matrices and never mutate their inputs.
 
+This module owns the CSV format of every table catgen writes: ``write_csv``
+writes UTF-8 with ``\n`` line ends and every float as ``repr(float(x))``.
+
 The preparation pipeline for a paired dataset is: quality-control filter on
 observations, per-observation library-size normalization, highly-variable
 gene selection per modality, then intersection of the surviving gene sets
@@ -145,12 +148,23 @@ def load_matrix(path, modality: str = ST) -> ExpressionMatrix:
     )
 
 
-def save_matrix(m: ExpressionMatrix, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write one CSV table: ``header``, then each of ``rows`` as it is drawn.
+
+    The one writer of catgen's tables: UTF-8, ``\n`` line ends, and every
+    float (numpy's float64 included) as ``repr(float(x))``, the shortest text
+    that reads back bitwise. Other cells are written as ``csv`` writes them.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gene_id", *m.obs_ids])
-        for gene, row in zip(m.gene_ids, m.values):
-            writer.writerow([gene, *(repr(float(x)) for x in row)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+
+
+def save_matrix(m: ExpressionMatrix, path) -> None:
+    rows = ([gene, *row.tolist()] for gene, row in zip(m.gene_ids, m.values))
+    write_csv(path, ["gene_id", *m.obs_ids], rows)
 
 
 @dataclass(frozen=True)

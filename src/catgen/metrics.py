@@ -3,9 +3,16 @@
 All four metrics compare a predicted spatial expression vector against the
 ground truth for one gene. Variances are population variances throughout so
 results are deterministic and consistent with ``aggregate``.
+
+``score_rows`` is the one per-gene scoring loop: it scores each row of a
+prediction against the same row of the truth with each metric it is given,
+and writes NaN where a metric raises ``DegenerateInputError``. Each caller
+decides what such a NaN means.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -85,3 +92,19 @@ def aggregate(per_gene) -> tuple[float, float]:
     if values.size == 0:
         raise EmptyResultError("nothing to aggregate")
     return float(values.mean()), float(values.var())
+
+
+def score_rows(pred, truth, metrics) -> list[list[float]]:
+    """One list per function in ``metrics``, in the order given, holding its
+    score of each row of ``pred`` against the same row of ``truth``, or NaN
+    where it raises ``DegenerateInputError``."""
+    if len(pred) != len(truth):
+        raise ShapeMismatchError(f"{len(pred)} predicted rows vs {len(truth)} true rows")
+    scores: list[list[float]] = [[] for _ in metrics]
+    for a, b in zip(pred, truth):
+        for fn, column in zip(metrics, scores):
+            try:
+                column.append(fn(a, b))
+            except DegenerateInputError:
+                column.append(math.nan)
+    return scores

@@ -34,10 +34,10 @@ from .diffusion import (
     parse_strategy,
     sample_timesteps,
 )
-from .errors import DegenerateInputError, NumericFailureError, ShapeMismatchError
+from .errors import NumericFailureError, ShapeMismatchError
 from .generate import generate_genes
 from .granger import all_pairs
-from .metrics import pcc
+from .metrics import pcc, score_rows
 from .model import (
     CatParameters,
     ModelConfig,
@@ -392,10 +392,6 @@ def _validation_pcc(
         strategy=parse_strategy(cfg.val_sampling),
         seed=cfg.seed + epoch + 1,
     )
-    scores = []
-    for row, gene in enumerate(val_genes):
-        try:
-            scores.append(pcc(predicted.values[row], st.values[gene]))
-        except DegenerateInputError:  # constant early-training output scores zero
-            scores.append(0.0)
-    return float(np.mean(scores))
+    (scores,) = score_rows(predicted.values, st.values[val_genes], [pcc])
+    # an undefined PCC (constant early-training output) scores zero
+    return float(np.mean([0.0 if math.isnan(s) else s for s in scores]))
