@@ -8,10 +8,12 @@ on Tensor parameters and gets a graph to differentiate; inference calls them
 on arrays and gets the same numbers, element by element, without recording
 anything. A Tensor meeting an ndarray in a binary operation wins
 (``__array_ufunc__ = None`` makes numpy defer), so mixing the two gives a
-Tensor; ``concat``, ``masked_softmax`` and the fused layers return an array
-when given only arrays. The tape is the graph itself: it lives on the Tensors
-of one forward pass and is garbage-collected with them, so there is no global
-mutable state and independent forward passes never interact.
+Tensor. Only ``+`` and ``*`` have reflected forms: an array on the left of
+``-`` or ``@`` raises ``TypeError``. ``concat``, ``masked_softmax`` and the
+fused layers return an array when given only arrays. The tape is the graph
+itself: it lives on the Tensors of one forward pass and is garbage-collected
+with them, so there is no global mutable state and independent forward
+passes never interact.
 
 The model's layers are fused nodes: ``linear`` (``x @ w + b``),
 ``layer_norm`` and ``gelu`` each record one node with an analytic backward
@@ -135,9 +137,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-other)  # a constant's negation stays an array and records no node
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         data = self.data * other.data
@@ -182,9 +181,6 @@ class Tensor:
                 _accumulate(y, np.swapaxes(x.data, -1, -2) @ g)
 
         return Tensor._make(data, (self, other), backward)
-
-    def __rmatmul__(self, other) -> "Tensor":
-        return Tensor._lift(other) @ self
 
     # -- reductions and reshapes -------------------------------------------------
 

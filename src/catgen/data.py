@@ -5,8 +5,8 @@ both axes. The on-disk format is UTF-8 CSV with header
 ``gene_id,<obs1>,<obs2>,...`` and one row per gene. All operations are pure:
 they return new matrices and never mutate their inputs.
 
-This module owns the CSV format of every table catgen writes: ``write_csv``
-writes UTF-8 with ``\n`` line ends and every float as ``repr(float(x))``.
+This module owns the CSV format of every table catgen writes, float text
+included: ``write_csv`` is the one writer.
 
 The preparation pipeline for a paired dataset is: quality-control filter on
 observations, per-observation library-size normalization, highly-variable
@@ -149,12 +149,9 @@ def load_matrix(path, modality: str = ST) -> ExpressionMatrix:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write one CSV table: ``header``, then each of ``rows`` as it is drawn.
-
-    The one writer of catgen's tables: UTF-8, ``\n`` line ends, and every
-    float (numpy's float64 included) as ``repr(float(x))``, the shortest text
-    that reads back bitwise. Other cells are written as ``csv`` writes them.
-    """
+    """Write ``header``, then each of ``rows`` as it is drawn: UTF-8, ``\\n`` line
+    ends, every float (numpy's float64 too) as ``repr(float(x))``, which reads
+    back bitwise, and other cells as ``csv`` writes them."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -120,7 +120,8 @@ def generate_genes(
     d = frozen.cfg.d
     scale = float(frozen["latent.scale"])
     rows = [index[g] for g in target_genes]
-    cond = encode(sc.values[rows], "sc", frozen).z / scale  # (S, d) deterministic
+    # (S, d), deterministic; scaled with training's arithmetic, so bitwise its conditions
+    cond = encode(sc.values[rows], "sc", frozen).z * (1.0 / scale)
 
     plan = ARStepPlan(tuple(equal_width_groups(len(target_genes), groups)))
     grid, chain = respaced_chain(schedule, strategy)

@@ -4,10 +4,8 @@ All four metrics compare a predicted spatial expression vector against the
 ground truth for one gene. Variances are population variances throughout so
 results are deterministic and consistent with ``aggregate``.
 
-``score_rows`` is the one per-gene scoring loop: it scores each row of a
-prediction against the same row of the truth with each metric it is given,
-and writes NaN where a metric raises ``DegenerateInputError``. Each caller
-decides what such a NaN means.
+``score_rows`` is the one per-gene scoring loop. It gives NaN where a metric
+raises ``DegenerateInputError``, and each caller decides what that NaN means.
 """
 
 from __future__ import annotations

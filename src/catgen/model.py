@@ -162,9 +162,6 @@ class CatParameters:
     def names(self) -> list[str]:
         return sorted(self.tensors)
 
-    def data(self) -> dict[str, np.ndarray]:
-        return _views(self.cfg, self.flat)
-
     def span(self, names: list[str]) -> slice:
         """The slice of ``flat`` that holds exactly ``names``, given in buffer order."""
         bounds = _bounds(self.cfg)
@@ -486,7 +483,7 @@ def _meta_tensors(cfg: ModelConfig, extra: dict[str, float]) -> dict[str, np.nda
 
 def save_checkpoint(params: CatParameters, path, extra_meta: dict[str, float] | None = None) -> None:
     """Write all tensors atomically (temp file + rename)."""
-    entries = dict(params.data())
+    entries = dict(params.detached().tensors)
     entries.update(_meta_tensors(params.cfg, extra_meta or {}))
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".catg.tmp")
@@ -497,8 +494,6 @@ def save_checkpoint(params: CatParameters, path, extra_meta: dict[str, float] | 
             fh.write(struct.pack("<I", len(entries)))
             for name in sorted(entries):
                 arr = np.asarray(entries[name], dtype="<f8")  # keeps 0-dim scalars 0-dim
-                if arr.ndim and not arr.flags.c_contiguous:
-                    arr = np.ascontiguousarray(arr)
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(encoded)))
                 fh.write(encoded)

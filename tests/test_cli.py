@@ -1,6 +1,10 @@
 """The command-line entry point end to end: synth, train, generate, eval,
 mask, granger, ablate, exit codes and byte-identical reruns."""
 
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +17,7 @@ from catgen.data import SC, ST, DataOptions, ExpressionMatrix, load_matrix, norm
 from catgen.diffusion import linear_schedule
 from catgen.generate import generate_genes
 from catgen.mask import build_mask
+from catgen.metrics import js_divergence, pcc, rmse_z, ssim
 from catgen.model import ModelConfig, encode, init_params, load_checkpoint, save_checkpoint
 
 SEED = ["--seed", "3"]
@@ -137,6 +142,34 @@ def _synth(out_dir, *extra):
     ])
 
 
+def test_gene_lists_are_utf8_under_a_c_locale(tmp_path):
+    """train --save-prepared writes its gene lists as UTF-8, which generate reads."""
+    assert cli.main([
+        "synth", "--out-dir", str(tmp_path), *SEED,
+        "--set", "synth.n_genes=24", "--set", "synth.n_spots=6", "--set", "synth.n_cells=12",
+    ]) == 0
+    for name in ("st.csv", "sc.csv"):
+        path = tmp_path / name
+        path.write_text(path.read_text(encoding="utf-8").replace("\nG0", "\nG\u00e90"), encoding="utf-8")
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+        "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+    }
+    argv = [
+        sys.executable, "-m", "catgen.cli", "train", "--st", str(tmp_path / "st.csv"),
+        "--sc", str(tmp_path / "sc.csv"), "--out", str(tmp_path / "model.catg"),
+        "--save-prepared", str(tmp_path / "prep"), *SEED, *TINY_TRAIN,
+    ]
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    genes = [
+        gene
+        for split in ("train", "val", "test")
+        for gene in (tmp_path / "prep" / f"genes_{split}.txt").read_text(encoding="utf-8").split()
+    ]
+    assert "G\u00e9000" in genes
+
+
 def test_synth_rerun_is_byte_identical(tmp_path):
     assert _synth(tmp_path / "first", *SEED) == 0
     assert _synth(tmp_path / "second", *SEED) == 0
@@ -212,6 +245,34 @@ def test_eval_rerun_is_byte_identical(tmp_path):
     rows = [line.split(",")[0] for line in (tmp_path / "first.csv").read_text().splitlines()]
     assert rows == ["gene_id", "G3", "G0", "G4", "__mean__", "__variance__"]
     assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+
+def test_eval_keeps_nan_cells_and_aggregates_the_defined_scores(tmp_path):
+    pred = _eval_files(tmp_path)
+    pred.values[1] = 0.5  # G0 predicted constant: it has no PCC and no z-scores
+    save_matrix(pred, tmp_path / "pred.csv")
+    truth = load_matrix(tmp_path / "truth.csv")
+    assert _eval(tmp_path, tmp_path / "eval.csv") == 0
+    lines = [line.split(",") for line in (tmp_path / "eval.csv").read_text().splitlines()]
+    assert lines[0] == ["gene_id", "pcc", "ssim", "rmse", "js"]
+    rows = {line[0]: line[1:] for line in lines[1:]}
+    undefined = {("G0", "pcc"), ("G0", "rmse")}
+    index = truth.gene_index()
+    for k, (name, fn) in enumerate({"pcc": pcc, "ssim": ssim, "rmse": rmse_z, "js": js_divergence}.items()):
+        defined = []
+        for gene, row in zip(pred.gene_ids, pred.values):
+            if (gene, name) in undefined:
+                assert rows[gene][k] == "nan"
+                continue
+            defined.append(fn(row, truth.values[index[gene]]))
+            assert rows[gene][k] == repr(float(defined[-1]))
+        assert rows["__mean__"][k] == repr(float(np.mean(defined)))
+        assert rows["__variance__"][k] == repr(float(np.var(defined)))
+
+    save_matrix(pred.subset_genes([1]), tmp_path / "pred.csv")  # no gene has a PCC
+    assert _eval(tmp_path, tmp_path / "eval.csv") == 0
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in (tmp_path / "eval.csv").read_text().splitlines()}
+    assert rows["__mean__"][0] == rows["__variance__"][0] == "nan"
 
 
 def test_eval_of_a_gene_absent_from_the_truth_writes_nothing(tmp_path, capsys):

@@ -19,7 +19,7 @@ from catgen.errors import ScheduleMismatchError, ShapeMismatchError, UnknownGene
 from catgen.generate import equal_width_groups, generate_genes, reverse_step
 from catgen.model import ModelConfig, TokenBatch, cat_forward, decode, encode
 from catgen.synth import chain_config, generate
-from catgen.train import TrainConfig, fit
+from catgen.train import TrainConfig, fit, training_loss
 
 RNG = np.random.default_rng(0)
 
@@ -232,3 +232,29 @@ def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
     # groups of 3, 2 and 2 genes; the context is the 7 conditions plus finished groups
     expected = [(3, 7)] * steps + [(2, 10)] * steps + [(2, 12)] * steps
     assert fed == expected
+
+
+def test_generation_conditions_on_the_latents_training_sees(trained, monkeypatch):
+    """With a latent scale other than 1, the conditions generation hands to
+    ``TokenBatch.assemble`` are bitwise the ones training hands it."""
+    pair, params, schedule = trained
+    params = params.copy()
+    params["latent.scale"].data[()] = 0.37
+    genes = pair.genes[:6]
+    rows = [pair.genes.index(g) for g in genes]
+    conds = []
+    assemble = TokenBatch.assemble.__func__
+
+    def recording(cls, plan, x_t, cond, *args, **kwargs):
+        conds.append(np.array(getattr(cond, "data", cond)))
+        return assemble(cls, plan, x_t, cond, *args, **kwargs)
+
+    monkeypatch.setattr(TokenBatch, "assemble", classmethod(recording))
+    generate_genes(pair.sc, genes, params, schedule, strategy=Fractional(5), seed=0)
+    generated, conds[:] = conds[0], []
+    S, d = len(genes), params.cfg.d
+    training_loss(
+        pair.st.values[rows], pair.sc.values[rows], ARStepPlan((S,)), np.full(S, 5),
+        np.zeros((S, d)), params, TrainConfig(T=30), schedule, np.random.default_rng(0),
+    )
+    assert generated.tobytes() == conds[0].tobytes()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catgen.errors import DegenerateInputError, EmptyResultError, ShapeMismatchError
-from catgen.metrics import aggregate, js_divergence, pcc, rmse_z, ssim
+from catgen.metrics import aggregate, js_divergence, pcc, rmse_z, score_rows, ssim
 
 RNG = np.random.default_rng(99)
 
@@ -160,3 +160,14 @@ def test_property_js_bounded(a, seed):
         return
     value = js_divergence(arr, other)
     assert -1e-12 <= value <= math.log(2) + 1e-9
+
+
+def test_score_rows_gives_one_list_per_metric_and_nan_where_undefined():
+    pred = np.array([[1.0, 2.0, 4.0, 3.0], [2.0, 2.0, 2.0, 2.0], [0.5, 3.0, 1.0, 2.0]])
+    truth = RNG.uniform(0.0, 5.0, size=pred.shape)
+    got = score_rows(pred, truth, [ssim, pcc])
+    assert got[0] == [ssim(a, b) for a, b in zip(pred, truth)]
+    assert got[1][0] == pcc(pred[0], truth[0]) and got[1][2] == pcc(pred[2], truth[2])
+    assert math.isnan(got[1][1])  # a constant row has no correlation
+    with pytest.raises(ShapeMismatchError):
+        score_rows(pred, truth[:2], [pcc])

@@ -389,7 +389,10 @@ def test_checkpoint_with_key_biases_still_loads(tmp_path, small):
     current, older = tmp_path / "current.catg", tmp_path / "older.catg"
     save_checkpoint(params, current, {"T": 2000})
     key_biases = {f"blk{i}.bk": np.full(cfg.d, 1e-12) for i in range(cfg.blocks)}
-    with_key_biases = types.SimpleNamespace(cfg=cfg, data=lambda: {**params.data(), **key_biases})
+    tensors = {**params.detached().tensors, **key_biases}
+    with_key_biases = types.SimpleNamespace(
+        cfg=cfg, detached=lambda: types.SimpleNamespace(tensors=tensors)
+    )
     save_checkpoint(with_key_biases, older, {"T": 2000})
     assert older.read_bytes().count(b"blk0.bk") == 1
     loaded, meta = load_checkpoint(older)

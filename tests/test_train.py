@@ -20,6 +20,7 @@ from catgen.diffusion import (
 )
 from catgen.errors import ConfigError, ShapeMismatchError
 from catgen.mask import build_mask
+from catgen.metrics import pcc
 from catgen.model import ModelConfig, TokenBatch, cat_forward, decode, encode, init_params
 from catgen.synth import chain_config, generate
 from catgen.train import (
@@ -456,3 +457,24 @@ def test_fit_requires_aligned_matrices():
     mcfg = ModelConfig(p=pair.st.n_obs, q=pair.sc.n_obs, d=8, heads=2, blocks=1)
     with pytest.raises(ShapeMismatchError):
         fit(pair.st, other, split, mcfg, TrainConfig(epochs=1))
+
+
+def test_validation_scores_a_constant_prediction_zero(monkeypatch):
+    """An undefined PCC, from a constant early-training output, counts as 0."""
+    rng = np.random.default_rng(4)
+    st = ExpressionMatrix(
+        gene_ids=["a", "b", "c", "d"], obs_ids=["s0", "s1", "s2", "s3", "s4"],
+        values=rng.uniform(0.0, 3.0, (4, 5)), modality=ST,
+    )
+    predicted = rng.uniform(0.0, 3.0, (3, 5))
+    predicted[1] = 1.5
+    val_genes = [3, 0, 2]
+
+    def fake_generate(sc, gene_ids, *args, **kwargs):
+        assert gene_ids == ["d", "a", "c"]
+        return ExpressionMatrix(gene_ids, list(st.obs_ids), predicted, ST)
+
+    monkeypatch.setattr(train, "generate_genes", fake_generate)
+    got = train._validation_pcc(st, st, val_genes, None, None, TrainConfig(), 0)
+    scores = [pcc(predicted[0], st.values[3]), 0.0, pcc(predicted[2], st.values[2])]
+    assert got == float(np.mean(scores))
