@@ -117,8 +117,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="sweep one configuration axis")
     common(p)
-    p.add_argument("--axis", required=True,
-                   choices=("decay", "blocks", "sampling", "decoder", "encoder_variation"))
+    p.add_argument("--axis", required=True, choices=tuple(_ABLATION_AXES))
     p.add_argument("--st", required=True)
     p.add_argument("--sc", required=True)
     p.add_argument("--out", required=True)
@@ -325,7 +324,6 @@ _ABLATION_AXES = {
     "decay": ("ar.decay", [0.7, 0.8, 0.9, 1.0]),
     "blocks": ("model.blocks", [1, 2, 3, 4, 5]),
     "sampling": ("diffusion.sampling", ["full", "frac:2", "frac:3", "frac:4", "frac:20"]),
-    "decoder": ("train.train_decoder", [False, True]),
     "encoder_variation": ("model.variational", [False, True]),
 }
 

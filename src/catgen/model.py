@@ -106,9 +106,9 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-# Order of the name groups in the flat buffer: warmup trains e1 to e2,
-# diffusion e2 to time, and diffusion with a co-trained decoder e1 to time,
-# so each is one contiguous slice; latent.scale is never trained.
+# Order of the name groups in the flat buffer: warmup trains e1 to e2 and
+# diffusion e2 to time, so each is one contiguous slice; latent.scale is
+# never trained.
 _LAYOUT = ("e1.", "enc_var.", "dec.", "e2.", "blk", "out.", "time.", "latent.")
 
 

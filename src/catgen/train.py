@@ -4,15 +4,15 @@ autoregressive-diffusion objective.
 Each diffusion step draws a fresh AR plan, noises every gene token at its own
 sampled timestep, hands the conditions, clean latents and noisy latents to
 ``TokenBatch.assemble``, which lays out [condition | clean | noisy] under the
-causal mask, and minimizes noise-prediction MSE (plus optional decoder
-reconstruction and KL terms). Clean tokens are never noised; conditions are
-never noised either. ``ModelConfig.variational`` alone decides whether the
+causal mask, and minimizes noise-prediction MSE (plus a KL term for a
+variational encoder). Clean tokens are never noised; conditions are never
+noised either. ``ModelConfig.variational`` alone decides whether the
 encoder is variational: only such a model has the variational head, samples
 its spatial latents in training steps and pays the KL term. The warmup phase
 trains the two encoder heads and the decoder so the latent space is fixed
-before diffusion training starts; unless ``train_decoder`` is set, the
-spatial head, variational head and decoder stay frozen afterwards so
-generation always decodes from the space the model was trained in.
+before diffusion training starts; the spatial head, variational head and
+decoder stay frozen afterwards so generation always decodes from the space
+the model was trained in.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class TrainConfig:
     batch_genes: int = 16
     lr: float = 2e-3
     ar_decay: float = 0.8
-    train_decoder: bool = False
     sampling: str = "full"
     seed: int = 42
     T: int = 2000
@@ -68,9 +67,7 @@ class TrainConfig:
     warmup_latent_noise: float = 0.25
     val_every: int = 1
     val_sampling: str = "frac:20"
-    val_ar_groups: int = 1
     gene_order: str = "random"  # random | granger
-    lambda_rec: float = 1.0
     lambda_kl: float = 1e-4
     grad_clip: float = 1.0
 
@@ -153,12 +150,10 @@ def _update(
 def diffusion_trainable(params: CatParameters, cfg: TrainConfig) -> list[str]:
     """Names updated during diffusion training, in parameter-buffer order.
 
-    The encoder heads and decoder define the latent space diffusion runs in;
-    they only keep training when the decoder is co-trained, otherwise the
-    warmup-fitted space (and with it the conditioning) stays frozen.
+    The spatial head and decoder define the latent space diffusion runs in,
+    so the warmup-fitted space stays frozen; ``cfg`` is not used.
     """
-    frozen = ("latent.",) if cfg.train_decoder else ("latent.", "e1.", "enc_var.", "dec.")
-    return [n for n in params.tensors if not n.startswith(frozen)]
+    return [n for n in params.tensors if not n.startswith(("latent.", "e1.", "enc_var.", "dec."))]
 
 
 def warmup_trainable(params: CatParameters) -> list[str]:
@@ -195,9 +190,6 @@ def training_loss(
     )
     pred = cat_forward(batch, params)
     loss = ((pred - eps) ** 2.0).mean()
-    if cfg.train_decoder:
-        recon = decode(st_enc.z, params)
-        loss = loss + cfg.lambda_rec * ((recon - st_values) ** 2.0).mean()
     if st_enc.logvar is not None:
         loss = loss + cfg.lambda_kl * _kl_term(st_enc.mean, st_enc.logvar)
     return loss
@@ -388,7 +380,6 @@ def _validation_pcc(
         gene_ids,
         params,
         schedule,
-        groups=cfg.val_ar_groups,
         strategy=parse_strategy(cfg.val_sampling),
         seed=cfg.seed + epoch + 1,
     )

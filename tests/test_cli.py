@@ -350,6 +350,7 @@ def test_unknown_flag_is_a_usage_error(trained):
         "train.val_every=0",
         "train.batch_genes=0",
         "train.variational_encoder=off",  # now model.variational, with no alias
+        "train.train_decoder=on",  # the co-trained decoder is gone
     ],
 )
 def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
@@ -467,7 +468,7 @@ def test_granger_takes_no_seed(trained):
     assert not out.exists()
 
 
-def _ablate(root, out, axis="decoder"):
+def _ablate(root, out, axis="decay"):
     return cli.main([
         "ablate", "--axis", axis, "--st", str(root / "st.csv"), "--sc", str(root / "sc.csv"),
         "--out", str(out), *SEED, *TINY_TRAIN,
@@ -480,7 +481,7 @@ def test_ablate_reruns_identically_and_rejects_unknown_axis(trained):
     lines = first.read_text().splitlines()
     assert lines[0] == "axis,setting,seed,best_val_pcc,best_epoch"
     assert [line.split(",")[:3] for line in lines[1:]] == [
-        ["decoder", "False", "3"], ["decoder", "True", "3"],
+        ["decay", "0.7", "3"], ["decay", "0.8", "3"], ["decay", "0.9", "3"], ["decay", "1.0", "3"],
     ]
     assert _ablate(trained, second) == 0
     assert second.read_bytes() == first.read_bytes()

@@ -20,8 +20,9 @@ from catgen.synth import ChainEdge, chain_config
 from catgen.train import TrainConfig
 
 # every key accepted before the train.* keys were derived from TrainConfig,
-# with its type; the unused generate.ar_groups is gone, and
-# train.variational_encoder became model.variational
+# with its type; the unused generate.ar_groups is gone,
+# train.variational_encoder became model.variational, and train.train_decoder,
+# train.lambda_rec and train.val_ar_groups went with the co-trained decoder
 EXPECTED_KEYS = {
     "model.d": int,
     "model.heads": int,
@@ -38,12 +39,9 @@ EXPECTED_KEYS = {
     "train.recon_epochs": int,
     "train.recon_lr": float,
     "train.warmup_latent_noise": float,
-    "train.train_decoder": bool,
     "train.val_every": int,
     "train.val_sampling": str,
-    "train.val_ar_groups": int,
     "train.gene_order": str,
-    "train.lambda_rec": float,
     "train.lambda_kl": float,
     "train.grad_clip": float,
     "data.qc_min_genes_sc": int,
@@ -68,7 +66,6 @@ OVERRIDES = {
     "train.batch_genes": ("5", "batch_genes", 5),
     "train.lr": ("0.01", "lr", 0.01),
     "ar.decay": ("0.5", "ar_decay", 0.5),
-    "train.train_decoder": ("true", "train_decoder", True),
     "diffusion.sampling": ("frac:5", "sampling", "frac:5"),
     "diffusion.T": ("300", "T", 300),
     "diffusion.beta_start": ("0.001", "beta_start", 0.001),
@@ -78,9 +75,7 @@ OVERRIDES = {
     "train.warmup_latent_noise": ("0.5", "warmup_latent_noise", 0.5),
     "train.val_every": ("2", "val_every", 2),
     "train.val_sampling": ("frac:10", "val_sampling", "frac:10"),
-    "train.val_ar_groups": ("3", "val_ar_groups", 3),
     "train.gene_order": ("granger", "gene_order", "granger"),
-    "train.lambda_rec": ("0.5", "lambda_rec", 0.5),
     "train.lambda_kl": ("0.01", "lambda_kl", 0.01),
     "train.grad_clip": ("2.0", "grad_clip", 2.0),
 }

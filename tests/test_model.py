@@ -252,12 +252,15 @@ def test_all_finite_for_bounded_inputs(small):
 
 
 def test_gradients_match_finite_differences(small):
-    """Every parameter of the d=8, H=2, 2-block model against central differences."""
+    """Every parameter of the d=8, H=2, 2-block model against central differences.
+
+    The diffusion loss does not reach the decoder, so a reconstruction term
+    through ``decode`` is added to cover it."""
     cfg, params = small
     from catgen.train import TrainConfig, training_loss
 
     schedule = linear_schedule(20)
-    tcfg = TrainConfig(T=20, train_decoder=True, seed=0)
+    tcfg = TrainConfig(T=20, seed=0)
     rng = np.random.default_rng(2)
     S = 4
     st = rng.standard_normal((S, cfg.p))
@@ -266,12 +269,17 @@ def test_gradients_match_finite_differences(small):
     ts = np.array([3, 9, 14, 20])
     eps = rng.standard_normal((S, cfg.d))
 
-    def value():
-        return training_loss(
+    def objective():
+        diffusion = training_loss(
             st, sc, plan, ts, eps, params, tcfg, schedule, np.random.default_rng(11)
-        ).item()
+        )
+        recon = decode(encode(st, "st", params).z, params)
+        return diffusion + ((recon - st) ** 2.0).mean()
 
-    loss = training_loss(st, sc, plan, ts, eps, params, tcfg, schedule, np.random.default_rng(11))
+    def value():
+        return objective().item()
+
+    loss = objective()
     names = [n for n in params.names() if n != "latent.scale"]
     grads = gradients(loss, {n: params[n] for n in names})
 

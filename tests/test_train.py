@@ -74,7 +74,7 @@ def make_step_args(mcfg, cfg, seed=1):
 
 def test_zero_noise_edge_loss_is_pure_prediction_power(tiny_setup):
     st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=5, train_decoder=False, seed=0)
+    cfg = TrainConfig(T=5, seed=0)
     mcfg0 = ModelConfig(p=mcfg.p, q=mcfg.q, d=8, heads=2, blocks=2, variational=False)
     params = init_params(mcfg0, np.random.default_rng(1))
     # beta ~ 0 edge schedule: x_t = x0 exactly when eps = 0
@@ -151,9 +151,9 @@ def test_deterministic_replay_bit_identical(tiny_setup):
     assert run() == run()
 
 
-def test_decoder_frozen_bitwise_when_not_trained(tiny_setup):
+def test_decoder_frozen_bitwise_in_diffusion_training(tiny_setup):
     st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=20, seed=0, train_decoder=False)
+    cfg = TrainConfig(T=20, seed=0)
     params, schedule, opt = make_step_args(mcfg, cfg)
     before = {n: params[n].data.copy() for n in params.names() if n.startswith("dec.")}
     rng = np.random.default_rng(5)
@@ -161,15 +161,6 @@ def test_decoder_frozen_bitwise_when_not_trained(tiny_setup):
         train_step(st, sc, params, cfg, rng, schedule, opt)
     for name, value in before.items():
         assert np.array_equal(params[name].data, value)
-
-
-def test_decoder_updates_when_cotrained(tiny_setup):
-    st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=20, seed=0, train_decoder=True)
-    params, schedule, opt = make_step_args(mcfg, cfg)
-    before = params["dec.w1"].data.copy()
-    train_step(st, sc, params, cfg, np.random.default_rng(5), schedule, opt)
-    assert not np.array_equal(params["dec.w1"].data, before)
 
 
 def test_loss_invariant_to_within_group_permutation(tiny_setup):
@@ -214,9 +205,6 @@ def reference_training_loss(st_values, sc_values, plan, token_ts, eps, params, c
         st_enc.z * inv_scale, sc_enc.z * inv_scale, plan, token_ts, eps, schedule
     )
     loss = ((cat_forward(batch, params) - Tensor(eps)) ** 2.0).mean()
-    if cfg.train_decoder:
-        recon = decode(st_enc.z, params)
-        loss = loss + cfg.lambda_rec * ((recon - Tensor(st_values)) ** 2.0).mean()
     if st_enc.logvar is not None:
         loss = loss + cfg.lambda_kl * train._kl_term(st_enc.mean, st_enc.logvar)
     return loss
@@ -227,7 +215,7 @@ def test_assembled_layout_matches_the_hand_written_reference():
     tokens, noisy rows, signal levels and mask, and training_loss bitwise its
     value and gradients."""
     mcfg = ModelConfig(p=6, q=10, d=8, heads=2, blocks=2)
-    cfg = TrainConfig(T=30, seed=0, train_decoder=True)
+    cfg = TrainConfig(T=30, seed=0)
     params = init_params(mcfg, np.random.default_rng(4))
     params["latent.scale"].data[()] = 0.37
     schedule = linear_schedule(cfg.T)
@@ -265,22 +253,15 @@ def test_assembled_layout_matches_the_hand_written_reference():
 def test_trainable_sets(tiny_setup):
     _, _, mcfg = tiny_setup
     params = init_params(mcfg, np.random.default_rng(0))
-    frozen_cfg = TrainConfig(train_decoder=False)
-    names = diffusion_trainable(params, frozen_cfg)
+    names = diffusion_trainable(params, TrainConfig())
     assert not any(n.startswith(("e1.", "dec.", "enc_var.", "latent.")) for n in names)
     assert any(n.startswith("e2.") for n in names)
-    cotrain_cfg = TrainConfig(train_decoder=True)
-    names2 = diffusion_trainable(params, cotrain_cfg)
-    assert any(n.startswith("dec.") for n in names2)
-    assert "latent.scale" not in names2
     warm = warmup_trainable(params)
     assert any(n.startswith("enc_var.") for n in warm)
     flat = init_params(dataclasses.replace(mcfg, variational=False), np.random.default_rng(0))
     assert not any(n.startswith("enc_var.") for n in flat.names())
     assert warmup_trainable(flat) == [n for n in warm if not n.startswith("enc_var.")]
-    assert diffusion_trainable(flat, cotrain_cfg) == [
-        n for n in names2 if not n.startswith("enc_var.")
-    ]
+    assert diffusion_trainable(flat, TrainConfig()) == names
 
 
 def test_clip_global_norm():
@@ -322,13 +303,12 @@ def reference_clip(grads, max_norm):
     return grads, False
 
 
-@pytest.mark.parametrize("train_decoder", [False, True])
 @pytest.mark.parametrize("grad_clip", [1e-3, 1e3])
-def test_flat_update_matches_per_tensor_reference(tiny_setup, monkeypatch, grad_clip, train_decoder):
+def test_flat_update_matches_per_tensor_reference(tiny_setup, monkeypatch, grad_clip):
     """30 warmup and 30 diffusion steps give bitwise the parameters of an
     unpruned walk, a per-tensor clip in name order and a per-tensor Adam."""
     st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=20, seed=0, grad_clip=grad_clip, train_decoder=train_decoder)
+    cfg = TrainConfig(T=20, seed=0, grad_clip=grad_clip)
     clipped = []
 
     def reference_update(loss, params, names, opt, max_norm):
