@@ -228,28 +228,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    # -- elementwise nonlinearities ----------------------------------------------
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(g, a=self, out=data):
-            if a._needed:
-                _accumulate(a, g * out)
-
-        return Tensor._make(data, (self,), backward)
-
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        data = np.clip(self.data, lo, hi)
-        inside = (self.data >= lo) & (self.data <= hi)
-
-        def backward(g, a=self, m=inside):
-            if a._needed:
-                _accumulate(a, g * m)
-
-        return Tensor._make(data, (self,), backward)
-
-
 Operand = Tensor | np.ndarray  # what a forward function takes and gives back
 
 

@@ -276,7 +276,7 @@ def cmd_generate(args) -> int:
         from .model import encode
 
         latents = encode(sc.values[[sc.gene_index()[g] for g in genes]], "sc", params.detached())
-        rows = ([gene, *row.tolist()] for gene, row in zip(genes, latents.z))
+        rows = ([gene, *row.tolist()] for gene, row in zip(genes, latents))
         write_csv(args.embeddings, ["gene_id", *(f"z{i}" for i in range(params.cfg.d))], rows)
     return 0
 
@@ -324,7 +324,6 @@ _ABLATION_AXES = {
     "decay": ("ar.decay", [0.7, 0.8, 0.9, 1.0]),
     "blocks": ("model.blocks", [1, 2, 3, 4, 5]),
     "sampling": ("diffusion.sampling", ["full", "frac:2", "frac:3", "frac:4", "frac:20"]),
-    "encoder_variation": ("model.variational", [False, True]),
 }
 
 

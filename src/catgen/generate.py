@@ -121,7 +121,7 @@ def generate_genes(
     scale = float(frozen["latent.scale"])
     rows = [index[g] for g in target_genes]
     # (S, d), deterministic; scaled with training's arithmetic, so bitwise its conditions
-    cond = encode(sc.values[rows], "sc", frozen).z * (1.0 / scale)
+    cond = encode(sc.values[rows], "sc", frozen) * (1.0 / scale)
 
     plan = ARStepPlan(tuple(equal_width_groups(len(target_genes), groups)))
     grid, chain = respaced_chain(schedule, strategy)

@@ -1,5 +1,6 @@
-"""The causality-aware transformer: two-headed encoder, masked-attention
-blocks, sinusoidal time embedding, noise-prediction head and decoder.
+"""The causality-aware transformer: two-headed deterministic encoder,
+masked-attention blocks, sinusoidal time embedding, noise-prediction head and
+decoder.
 
 Tokens are d-dimensional gene latents. A forward pass consumes a TokenBatch
 laid out as [condition | clean | noisy], and ``TokenBatch.assemble`` is the
@@ -52,8 +53,6 @@ from .errors import (
 )
 from .mask import build_mask
 
-LOGVAR_MIN, LOGVAR_MAX = -20.0, 20.0
-
 CHECKPOINT_MAGIC = b"CATG"
 CHECKPOINT_VERSION = 1
 
@@ -65,7 +64,6 @@ class ModelConfig:
     d: int = 64
     heads: int = 4
     blocks: int = 3
-    variational: bool = True
 
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
@@ -88,9 +86,6 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         # never touched by the optimizer (diffusion assumes unit-scale data)
         "latent.scale": (),
     }
-    if cfg.variational:
-        shapes["enc_var.w"] = (d, d)
-        shapes["enc_var.b"] = (d,)
     for i in range(cfg.blocks):
         b = f"blk{i}"
         shapes.update({
@@ -109,7 +104,7 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 # Order of the name groups in the flat buffer: warmup trains e1 to e2 and
 # diffusion e2 to time, so each is one contiguous slice; latent.scale is
 # never trained.
-_LAYOUT = ("e1.", "enc_var.", "dec.", "e2.", "blk", "out.", "time.", "latent.")
+_LAYOUT = ("e1.", "dec.", "e2.", "blk", "out.", "time.", "latent.")
 
 
 @functools.lru_cache(maxsize=8)
@@ -192,7 +187,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
         if name == "latent.scale" or leaf == "g":
             value[...] = 1.0
         elif leaf.startswith("b"):
-            value[...] = -8.0 if name == "enc_var.b" else 0.0  # near-deterministic when variational
+            value[...] = 0.0
         else:
             rng.standard_normal(out=value)
             value /= math.sqrt(shape[0])
@@ -202,22 +197,10 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
 # -- encoder / decoder -----------------------------------------------------------
 
 
-class Encoded(NamedTuple):
-    z: Operand
-    mean: Operand
-    logvar: Operand | None
-
-
-def encode(
-    x, head: str, params: CatParameters, rng: np.random.Generator | None = None
-) -> Encoded:
-    """Map expression profiles into the shared latent space.
+def encode(x, head: str, params: CatParameters) -> Operand:
+    """Map expression profiles deterministically into the shared latent space.
 
     ``head`` selects the spatial (``st``) or single-cell (``sc``) input head.
-    Given an ``rng``, a variational model reparameterizes the latent as
-    mean + exp(logvar / 2) * eps and returns (mean, logvar) for the KL term;
-    otherwise the mean is the latent, ``logvar`` is None and nothing is drawn.
-    Sampling is a training path: it takes Tensor parameters.
     """
     if head not in ("st", "sc"):
         raise ShapeMismatchError(f"unknown encoder head {head!r}")
@@ -228,13 +211,7 @@ def encode(
             f"encoder head {head} expects feature dim {expected}, got {x.shape[-1]}"
         )
     hidden = gelu(linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    mean = linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    if rng is None or not params.cfg.variational:
-        return Encoded(z=mean, mean=mean, logvar=None)
-    logvar = linear(hidden, params["enc_var.w"], params["enc_var.b"]).clamp(LOGVAR_MIN, LOGVAR_MAX)
-    eps = rng.standard_normal(mean.shape)
-    z = mean + (0.5 * logvar).exp() * eps
-    return Encoded(z=z, mean=mean, logvar=logvar)
+    return linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def decode(latent, params: CatParameters) -> Operand:
@@ -520,7 +497,10 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
     The headers are read first, skipping each tensor's data; then every
     parameter's bytes are read straight into its view of a new buffer. A
     tensor the model does not have is skipped, such as the attention key
-    biases ``blk*.bk`` of files written before keys lost their bias.
+    biases ``blk*.bk`` of files written before keys lost their bias and the
+    variational head ``enc_var.*`` of files written before the encoder
+    became deterministic; so is a meta entry that is not a model field, such
+    as their ``meta.variational``.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:

@@ -4,15 +4,13 @@ autoregressive-diffusion objective.
 Each diffusion step draws a fresh AR plan, noises every gene token at its own
 sampled timestep, hands the conditions, clean latents and noisy latents to
 ``TokenBatch.assemble``, which lays out [condition | clean | noisy] under the
-causal mask, and minimizes noise-prediction MSE (plus a KL term for a
-variational encoder). Clean tokens are never noised; conditions are never
-noised either. ``ModelConfig.variational`` alone decides whether the
-encoder is variational: only such a model has the variational head, samples
-its spatial latents in training steps and pays the KL term. The warmup phase
-trains the two encoder heads and the decoder so the latent space is fixed
-before diffusion training starts; the spatial head, variational head and
-decoder stay frozen afterwards so generation always decodes from the space
-the model was trained in.
+causal mask, and minimizes noise-prediction MSE. Clean tokens are never
+noised; conditions are never noised either. The encoder is deterministic, so
+a gene's latent is a function of its profile alone. The warmup phase trains
+the two encoder heads and the decoder so the latent space is fixed before
+diffusion training starts; the spatial head and decoder stay frozen
+afterwards so generation always decodes from the space the model was
+trained in.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ class TrainConfig:
     val_every: int = 1
     val_sampling: str = "frac:20"
     gene_order: str = "random"  # random | granger
-    lambda_kl: float = 1e-4
     grad_clip: float = 1.0
 
     def __post_init__(self):
@@ -151,20 +148,15 @@ def diffusion_trainable(params: CatParameters, cfg: TrainConfig) -> list[str]:
     """Names updated during diffusion training, in parameter-buffer order.
 
     The spatial head and decoder define the latent space diffusion runs in,
-    so the warmup-fitted space stays frozen; ``cfg`` is not used.
+    so the warmup-fitted space stays frozen. ``cfg`` is not used; it stays
+    because the benchmark's ``train`` workload passes it.
     """
-    return [n for n in params.tensors if not n.startswith(("latent.", "e1.", "enc_var.", "dec."))]
+    return [n for n in params.tensors if not n.startswith(("latent.", "e1.", "dec."))]
 
 
 def warmup_trainable(params: CatParameters) -> list[str]:
-    """The encoder heads, with the variational head if the model has one, and the
-    decoder, in parameter-buffer order."""
-    return [n for n in params.tensors if n.startswith(("e1.", "e2.", "enc_var.", "dec."))]
-
-
-def _kl_term(mean: Tensor, logvar: Tensor) -> Tensor:
-    # per-element mean keeps the penalty scale independent of latent width
-    return (-0.5 * (1.0 + logvar - mean * mean - logvar.exp())).mean()
+    """The encoder heads and the decoder, in parameter-buffer order."""
+    return [n for n in params.tensors if n.startswith(("e1.", "e2.", "dec."))]
 
 
 def training_loss(
@@ -174,25 +166,19 @@ def training_loss(
     token_ts: np.ndarray,
     eps: np.ndarray,
     params: CatParameters,
-    cfg: TrainConfig,
     schedule: DiffusionSchedule,
-    enc_rng: np.random.Generator | None,
 ) -> Tensor:
     """Blended objective for one already-permuted gene batch."""
-    st_enc = encode(st_values, "st", params, rng=enc_rng)
-    sc_enc = encode(sc_values, "sc", params)
     inv_scale = 1.0 / float(params["latent.scale"].data)
-    z_st, z_sc = st_enc.z * inv_scale, sc_enc.z * inv_scale
+    z_st = encode(st_values, "st", params) * inv_scale
+    z_sc = encode(sc_values, "sc", params) * inv_scale
     sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
     noised = z_st * sqrt_ab[:, None] + eps * sqrt_om[:, None]
     batch = TokenBatch.assemble(
         plan, noised, z_sc, token_ts, schedule, prefix=(z_sc, z_st[: plan.v])
     )
     pred = cat_forward(batch, params)
-    loss = ((pred - eps) ** 2.0).mean()
-    if st_enc.logvar is not None:
-        loss = loss + cfg.lambda_kl * _kl_term(st_enc.mean, st_enc.logvar)
-    return loss
+    return ((pred - eps) ** 2.0).mean()
 
 
 def train_step(
@@ -208,8 +194,8 @@ def train_step(
     """One optimizer update on a gene batch; returns (params, loss value).
 
     Draw order per step is fixed (gene permutation, AR plan, one timestep per
-    token, diffusion noise, and last the encoder noise inside the forward
-    pass) so a given seed replays bit-identically.
+    token, then diffusion noise; the forward pass draws nothing) so a given
+    seed replays bit-identically.
     """
     st_batch = np.asarray(st_batch, dtype=np.float64)
     sc_batch = np.asarray(sc_batch, dtype=np.float64)
@@ -223,7 +209,7 @@ def train_step(
     token_ts = sample_timesteps(schedule, parse_strategy(cfg.sampling), S, rng)
     eps = rng.standard_normal((S, params.cfg.d))
 
-    loss = training_loss(st_batch, sc_batch, plan, token_ts, eps, params, cfg, schedule, rng)
+    loss = training_loss(st_batch, sc_batch, plan, token_ts, eps, params, schedule)
     value = loss.item()
     if not math.isfinite(value):
         raise NumericFailureError(
@@ -251,16 +237,14 @@ def _warmup_step(
     decoder learns to contract off-manifold directions; generated latents
     land near the manifold, never exactly on it.
     """
-    st_enc = encode(st_batch, "st", params, rng=rng)
-    sc_enc = encode(sc_batch, "sc", params)
-    sigma = cfg.warmup_latent_noise * float(st_enc.z.data.std())
-    jitter = sigma * rng.standard_normal(st_enc.z.shape)
-    loss = ((decode(st_enc.z, params) - st_batch) ** 2.0).mean()
-    loss = loss + ((decode(st_enc.z + jitter, params) - st_batch) ** 2.0).mean()
-    loss = loss + ((sc_enc.z - st_enc.mean.data) ** 2.0).mean()
-    loss = loss + ((decode(sc_enc.z + jitter, params) - st_batch) ** 2.0).mean()
-    if st_enc.logvar is not None:
-        loss = loss + cfg.lambda_kl * _kl_term(st_enc.mean, st_enc.logvar)
+    z_st = encode(st_batch, "st", params)
+    z_sc = encode(sc_batch, "sc", params)
+    sigma = cfg.warmup_latent_noise * float(z_st.data.std())
+    jitter = sigma * rng.standard_normal(z_st.shape)
+    loss = ((decode(z_st, params) - st_batch) ** 2.0).mean()
+    loss = loss + ((decode(z_st + jitter, params) - st_batch) ** 2.0).mean()
+    loss = loss + ((z_sc - z_st.data) ** 2.0).mean()
+    loss = loss + ((decode(z_sc + jitter, params) - st_batch) ** 2.0).mean()
     value = loss.item()
     if not math.isfinite(value):
         raise NumericFailureError("non-finite warmup loss")
@@ -338,7 +322,7 @@ def fit(
 
     # pin the diffusion substrate to unit spread (the noise head's analytic
     # skip assumes data at the same scale as the injected Gaussian noise)
-    train_latents = encode(st.values[train_genes], "st", params.detached()).mean
+    train_latents = encode(st.values[train_genes], "st", params.detached())
     params["latent.scale"].data[()] = max(float(train_latents.std()), 1e-6)
     log.info("latent scale set to %.4f", float(params["latent.scale"].data))
 

@@ -145,8 +145,7 @@ def test_array_inputs_give_the_same_arrays_and_record_nothing():
         assert np.array_equal(array_out, tensor_out.data)
 
 
-def test_exp_and_gelu():
-    check_grads(lambda ts: ts[0].exp().sum(), [(7,)])
+def test_gelu_gradient():
     check_grads(lambda ts: gelu(ts[0]).sum(), [(7,)])
     check_grads(lambda ts: (gelu(ts[0]) * ts[1]).sum(), [(3, 4), (3, 4)])
 
@@ -171,12 +170,6 @@ def test_layer_norm_gradient():
     check_grads(
         lambda ts: (layer_norm(ts[0], ts[1], ts[2]) * ts[3]).sum(), [(4, 12), (12,), (12,), (4, 12)]
     )
-
-
-def test_clamp_passes_gradient_only_inside():
-    x = Tensor(np.array([-2.0, 0.5, 2.0]))
-    grad = gradients(x.clamp(-1.0, 1.0).sum(), {"x": x})["x"]
-    np.testing.assert_array_equal(grad, [0.0, 1.0, 0.0])
 
 
 def test_masked_softmax_rows_sum_to_one_and_blocked_zero():
@@ -249,8 +242,7 @@ def diffusion_loss(params, seed=0):
     plan = generate_ar_steps(8, 0.8, rng)
     ts = rng.integers(1, 21, size=8)
     eps = rng.standard_normal((8, cfg.d))
-    tcfg = TrainConfig(T=20)
-    return training_loss(st, sc, plan, ts, eps, params, tcfg, linear_schedule(20), rng), tcfg
+    return training_loss(st, sc, plan, ts, eps, params, linear_schedule(20)), TrainConfig(T=20)
 
 
 def test_walk_skips_branches_that_reach_no_requested_parameter():
@@ -260,7 +252,7 @@ def test_walk_skips_branches_that_reach_no_requested_parameter():
     tape = collect_tape(loss)
     grads = gradients(loss, {n: params[n] for n in names})
 
-    frozen = [n for n in params.names() if n.startswith(("e1.", "enc_var.", "dec."))]
+    frozen = [n for n in params.names() if n.startswith(("e1.", "dec."))]
     assert frozen and all(params[n].grad is None for n in frozen)
     visited = [t for t in tape.values() if t._needed]
     leaves = {id(t) for t in params.tensors.values()}
@@ -280,7 +272,7 @@ def test_walk_over_every_parameter_on_the_tape_fills_each_one():
     loss, _ = diffusion_loss(params)
     tape = collect_tape(loss)
     leaves = {n: t for n, t in params.tensors.items() if id(t) in tape}
-    assert {"e1.w1", "enc_var.w", "blk0.wq"} <= set(leaves)
+    assert {"e1.w1", "blk0.wq"} <= set(leaves)
     full = gradients(loss, leaves)
     for name, leaf in leaves.items():
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape, name
@@ -336,4 +328,4 @@ def test_tape_sizes_of_one_diffusion_and_one_warmup_loss(monkeypatch):
         rng = np.random.default_rng(seed)
         st, sc = rng.uniform(0.1, 2.0, (8, 6)), rng.uniform(0.1, 2.0, (8, 10))
         _warmup_step(st, sc, params, tcfg, rng, None, [])
-    assert diffusion == [155, 155] and warmup == [84, 84]
+    assert diffusion == [129, 129] and warmup == [58, 58]

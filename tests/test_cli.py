@@ -116,7 +116,7 @@ def test_embeddings_hold_each_genes_condition_latent(trained):
         min_genes_sc=int(meta["qc_min_genes_sc"]), apply_normalize=bool(meta["data_normalize"])
     )
     sc = opts.qc_normalize(load_matrix(trained / "sc.csv", modality=SC))
-    expected = encode(sc.values[[sc.gene_index()[g] for g in names]], "sc", params).z.data
+    expected = encode(sc.values[[sc.gene_index()[g] for g in names]], "sc", params).data
     written = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
     assert np.array_equal(written, expected)
     assert paths[1].read_bytes() == paths[0].read_bytes()
@@ -351,6 +351,7 @@ def test_unknown_flag_is_a_usage_error(trained):
         "train.batch_genes=0",
         "train.variational_encoder=off",  # now model.variational, with no alias
         "train.train_decoder=on",  # the co-trained decoder is gone
+        "model.variational=off",  # the encoder is always deterministic
     ],
 )
 def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
@@ -370,24 +371,6 @@ def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
     assert cli.main(argv) == 2
     assert not out.exists()
     assert calls == []
-
-
-def test_non_variational_model_trains_and_generates(trained):
-    out = trained / "flat.catg"
-    argv = [
-        "train", "--st", str(trained / "st.csv"), "--sc", str(trained / "sc.csv"),
-        "--out", str(out), "--history", str(trained / "flat_history.csv"),
-        *SEED, *TINY_TRAIN, "--set", "model.variational=off",
-    ]
-    assert cli.main(argv) == 0
-    _, meta = load_checkpoint(out)
-    assert meta["variational"] == 0
-    assert b"enc_var" not in out.read_bytes()
-    assert cli.main([
-        "generate", "--ckpt", str(out), "--sc", str(trained / "sc.csv"),
-        "--genes", str(trained / "prep" / "genes_test.txt"),
-        "--out", str(trained / "flat_pred.csv"), *SEED,
-    ]) == 0
 
 
 def test_generate_without_data_meta_prepares_sc_with_the_defaults(tmp_path):

@@ -20,14 +20,14 @@ from catgen.synth import ChainEdge, chain_config
 from catgen.train import TrainConfig
 
 # every key accepted before the train.* keys were derived from TrainConfig,
-# with its type; the unused generate.ar_groups is gone,
-# train.variational_encoder became model.variational, and train.train_decoder,
-# train.lambda_rec and train.val_ar_groups went with the co-trained decoder
+# with its type; the unused generate.ar_groups is gone, train.train_decoder,
+# train.lambda_rec and train.val_ar_groups went with the co-trained decoder,
+# and model.variational (once train.variational_encoder) and train.lambda_kl
+# with the variational head
 EXPECTED_KEYS = {
     "model.d": int,
     "model.heads": int,
     "model.blocks": int,
-    "model.variational": bool,
     "diffusion.T": int,
     "diffusion.beta_start": float,
     "diffusion.beta_end": float,
@@ -42,7 +42,6 @@ EXPECTED_KEYS = {
     "train.val_every": int,
     "train.val_sampling": str,
     "train.gene_order": str,
-    "train.lambda_kl": float,
     "train.grad_clip": float,
     "data.qc_min_genes_sc": int,
     "data.qc_min_genes_st": int,
@@ -76,7 +75,6 @@ OVERRIDES = {
     "train.val_every": ("2", "val_every", 2),
     "train.val_sampling": ("frac:10", "val_sampling", "frac:10"),
     "train.gene_order": ("granger", "gene_order", "granger"),
-    "train.lambda_kl": ("0.01", "lambda_kl", 0.01),
     "train.grad_clip": ("2.0", "grad_clip", 2.0),
 }
 
@@ -145,10 +143,8 @@ def test_ini_file_round_trip(tmp_path):
 
 def test_model_config_takes_dataclass_defaults_and_set_keys():
     assert model_config({}, p=6, q=9) == ModelConfig(p=6, q=9)
-    values = apply_overrides({}, ["model.d=8", "model.blocks=1", "model.variational=off"])
-    assert model_config(values, p=6, q=9) == ModelConfig(
-        p=6, q=9, d=8, blocks=1, variational=False
-    )
+    values = apply_overrides({}, ["model.d=8", "model.blocks=1"])
+    assert model_config(values, p=6, q=9) == ModelConfig(p=6, q=9, d=8, blocks=1)
 
 
 def test_data_options_take_the_owner_defaults_and_set_keys():

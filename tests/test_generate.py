@@ -182,7 +182,7 @@ def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed)
     d = params.cfg.d
     scale = float(params["latent.scale"].data)
     index = sc.gene_index()
-    cond = encode(sc.values[[index[g] for g in genes]], "sc", params).z.data / scale
+    cond = encode(sc.values[[index[g] for g in genes]], "sc", params).data / scale
     sizes = equal_width_groups(len(genes), groups)
     grid, chain = respaced_chain(schedule, strategy)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
@@ -255,6 +255,6 @@ def test_generation_conditions_on_the_latents_training_sees(trained, monkeypatch
     S, d = len(genes), params.cfg.d
     training_loss(
         pair.st.values[rows], pair.sc.values[rows], ARStepPlan((S,)), np.full(S, 5),
-        np.zeros((S, d)), params, TrainConfig(T=30), schedule, np.random.default_rng(0),
+        np.zeros((S, d)), params, schedule,
     )
     assert generated.tobytes() == conds[0].tobytes()

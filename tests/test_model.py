@@ -64,12 +64,11 @@ def test_encode_deterministic_and_shapes(small):
     x = RNG.standard_normal((4, cfg.p))
     a = encode(x, "st", params)
     b = encode(x, "st", params)
-    np.testing.assert_array_equal(a.z.data, b.z.data)
-    assert a.z.shape == (4, cfg.d)
-    assert a.logvar is None
+    np.testing.assert_array_equal(a.data, b.data)
+    assert a.shape == (4, cfg.d)
 
     sc = encode(RNG.standard_normal((3, cfg.q)), "sc", params)
-    assert sc.z.shape == (3, cfg.d)
+    assert sc.shape == (3, cfg.d)
 
 
 def test_encode_zero_input_propagates_bias(small):
@@ -79,7 +78,7 @@ def test_encode_zero_input_propagates_bias(small):
     from catgen.autodiff import gelu
 
     expected = gelu(Tensor(hidden_bias)).data @ params["e1.w2"].data + params["e1.b2"].data
-    np.testing.assert_allclose(out.z.data[0], expected, rtol=1e-12)
+    np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
 
 def test_encode_dimension_mismatch(small):
@@ -88,33 +87,6 @@ def test_encode_dimension_mismatch(small):
         encode(np.zeros((2, cfg.p + 1)), "st", params)
     with pytest.raises(ShapeMismatchError):
         encode(np.zeros((2, cfg.q)), "nope", params)
-
-
-def test_encode_variational_clamp_limit(small):
-    cfg, params = small
-    # force logvar to the lower clamp: huge negative bias dominates
-    frozen = params.copy()
-    frozen.tensors["enc_var.b"].data[:] = -1e6
-    x = RNG.standard_normal((5, cfg.p))
-    enc = encode(x, "st", frozen, rng=np.random.default_rng(0))
-    np.testing.assert_array_equal(enc.logvar.data, -20.0)
-    # sample spread is exp(-10) ~ 4.5e-5 per unit noise
-    np.testing.assert_allclose(enc.z.data, enc.mean.data, atol=2e-4)
-    assert np.abs(enc.z.data - enc.mean.data).mean() < 1e-4
-
-
-def test_encode_samples_only_in_a_variational_model(small):
-    cfg, params = small
-    x = RNG.standard_normal((3, cfg.p))
-    flat = init_params(dataclasses.replace(cfg, variational=False), np.random.default_rng(0))
-    rng = np.random.default_rng(4)
-    enc = encode(x, "st", flat, rng=rng)
-    assert enc.logvar is None
-    assert enc.z is enc.mean
-    np.testing.assert_array_equal(enc.mean.data, encode(x, "st", flat).mean.data)
-    # nothing was drawn: the rng's next draw is its first
-    assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
-    assert encode(x, "st", params).logvar is None  # a variational model without an rng
 
 
 def test_decode_shapes_and_zero_latent(small):
@@ -257,10 +229,9 @@ def test_gradients_match_finite_differences(small):
     The diffusion loss does not reach the decoder, so a reconstruction term
     through ``decode`` is added to cover it."""
     cfg, params = small
-    from catgen.train import TrainConfig, training_loss
+    from catgen.train import training_loss
 
     schedule = linear_schedule(20)
-    tcfg = TrainConfig(T=20, seed=0)
     rng = np.random.default_rng(2)
     S = 4
     st = rng.standard_normal((S, cfg.p))
@@ -270,10 +241,8 @@ def test_gradients_match_finite_differences(small):
     eps = rng.standard_normal((S, cfg.d))
 
     def objective():
-        diffusion = training_loss(
-            st, sc, plan, ts, eps, params, tcfg, schedule, np.random.default_rng(11)
-        )
-        recon = decode(encode(st, "st", params).z, params)
+        diffusion = training_loss(st, sc, plan, ts, eps, params, schedule)
+        recon = decode(encode(st, "st", params), params)
         return diffusion + ((recon - st) ** 2.0).mean()
 
     def value():
@@ -302,11 +271,10 @@ def test_gradients_match_finite_differences(small):
     assert checked > 100
 
 
-@pytest.mark.parametrize("variational", [True, False])
-def test_array_forwards_match_tensor_forwards_bitwise(variational):
+def test_array_forwards_match_tensor_forwards_bitwise():
     """On ``detached()`` each forward gives arrays equal to the Tensor call's ``.data``."""
     # a width of 12 makes 1/n inexact, so a mean that divides would differ
-    cfg = ModelConfig(p=6, q=9, d=12, heads=3, blocks=2, variational=variational)
+    cfg = ModelConfig(p=6, q=9, d=12, heads=3, blocks=2)
     params = init_params(cfg, np.random.default_rng(3))
     frozen = params.detached()
     rng = np.random.default_rng(5)
@@ -317,7 +285,7 @@ def test_array_forwards_match_tensor_forwards_bitwise(variational):
 
     for head, width in (("st", cfg.p), ("sc", cfg.q)):
         x = rng.standard_normal((5, width))
-        same(encode(x, head, frozen).z, encode(x, head, params).z)
+        same(encode(x, head, frozen), encode(x, head, params))
     latent = rng.standard_normal((3, cfg.d))
     same(decode(latent, frozen), decode(latent, params))
 
@@ -364,7 +332,7 @@ def test_gradient_of_blocked_attention_path_is_zero(small):
 def test_not_on_tape(small):
     cfg, params = small
     x = RNG.standard_normal((2, cfg.p))
-    loss = (encode(x, "st", params).z ** 2.0).mean()
+    loss = (encode(x, "st", params) ** 2.0).mean()
     with pytest.raises(NotOnTapeError):
         gradients(loss, {"dec.w1": params["dec.w1"]})
 
@@ -392,26 +360,33 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, small):
 
 
 def test_checkpoint_with_key_biases_still_loads(tmp_path, small):
-    """Files written while attention keys had a bias hold ``blk*.bk``; it is skipped."""
+    """Older files load to the same parameters: those written while attention
+    keys had a bias hold ``blk*.bk``, and those written with a variational
+    encoder hold ``enc_var.*`` and ``meta.variational``; both are skipped."""
     cfg, params = small
-    current, older = tmp_path / "current.catg", tmp_path / "older.catg"
+    current = tmp_path / "current.catg"
     save_checkpoint(params, current, {"T": 2000})
     key_biases = {f"blk{i}.bk": np.full(cfg.d, 1e-12) for i in range(cfg.blocks)}
-    tensors = {**params.detached().tensors, **key_biases}
-    with_key_biases = types.SimpleNamespace(
-        cfg=cfg, detached=lambda: types.SimpleNamespace(tensors=tensors)
-    )
-    save_checkpoint(with_key_biases, older, {"T": 2000})
-    assert older.read_bytes().count(b"blk0.bk") == 1
-    loaded, meta = load_checkpoint(older)
-    assert loaded.flat.tobytes() == load_checkpoint(current)[0].flat.tobytes()
-    assert meta["T"] == 2000 and "blk0.bk" not in loaded.names()
+    variational_head = {"enc_var.w": np.ones((cfg.d, cfg.d)), "enc_var.b": np.full(cfg.d, -8.0)}
+    for extra, meta_key, dropped in (
+        (key_biases, None, "blk0.bk"), (variational_head, "variational", "enc_var.w"),
+    ):
+        older = tmp_path / f"older_{dropped}.catg"
+        tensors = {**params.detached().tensors, **extra}
+        written = types.SimpleNamespace(
+            cfg=cfg, detached=lambda: types.SimpleNamespace(tensors=tensors)
+        )
+        save_checkpoint(written, older, {"T": 2000, **({meta_key: 1} if meta_key else {})})
+        assert older.read_bytes().count(dropped.encode()) == 1
+        loaded, meta = load_checkpoint(older)
+        assert loaded.flat.tobytes() == load_checkpoint(current)[0].flat.tobytes()
+        assert meta["T"] == 2000 and dropped not in loaded.names()
+        assert meta.get("variational") == (1.0 if meta_key else None)
 
 
-@pytest.mark.parametrize("variational", [True, False])
-def test_checkpoint_meta_covers_every_model_field(tmp_path, variational):
+def test_checkpoint_meta_covers_every_model_field(tmp_path):
     """Each ModelConfig field round-trips, and a file without its meta is refused by name."""
-    cfg = ModelConfig(p=5, q=7, d=12, heads=3, blocks=2, variational=variational)
+    cfg = ModelConfig(p=5, q=7, d=12, heads=3, blocks=2)
     path = tmp_path / "model.catg"
     save_checkpoint(init_params(cfg, np.random.default_rng(1)), path, {})
     loaded, _ = load_checkpoint(path)
@@ -435,15 +410,14 @@ def reference_init(cfg, rng):
         if name == "latent.scale" or leaf == "g":
             values[name] = np.ones(shape)
         elif leaf.startswith("b"):
-            values[name] = np.zeros(shape) + (-8.0 if name == "enc_var.b" else 0.0)
+            values[name] = np.zeros(shape)
         else:
             values[name] = rng.standard_normal(shape) / math.sqrt(shape[0])
     return values
 
 
-@pytest.mark.parametrize("variational", [True, False])
-def test_init_params_draws_each_tensor_as_its_own_array(variational):
-    cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=2, variational=variational)
+def test_init_params_draws_each_tensor_as_its_own_array():
+    cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=2)
     params = init_params(cfg, np.random.default_rng(5))
     reference = reference_init(cfg, np.random.default_rng(5))
     assert sorted(reference) == params.names()
@@ -469,8 +443,8 @@ def test_parameters_are_views_into_one_buffer(small):
 
 def test_trainable_sets_are_slices_of_the_buffer(small):
     cfg, params = small
-    warmup = [n for n in params.tensors if n.startswith(("e1.", "enc_var.", "dec.", "e2."))]
-    diffusion = [n for n in params.tensors if not n.startswith(("e1.", "enc_var.", "dec.", "latent."))]
+    warmup = [n for n in params.tensors if n.startswith(("e1.", "dec.", "e2."))]
+    diffusion = [n for n in params.tensors if not n.startswith(("e1.", "dec.", "latent."))]
     for names in (warmup, diffusion):
         span = params.span(names)
         assert span.stop - span.start == sum(params[n].data.size for n in names)

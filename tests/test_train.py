@@ -1,6 +1,5 @@
 """Training step and fit loop: objective structure, determinism, freezing."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +20,7 @@ from catgen.diffusion import (
 from catgen.errors import ConfigError, ShapeMismatchError
 from catgen.mask import build_mask
 from catgen.metrics import pcc
-from catgen.model import ModelConfig, TokenBatch, cat_forward, decode, encode, init_params
+from catgen.model import ModelConfig, TokenBatch, cat_forward, encode, init_params
 from catgen.synth import chain_config, generate
 from catgen.train import (
     Adam,
@@ -41,8 +40,8 @@ from catgen.data import prepare_pair
 class ZeroNoiseRng:
     """Delegates to a real generator but returns zeros for normal draws.
 
-    Realizes the edge case "target noise = 0": every diffusion epsilon and
-    every reparameterization draw is exactly zero.
+    Realizes the edge case "target noise = 0": every diffusion epsilon is
+    exactly zero.
     """
 
     def __init__(self, seed):
@@ -75,8 +74,7 @@ def make_step_args(mcfg, cfg, seed=1):
 def test_zero_noise_edge_loss_is_pure_prediction_power(tiny_setup):
     st, sc, mcfg = tiny_setup
     cfg = TrainConfig(T=5, seed=0)
-    mcfg0 = ModelConfig(p=mcfg.p, q=mcfg.q, d=8, heads=2, blocks=2, variational=False)
-    params = init_params(mcfg0, np.random.default_rng(1))
+    params = init_params(mcfg, np.random.default_rng(1))
     # beta ~ 0 edge schedule: x_t = x0 exactly when eps = 0
     schedule = DiffusionSchedule.from_betas(np.full(5, 1e-12), validate=False)
     opt = Adam(cfg.lr)
@@ -151,7 +149,7 @@ def test_deterministic_replay_bit_identical(tiny_setup):
     assert run() == run()
 
 
-def test_decoder_frozen_bitwise_in_diffusion_training(tiny_setup):
+def test_decoder_frozen_bitwise_when_not_trained(tiny_setup):
     st, sc, mcfg = tiny_setup
     cfg = TrainConfig(T=20, seed=0)
     params, schedule, opt = make_step_args(mcfg, cfg)
@@ -165,18 +163,16 @@ def test_decoder_frozen_bitwise_in_diffusion_training(tiny_setup):
 
 def test_loss_invariant_to_within_group_permutation(tiny_setup):
     st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=30, seed=0)
-    mcfg0 = ModelConfig(p=mcfg.p, q=mcfg.q, d=8, heads=2, blocks=2, variational=False)
-    params = init_params(mcfg0, np.random.default_rng(2))
+    params = init_params(mcfg, np.random.default_rng(2))
     schedule = linear_schedule(30)
     plan = ARStepPlan((3, 5))
     ts = np.array([4, 9, 2, 25, 18, 11, 30, 7])
     eps = np.random.default_rng(8).standard_normal((8, 8))
 
-    base = training_loss(st, sc, plan, ts, eps, params, cfg, schedule, None).item()
+    base = training_loss(st, sc, plan, ts, eps, params, schedule).item()
     perm = np.array([2, 0, 1, 5, 3, 4, 7, 6])  # permutes within each AR group
     permuted = training_loss(
-        st[perm], sc[perm], plan, ts[perm], eps[perm], params, cfg, schedule, None
+        st[perm], sc[perm], plan, ts[perm], eps[perm], params, schedule
     ).item()
     assert abs(base - permuted) < 1e-12
 
@@ -196,18 +192,15 @@ def reference_assemble_training_batch(z_st, z_sc, plan, token_ts, eps, schedule)
     )
 
 
-def reference_training_loss(st_values, sc_values, plan, token_ts, eps, params, cfg, schedule, rng):
+def reference_training_loss(st_values, sc_values, plan, token_ts, eps, params, schedule):
     """``training_loss`` on the hand-written layout."""
-    st_enc = encode(st_values, "st", params, rng=rng)
-    sc_enc = encode(sc_values, "sc", params)
     inv_scale = 1.0 / float(params["latent.scale"].data)
     batch = reference_assemble_training_batch(
-        st_enc.z * inv_scale, sc_enc.z * inv_scale, plan, token_ts, eps, schedule
+        encode(st_values, "st", params) * inv_scale,
+        encode(sc_values, "sc", params) * inv_scale,
+        plan, token_ts, eps, schedule,
     )
-    loss = ((cat_forward(batch, params) - Tensor(eps)) ** 2.0).mean()
-    if st_enc.logvar is not None:
-        loss = loss + cfg.lambda_kl * train._kl_term(st_enc.mean, st_enc.logvar)
-    return loss
+    return ((cat_forward(batch, params) - Tensor(eps)) ** 2.0).mean()
 
 
 def test_assembled_layout_matches_the_hand_written_reference():
@@ -240,9 +233,7 @@ def test_assembled_layout_matches_the_hand_written_reference():
         st_values = rng.uniform(0.1, 2.0, (S, mcfg.p))
         sc_values = rng.uniform(0.1, 2.0, (S, mcfg.q))
         losses = [
-            loss_fn(
-                st_values, sc_values, plan, ts, eps, params, cfg, schedule, np.random.default_rng(S)
-            )
+            loss_fn(st_values, sc_values, plan, ts, eps, params, schedule)
             for loss_fn in (training_loss, reference_training_loss)
         ]
         assert losses[0].item() == losses[1].item()
@@ -254,14 +245,11 @@ def test_trainable_sets(tiny_setup):
     _, _, mcfg = tiny_setup
     params = init_params(mcfg, np.random.default_rng(0))
     names = diffusion_trainable(params, TrainConfig())
-    assert not any(n.startswith(("e1.", "dec.", "enc_var.", "latent.")) for n in names)
+    assert not any(n.startswith(("e1.", "dec.", "latent.")) for n in names)
     assert any(n.startswith("e2.") for n in names)
     warm = warmup_trainable(params)
-    assert any(n.startswith("enc_var.") for n in warm)
-    flat = init_params(dataclasses.replace(mcfg, variational=False), np.random.default_rng(0))
-    assert not any(n.startswith("enc_var.") for n in flat.names())
-    assert warmup_trainable(flat) == [n for n in warm if not n.startswith("enc_var.")]
-    assert diffusion_trainable(flat, TrainConfig()) == names
+    assert {n.split(".")[0] for n in warm} == {"e1", "e2", "dec"}
+    assert set(names) | set(warm) == set(params.names()) - {"latent.scale"}
 
 
 def test_clip_global_norm():
