@@ -80,8 +80,8 @@ def reverse_step(
 
 
 def equal_width_groups(n: int, groups: int) -> list[int]:
-    """Split n genes into at most ``groups`` contiguous groups of near-equal size."""
-    k = max(1, min(groups, n))
+    """Split n >= 1 genes into at most ``groups`` >= 1 contiguous groups of near-equal size."""
+    k = min(groups, n)
     base, extra = divmod(n, k)
     return [base + (1 if i < extra else 0) for i in range(k)]
 
@@ -104,6 +104,8 @@ def generate_genes(
     target_genes = list(target_genes)
     if not target_genes:
         raise ShapeMismatchError("no target genes requested")
+    if groups < 1:
+        raise ShapeMismatchError(f"need at least 1 AR group, got {groups}")
     if trained_T is not None and trained_T != schedule.T:
         raise ScheduleMismatchError(
             f"checkpoint was trained with T={trained_T}, schedule has T={schedule.T}"

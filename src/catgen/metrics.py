@@ -2,7 +2,9 @@
 
 All four metrics compare a predicted spatial expression vector against the
 ground truth for one gene. Variances are population variances throughout so
-results are deterministic and consistent with ``aggregate``.
+results are deterministic and consistent with ``aggregate``. A vector is
+constant when its range is exactly 0: the ``std()`` of a constant such as 0.7
+can round to a tiny nonzero value.
 
 ``score_rows`` is the one per-gene scoring loop. It gives NaN where a metric
 raises ``DegenerateInputError``, and each caller decides what that NaN means.
@@ -34,10 +36,9 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 def pcc(a, b) -> float:
     """Pearson correlation coefficient."""
     a, b = _pair(a, b)
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise DegenerateInputError("correlation undefined for a constant vector")
-    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+    return float(((a - a.mean()) * (b - b.mean())).mean() / (a.std() * b.std()))
 
 
 def ssim(a, b) -> float:
@@ -61,11 +62,10 @@ def ssim(a, b) -> float:
 def rmse_z(a, b) -> float:
     """Root mean squared difference between the z-scored vectors."""
     a, b = _pair(a, b)
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise DegenerateInputError("z-scores undefined for a constant vector")
-    za = (a - a.mean()) / sa
-    zb = (b - b.mean()) / sb
+    za = (a - a.mean()) / a.std()
+    zb = (b - b.mean()) / b.std()
     return float(np.sqrt(((za - zb) ** 2).mean()))
 
 

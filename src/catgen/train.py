@@ -69,6 +69,8 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        if self.epochs < 0 or self.recon_epochs < 0:
+            raise ShapeMismatchError("epoch counts must not be negative")
         if self.lr <= 0 or self.recon_lr <= 0:
             raise ShapeMismatchError("learning rates must be positive")
         if not 0.0 < self.ar_decay <= 1.0:

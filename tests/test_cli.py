@@ -13,6 +13,7 @@ import pytest
 from catgen import cli, train
 from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
+from catgen.config import REGISTRY
 from catgen.data import SC, ST, DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
 from catgen.diffusion import linear_schedule
 from catgen.generate import generate_genes
@@ -46,10 +47,10 @@ def trained(tmp_path_factory):
     return root
 
 
-def _generate(root, genes, out):
+def _generate(root, genes, out, groups="2"):
     return cli.main([
         "generate", "--ckpt", str(root / "model.catg"), "--sc", str(root / "sc.csv"),
-        "--genes", str(genes), "--out", str(out), "--ar-groups", "2", *SEED,
+        "--genes", str(genes), "--out", str(out), "--ar-groups", groups, *SEED,
     ])
 
 
@@ -76,6 +77,13 @@ def test_absent_gene_is_a_data_error(trained):
     genes = trained / "absent.txt"
     genes.write_text("NOT_A_GENE\n")
     assert _generate(trained, genes, trained / "absent.csv") == 2
+
+
+@pytest.mark.parametrize("groups", ["0", "-3"])
+def test_fewer_than_one_ar_group_is_a_data_error(trained, groups):
+    out = trained / f"groups_{groups}.csv"
+    assert _generate(trained, trained / "prep" / "genes_test.txt", out, groups) == 2
+    assert not out.exists()
 
 
 def test_repeated_gene_fails_before_any_forward(trained, monkeypatch, capsys):
@@ -247,6 +255,16 @@ def test_eval_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
+def test_eval_writes_nan_cells_for_a_constant_whose_std_rounds(tmp_path):
+    pred = _eval_files(tmp_path)
+    pred.values[1] = 0.7  # std 1.1e-16 over 6 spots, but still a constant
+    save_matrix(pred, tmp_path / "pred.csv")
+    assert _eval(tmp_path, tmp_path / "eval.csv") == 0
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in (tmp_path / "eval.csv").read_text().splitlines()}
+    assert rows["G0"][0] == rows["G0"][2] == "nan"  # pcc and rmse
+    assert "nan" not in rows["__mean__"]
+
+
 def test_eval_keeps_nan_cells_and_aggregates_the_defined_scores(tmp_path):
     pred = _eval_files(tmp_path)
     pred.values[1] = 0.5  # G0 predicted constant: it has no PCC and no z-scores
@@ -352,6 +370,8 @@ def test_unknown_flag_is_a_usage_error(trained):
         "train.variational_encoder=off",  # now model.variational, with no alias
         "train.train_decoder=on",  # the co-trained decoder is gone
         "model.variational=off",  # the encoder is always deterministic
+        "train.epochs=-1",
+        "train.recon_epochs=-1",
     ],
 )
 def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
@@ -456,6 +476,14 @@ def _ablate(root, out, axis="decay"):
         "ablate", "--axis", axis, "--st", str(root / "st.csv"), "--sc", str(root / "sc.csv"),
         "--out", str(out), *SEED, *TINY_TRAIN,
     ])
+
+
+def test_every_ablation_axis_sets_a_registered_key_with_its_type():
+    """``ablate`` passes its settings to the config unconverted, and a key the
+    registry lacks would be dropped, so each axis is checked here."""
+    for key, settings in cli._ABLATION_AXES.values():
+        assert key in REGISTRY
+        assert all(type(setting) is REGISTRY[key] for setting in settings), key
 
 
 def test_ablate_reruns_identically_and_rejects_unknown_axis(trained):

@@ -92,6 +92,16 @@ def test_rmse_z_constant_errors():
         rmse_z([1.0, 1.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("metric", [pcc, rmse_z])
+def test_a_constant_whose_std_rounds_is_still_constant(metric):
+    constant = np.full(6, 0.7)
+    assert constant.std() > 0.0  # 1.1e-16: the mean of six 0.7s rounds
+    varying = np.linspace(0.1, 1.0, 6)
+    for a, b in ((constant, varying), (varying, constant)):
+        with pytest.raises(DegenerateInputError):
+            metric(a, b)
+
+
 def test_js_identities_and_bound():
     a = np.array([0.3, 0.2, 0.5])
     assert js_divergence(a, a) == pytest.approx(0.0, abs=1e-9)

@@ -336,6 +336,10 @@ def test_adam_rejects_a_slice_of_another_size():
 
 def test_train_config_validation():
     with pytest.raises(ShapeMismatchError):
+        TrainConfig(epochs=-1)
+    with pytest.raises(ShapeMismatchError):
+        TrainConfig(recon_epochs=-1)
+    with pytest.raises(ShapeMismatchError):
         TrainConfig(lr=0.0)
     with pytest.raises(ShapeMismatchError):
         TrainConfig(ar_decay=0.0)
