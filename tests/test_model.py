@@ -374,7 +374,7 @@ def test_checkpoint_with_key_biases_still_loads(tmp_path, small):
         older = tmp_path / f"older_{dropped}.catg"
         tensors = {**params.detached().tensors, **extra}
         written = types.SimpleNamespace(
-            cfg=cfg, detached=lambda: types.SimpleNamespace(tensors=tensors)
+            cfg=cfg, detached=lambda t=tensors: types.SimpleNamespace(tensors=t)
         )
         save_checkpoint(written, older, {"T": 2000, **({meta_key: 1} if meta_key else {})})
         assert older.read_bytes().count(dropped.encode()) == 1
