@@ -257,16 +257,20 @@ def masked_softmax(logits: Operand, blocked: np.ndarray) -> Operand:
     ``blocked`` is broadcast against ``logits`` (1/True = no attention). Every
     row must keep at least one allowed entry. Blocked positions receive exactly
     zero weight and exactly zero gradient, which is what makes the causality
-    guarantees of the attention mask bitwise rather than approximate. Array
-    logits give an array.
+    guarantees of the attention mask bitwise rather than approximate. A mask
+    that blocks nothing is not applied at all. Array logits give an array.
     """
-    blocked = np.broadcast_to(np.asarray(blocked, dtype=bool), logits.shape)
-    if bool(blocked.all(axis=-1).any()):
-        raise ShapeMismatchError("masked_softmax: some row has every key blocked")
-    z = np.where(blocked, -np.inf, as_array(logits))
-    z = z - z.max(axis=-1, keepdims=True)
+    z = as_array(logits)
+    blocked = np.asarray(blocked, dtype=bool)
+    if blocked.any():
+        blocked = np.broadcast_to(blocked, z.shape)
+        if bool(blocked.all(axis=-1).any()):
+            raise ShapeMismatchError("masked_softmax: some row has every key blocked")
+        z = np.where(blocked, -np.inf, z)
+    # the reductions are ndarray.max and ndarray.sum without their Python wrappers
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = e / np.add.reduce(e, axis=-1, keepdims=True)
     if not isinstance(logits, Tensor):
         return out
 
@@ -316,8 +320,8 @@ def linear(x: Operand, w: Operand, b: Operand) -> Operand:
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x`` centered and scaled to unit variance over its last axis, and the scale."""
     inv_n = 1.0 / x.shape[-1]  # means as sum * (1/n); ndarray.mean divides
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) * inv_n
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n
     scale = (var + _LN_EPS) ** -0.5
     return centered * scale, scale
 

@@ -1,6 +1,7 @@
 """Command-line entry point: synth, granger, mask, train, generate, eval, ablate.
 
-Exit codes: 0 success, 1 usage error, 2 data or numeric error. All randomness
+Exit codes: 0 success, 1 usage error, 2 data, file or numeric error; train,
+generate and eval check their output directories before any work. All randomness
 flows from --seed (default: CATGEN_SEED environment variable, then 42; a
 CATGEN_SEED that is not an integer is an error), and every subcommand is
 reproducible byte-for-byte given identical arguments, seed and inputs.
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 
-from .errors import CatgenError, ConfigError
+from .errors import CatgenError, ConfigError, DataFormatError
 
 log = logging.getLogger("catgen")
 
@@ -135,6 +136,15 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _require_out_dirs(*paths) -> None:
+    """Fail before any work when the directory of an output path does not exist."""
+    for path in paths:
+        if path is not None:
+            directory = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(directory):
+                raise DataFormatError(f"cannot write {path}: no directory {directory}")
+
+
 def _load_values(args) -> dict:
     from .config import apply_overrides, load_config
 
@@ -208,6 +218,9 @@ def cmd_train(args) -> int:
     from .model import save_checkpoint
     from .train import fit
 
+    _require_out_dirs(args.out, args.history)
+    if args.save_prepared:
+        os.makedirs(args.save_prepared, exist_ok=True)
     seed = _resolve_seed(args)
     values = _load_values(args)
     cfg = train_config(values, seed)
@@ -232,7 +245,6 @@ def cmd_train(args) -> int:
     columns = ["epoch", "train_loss", "val_pcc"]
     write_csv(history_path, columns, ([row[c] for c in columns] for row in result.history))
     if args.save_prepared:
-        os.makedirs(args.save_prepared, exist_ok=True)
         save_matrix(pair.st, os.path.join(args.save_prepared, "st_prepared.csv"))
         save_matrix(pair.sc, os.path.join(args.save_prepared, "sc_prepared.csv"))
         for name, indices in (
@@ -251,8 +263,12 @@ def cmd_generate(args) -> int:
     from .generate import generate_genes
     from .model import load_checkpoint
 
+    _require_out_dirs(args.out, args.embeddings)
     seed = _resolve_seed(args)
     params, meta = load_checkpoint(args.ckpt)
+    missing = [f"meta.{key}" for key in ("T", "beta_start", "beta_end") if key not in meta]
+    if missing:
+        raise DataFormatError(f"{args.ckpt}: checkpoint missing {', '.join(missing)}")
     schedule = linear_schedule(int(meta["T"]), meta["beta_start"], meta["beta_end"])
     opts = DataOptions(  # checkpoints without the data meta used the defaults
         min_genes_sc=int(meta.get("qc_min_genes_sc", DataOptions.min_genes_sc)),
@@ -288,6 +304,7 @@ def cmd_eval(args) -> int:
     from .errors import ShapeMismatchError, UnknownGeneError
     from .metrics import aggregate, js_divergence, pcc, rmse_z, score_rows, ssim
 
+    _require_out_dirs(args.out, args.gene_distances)
     pred = load_matrix(args.pred)
     truth = load_matrix(args.truth)
     truth_index = truth.gene_index()
@@ -364,7 +381,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except CatgenError as exc:
+    except (CatgenError, OSError) as exc:  # OSError: a file that cannot be opened or written
         print(f"catgen: error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,16 @@ Two sampling strategies pick the timesteps training draws from and the chain
 generation walks: ``full`` uses every timestep in [1, T]; ``fractional(n)``
 uses an evenly spaced grid of floor(T/n) timesteps anchored so the grid always
 contains T (the reverse process must be able to start at maximal noise).
+
+A schedule also holds the coefficients of its reverse steps,
+``reverse_coefficients``: computed elementwise over every step on first use,
+with the arithmetic a single step would use, so a reverse step only looks
+its three numbers up.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +71,19 @@ class DiffusionSchedule:
     @property
     def T(self) -> int:
         return int(self.betas.size)
+
+    @functools.cached_property
+    def reverse_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per step t, at index t - 1: beta_t / sqrt(1 - abar_t), sqrt(alpha_t),
+        and the posterior std sqrt(beta_t * (1 - abar_{t-1}) / (1 - abar_t)),
+        which is 0 at t = 1 (abar_0 = 1)."""
+        ab = self.alpha_bars
+        ab_prev = np.concatenate(([1.0], ab[:-1]))
+        return (
+            self.betas / np.sqrt(1.0 - ab),
+            np.sqrt(self.alphas),
+            np.sqrt(self.betas * (1.0 - ab_prev) / (1.0 - ab)),
+        )
 
     @classmethod
     def from_betas(cls, betas, validate: bool = True) -> "DiffusionSchedule":

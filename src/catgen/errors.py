@@ -11,7 +11,8 @@ class CatgenError(Exception):
 
 
 class DataFormatError(CatgenError):
-    """Malformed input file: ragged rows, non-numeric cells, duplicate ids."""
+    """A file that cannot be read, parsed or written: ragged rows, non-numeric
+    cells, duplicate ids, missing checkpoint entries, a missing output directory."""
 
 
 class EmptyResultError(CatgenError):

@@ -12,16 +12,27 @@ The groups of a request are one ARStepPlan, and group g's context plan is its
 first g + 1 groups. The context rows of a group (the conditions of all
 requested genes, then the finalized latents of earlier groups) carry no time
 embedding and attend only to condition and clean rows, so their keys and
-values in every block are fixed for the whole group. They are computed once
-per group (``model.context_cache``), and each reverse step feeds the
-transformer the current group's noisy rows only, laid out by
-``TokenBatch.assemble``; this module stacks no rows for the model. The noisy
-rows of finished groups are invisible to later groups under the mask, so
-they are no longer fed at all.
+values in every block are fixed for the whole group. The noisy rows of
+finished groups are invisible to later groups under the mask, so they are
+no longer fed at all. Work is done at the outermost level it depends on:
 
-Every forward runs on ``params.detached()``, plain arrays over the model's
-parameter buffer, so generation records no autodiff graph; training runs
-the same model functions on Tensors.
+- per request: ``params.detached()`` (plain arrays over the model's
+  parameter buffer, plus each block's packed q/k/v projection), the
+  condition latents, the AR plan, the sinusoidal features of every
+  timestep of the reverse chain, and the chain's step coefficients, which
+  its schedule computes once (``reverse_coefficients``);
+- per group: its random stream and its context cache
+  (``model.context_cache``), whose key and value buffers leave room for the
+  group's own rows;
+- per step: one forward of the current group's noisy rows only, laid out
+  by ``TokenBatch.assemble``, with its keys and values written into the
+  buffers' tail, then one reverse step. The step projects its timestep's
+  features into the time embedding itself, over one copy per row: a
+  table of projections would round differently for a one-row group, whose
+  product takes BLAS's matrix-vector path.
+
+This module stacks no rows for the model. Generation records no autodiff
+graph; training runs the same model functions on Tensors.
 
 Fractional sampling strategies denoise along their anchored timestep grid
 using a respaced schedule whose cumulative signal levels match the base
@@ -46,6 +57,7 @@ from .model import (
     context_cache,
     decode,
     encode,
+    sinusoidal_basis,
 )
 
 
@@ -61,6 +73,7 @@ def reverse_step(
     Posterior mean mu = (x_t - beta_t / sqrt(1 - abar_t) * eps_hat) / sqrt(alpha_t);
     fresh noise scaled by the posterior variance
     beta_t * (1 - abar_{t-1}) / (1 - abar_t) is added except at the final step.
+    The coefficients come from ``schedule.reverse_coefficients``.
     """
     xt = np.asarray(xt, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
@@ -68,15 +81,11 @@ def reverse_step(
         raise ShapeMismatchError(f"x_t {xt.shape} and eps_hat {eps_hat.shape} differ in shape")
     if not 1 <= t <= schedule.T:
         raise ShapeMismatchError(f"timestep {t} outside [1, {schedule.T}]")
-    beta = schedule.betas[t - 1]
-    alpha = schedule.alphas[t - 1]
-    ab = schedule.alpha_bars[t - 1]
-    mu = (xt - (beta / np.sqrt(1.0 - ab)) * eps_hat) / np.sqrt(alpha)
+    eps_coef, sqrt_alpha, std = schedule.reverse_coefficients
+    mu = (xt - eps_coef[t - 1] * eps_hat) / sqrt_alpha[t - 1]
     if t == 1:
         return mu
-    ab_prev = schedule.alpha_bars[t - 2]
-    var = beta * (1.0 - ab_prev) / (1.0 - ab)
-    return mu + np.sqrt(var) * rng.standard_normal(xt.shape)
+    return mu + std[t - 1] * rng.standard_normal(xt.shape)
 
 
 def equal_width_groups(n: int, groups: int) -> list[int]:
@@ -127,6 +136,7 @@ def generate_genes(
 
     plan = ARStepPlan(tuple(equal_width_groups(len(target_genes), groups)))
     grid, chain = respaced_chain(schedule, strategy)
+    features = sinusoidal_basis(grid, d)  # row k - 1 holds step k's timestep features
 
     finalized: list[np.ndarray] = []
     for g, size in enumerate(plan.sz):
@@ -135,7 +145,8 @@ def generate_genes(
         context = context_cache((cond, *finalized), ARStepPlan(plan.sz[: g + 1]), frozen)
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
-            eps_hat = _predict_noise(x, int(grid[k - 1]), schedule, cond[lo:hi], context, frozen)
+            t_raw, row = int(grid[k - 1]), features[k - 1]
+            eps_hat = _predict_noise(x, t_raw, row, schedule, cond[lo:hi], context, frozen)
             x = reverse_step(x, k, eps_hat, chain, rng)
         finalized.append(x)
 
@@ -150,6 +161,7 @@ def generate_genes(
 def _predict_noise(
     x: np.ndarray,
     t_raw: int,
+    features: np.ndarray,
     schedule: DiffusionSchedule,
     cond: np.ndarray,
     context: ContextCache,
@@ -163,10 +175,13 @@ def _predict_noise(
     of the condition and clean rows. Those rows carry no time embedding and
     attend only to each other, so the cache is exact for every step of the
     group; the noisy rows of finished groups, which the mask hides from this
-    group, are not fed.
+    group, are not fed. ``features`` are the sinusoidal features of ``t_raw``;
+    every row gets its own copy, so the time projection is the product of as
+    many rows as when the batch computes them.
     """
     size = x.shape[0]
     batch = TokenBatch.assemble(
-        ARStepPlan((size,)), x, cond, np.full(size, t_raw), schedule, context=context
+        ARStepPlan((size,)), x, cond, np.full(size, t_raw), schedule, context=context,
+        time_features=np.repeat(features[None], size, axis=0),
     )
     return cat_forward(batch, frozen)

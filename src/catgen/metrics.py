@@ -4,7 +4,10 @@ All four metrics compare a predicted spatial expression vector against the
 ground truth for one gene. Variances are population variances throughout so
 results are deterministic and consistent with ``aggregate``. A vector is
 constant when its range is exactly 0: the ``std()`` of a constant such as 0.7
-can round to a tiny nonzero value.
+can round to a tiny nonzero value. ``pcc`` and ``rmse_z`` first scale each
+vector by a power of two (exact, and neither metric depends on scale), so
+entries near 1e-200, whose squared deviations would underflow to 0, still
+score.
 
 ``score_rows`` is the one per-gene scoring loop. It gives NaN where a metric
 raises ``DegenerateInputError``, and each caller decides what that NaN means.
@@ -33,11 +36,17 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _unit_scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` times the power of two that puts its largest magnitude in [0.5, 1)."""
+    return np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+
+
 def pcc(a, b) -> float:
     """Pearson correlation coefficient."""
     a, b = _pair(a, b)
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise DegenerateInputError("correlation undefined for a constant vector")
+    a, b = _unit_scaled(a), _unit_scaled(b)
     return float(((a - a.mean()) * (b - b.mean())).mean() / (a.std() * b.std()))
 
 
@@ -64,6 +73,7 @@ def rmse_z(a, b) -> float:
     a, b = _pair(a, b)
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise DegenerateInputError("z-scores undefined for a constant vector")
+    a, b = _unit_scaled(a), _unit_scaled(b)
     za = (a - a.mean()) / a.std()
     zb = (b - b.mean()) / b.std()
     return float(np.sqrt(((za - zb) ** 2).mean()))

@@ -25,6 +25,16 @@ mask; ``context_cache`` runs the context rows [condition | clean] alone and
 keeps each block's keys and values; and a cached step runs only noisy rows,
 with those keys and values ahead of its own (KV caching, Pope et al. 2022).
 
+Array forwards differ from recorded ones in layout only, never in
+arithmetic. ``detached()`` packs each block's query, key and value
+projections into one (d, 3d) matrix ``[wq|wk|wv]`` with bias ``[bq|0|bv]``,
+so a block computes q, k and v with one matmul and takes them as column
+views. On arrays ``context_cache`` keeps each block's keys and values in a
+(heads, context rows + group size, dh) buffer, and a cached step writes its
+own keys and values into the buffer's tail instead of joining two arrays.
+A batch may also bring its timesteps' sinusoidal features, which a
+generation request computes once for its whole chain.
+
 Checkpoints are a small binary container: magic ``CATG``, a format version,
 then length-prefixed named float64 tensors (little-endian); model shape and
 training metadata travel as scalar ``meta.*`` tensors in the same container.
@@ -38,7 +48,7 @@ import os
 import struct
 import tempfile
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -139,6 +149,8 @@ class CatParameters:
     cfg: ModelConfig
     flat: np.ndarray
     tensors: dict[str, Operand]
+    # per block, the packed [wq|wk|wv] and [bq|0|bv] of array forwards; see detached()
+    qkv: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def from_flat(cls, cfg: ModelConfig, flat: np.ndarray) -> "CatParameters":
@@ -173,9 +185,17 @@ class CatParameters:
 
         Every forward function given these computes on arrays and returns
         arrays, the same numbers a call on the Tensor parameters holds in
-        its ``.data``, and records no graph.
+        its ``.data``, and records no graph. ``qkv`` holds each block's
+        packed query, key and value projection, copied from the buffer now:
+        a later write to the buffer does not reach it.
         """
-        return CatParameters(cfg=self.cfg, flat=self.flat, tensors=_views(self.cfg, self.flat))
+        tensors = _views(self.cfg, self.flat)
+        qkv = {}
+        for i in range(self.cfg.blocks):
+            w = [tensors[f"blk{i}.{name}"] for name in ("wq", "wk", "wv")]
+            b = [tensors[f"blk{i}.bq"], np.zeros(self.cfg.d), tensors[f"blk{i}.bv"]]
+            qkv[f"blk{i}"] = np.concatenate(w, axis=1), np.concatenate(b)
+        return CatParameters(cfg=self.cfg, flat=self.flat, tensors=tensors, qkv=qkv)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
@@ -237,19 +257,17 @@ def sinusoidal_basis(ts: np.ndarray, d: int) -> np.ndarray:
     return basis
 
 
-def time_embedding(ts: np.ndarray, params: CatParameters) -> Operand:
-    return linear(sinusoidal_basis(ts, params.cfg.d), params["time.w"], params["time.b"])
-
-
 class ContextCache(NamedTuple):
-    """Each block's attention keys and values, (heads, ctx, dh), for fixed context rows."""
+    """Each block's attention keys and values for ``rows`` fixed context rows.
+
+    Recorded (Tensor) keys and values are (heads, rows, dh). Array ones are
+    (heads, rows + group size, dh) buffers whose first ``rows`` rows hold the
+    context; a cached step writes its own rows into the rest.
+    """
 
     keys: tuple[Operand, ...]
     values: tuple[Operand, ...]
-
-    @property
-    def rows(self) -> int:
-        return self.keys[0].shape[1]
+    rows: int
 
 
 def _attention(
@@ -262,9 +280,9 @@ def _attention(
     """Masked multi-head attention of the rows of ``x``.
 
     ``prefix`` holds cached keys and values of context rows that come before
-    ``x``; they are placed ahead of x's own, and ``blocked`` then has one
-    column per prefix row first. Returns the output and x's own keys and
-    values, split by head.
+    ``x``: recorded ones are joined ahead of x's own, and array buffers take
+    x's own in their tail. ``blocked`` then has one column per prefix row
+    first. Returns the output and x's own keys and values, split by head.
     """
     heads, d = params.cfg.heads, params.cfg.d
     dh = d // heads
@@ -273,15 +291,23 @@ def _attention(
     def split(t: Operand) -> Operand:
         return t.reshape(length, heads, dh).transpose(1, 0, 2)
 
-    q = split(linear(x, params[f"{block}.wq"], params[f"{block}.bq"]))
-    # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
-    own = (
-        split(x @ params[f"{block}.wk"]),
-        split(linear(x, params[f"{block}.wv"], params[f"{block}.bv"])),
-    )
-    k, v = own
+    if isinstance(x, Tensor):  # recorded: one node per projection
+        q = split(linear(x, params[f"{block}.wq"], params[f"{block}.bq"]))
+        # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
+        k = split(x @ params[f"{block}.wk"])
+        v = split(linear(x, params[f"{block}.wv"], params[f"{block}.bv"]))
+    else:  # arrays: one matmul, whose column thirds are q, k and v
+        qkv = linear(x, *params.qkv[block])
+        q, k, v = (split(qkv[:, i * d : (i + 1) * d]) for i in range(3))
+    own = k, v
     if prefix is not None:  # cached context rows come first
-        k, v = concat([prefix[0], k], axis=1), concat([prefix[1], v], axis=1)
+        keys, values = prefix
+        if isinstance(keys, Tensor):
+            k, v = concat([keys, k], axis=1), concat([values, v], axis=1)
+        else:
+            keys[:, -length:] = k
+            values[:, -length:] = v
+            k, v = keys, values
     logits = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
     weights = masked_softmax(logits, blocked)
     context = (weights @ v).transpose(1, 0, 2).reshape(length, d)
@@ -317,7 +343,8 @@ def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCac
 
     Context rows carry no time embedding and, under the causal mask, attend
     only to context rows, so their keys and values do not depend on any noisy
-    row or timestep: one cache serves every reverse step of an AR group.
+    row or timestep: one cache serves every reverse step of an AR group, and
+    on arrays it has room for that group's rows (``plan.sz[-1]``).
     ``prefix`` holds the context rows in parts, laid out as a TokenBatch lays
     out its own; ``plan`` is the group's plan (the finished groups, then the
     group still to generate), whose clean rows end the prefix.
@@ -331,7 +358,17 @@ def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCac
             f"and width {params.cfg.d}"
         )
     _, own = _blocks(tokens, build_mask(c, plan)[:rows, :rows], params)
-    return ContextCache(keys=tuple(k for k, _ in own), values=tuple(v for _, v in own))
+
+    def room(part: Operand) -> Operand:  # an array buffer also holds the group's own rows
+        if isinstance(part, Tensor):
+            return part
+        buffer = np.empty((part.shape[0], rows + plan.sz[-1], part.shape[2]))
+        buffer[:, :rows] = part
+        return buffer
+
+    return ContextCache(
+        keys=tuple(room(k) for k, _ in own), values=tuple(room(v) for _, v in own), rows=rows
+    )
 
 
 @dataclass
@@ -356,6 +393,8 @@ class TokenBatch:
     alpha_bars: np.ndarray  # (S,) cumulative signal level at each token's timestep
     blocked: np.ndarray  # (seq, context rows + seq), True = no attention
     context: ContextCache | None = None
+    # (S, d) sinusoidal_basis of each token's timestep, if the caller holds it already
+    time_features: np.ndarray | None = None
 
     @classmethod
     def assemble(
@@ -367,6 +406,7 @@ class TokenBatch:
         schedule: DiffusionSchedule,
         prefix=(),
         context: ContextCache | None = None,
+        time_features: np.ndarray | None = None,
     ) -> "TokenBatch":
         """Lay out [*prefix | x_t + cond] for ``plan``.
 
@@ -375,7 +415,8 @@ class TokenBatch:
         token and ``cond`` that gene's condition latent, added in to tie the
         noisy slot to its gene. Each token's signal level is looked up from
         ``schedule`` at its 1-based timestep. A cached step passes
-        ``context`` and no prefix rows.
+        ``context`` and no prefix rows. A caller that already holds the
+        timesteps' sinusoidal features passes them as ``time_features``.
         """
         timesteps = np.asarray(timesteps, dtype=np.int64)
         s = plan.S
@@ -395,6 +436,9 @@ class TokenBatch:
         if context is None:
             blocked = build_mask(ctx - plan.v, plan)
         else:  # one step of noisy rows: each sees every cached row and every other row
+            room = context.keys[0].shape[1] - context.rows
+            if isinstance(context.keys[0], np.ndarray) and room != s:
+                raise ShapeMismatchError(f"the cache has room for {room} noisy rows, not {s}")
             blocked = np.zeros((s, context.rows + s), dtype=bool)
         return cls(
             tokens=concat([*prefix, x_t + cond], axis=0) if prefix else x_t + cond,
@@ -404,6 +448,7 @@ class TokenBatch:
             alpha_bars=schedule.alpha_bars[timesteps - 1],
             blocked=blocked,
             context=context,
+            time_features=time_features,
         )
 
 
@@ -427,8 +472,11 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
             f"cache holds {len(batch.context.keys)} blocks, model has {params.cfg.blocks}"
         )
     ctx = seq - batch.plan.S
-    temb = time_embedding(batch.timesteps, params)
-    x = batch.tokens + concat([np.zeros((ctx, d)), temb], axis=0)
+    features = batch.time_features
+    if features is None:
+        features = sinusoidal_basis(batch.timesteps, d)
+    temb = linear(features, params["time.w"], params["time.b"])
+    x = batch.tokens + (concat([np.zeros((ctx, d)), temb], axis=0) if ctx else temb)
     x, _ = _blocks(x, batch.blocked, params, batch.context)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])

@@ -1,7 +1,6 @@
 """The command-line entry point end to end: synth, train, generate, eval,
 mask, granger, ablate, exit codes and byte-identical reruns."""
 
-import math
 import os
 import subprocess
 import sys
@@ -405,6 +404,89 @@ def test_generate_without_data_meta_prepares_sc_with_the_defaults(tmp_path):
     expected = generate_genes(prepared, ["G0", "G1", "G2"], params, linear_schedule(10), seed=3)
     save_matrix(expected, tmp_path / "expected.csv")
     assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_checkpoint_without_diffusion_meta_is_a_data_error_before_the_sc_is_read(
+    tmp_path, capsys
+):
+    params = init_params(ModelConfig(p=3, q=4, d=4, heads=1, blocks=1), np.random.default_rng(1))
+    save_checkpoint(params, tmp_path / "bare.catg")  # no meta.T and no betas
+    (tmp_path / "genes.txt").write_text("G0\n")
+    assert cli.main([
+        "generate", "--ckpt", str(tmp_path / "bare.catg"), "--sc", str(tmp_path / "absent.csv"),
+        "--genes", str(tmp_path / "genes.txt"), "--out", str(tmp_path / "pred.csv"), *SEED,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "meta.T, meta.beta_start, meta.beta_end" in err
+    assert "absent.csv" not in err  # the checkpoint is rejected first
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def _counting_forwards(monkeypatch) -> list:
+    calls = []
+    forward = generate_module.cat_forward
+
+    def counting(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(generate_module, "cat_forward", counting)
+    return calls
+
+
+@pytest.mark.parametrize("missing", ["--ckpt", "--genes"])
+def test_a_missing_generate_input_is_a_file_error(trained, tmp_path, monkeypatch, capsys, missing):
+    calls = _counting_forwards(monkeypatch)
+    paths = {
+        "--ckpt": str(trained / "model.catg"), "--sc": str(trained / "sc.csv"),
+        "--genes": str(trained / "prep" / "genes_test.txt"), "--out": str(tmp_path / "pred.csv"),
+    }
+    paths[missing] = str(tmp_path / "absent.txt")
+    assert cli.main(["generate", *(x for kv in paths.items() for x in kv), *SEED]) == 2
+    assert "catgen: error:" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_generate_into_a_missing_directory_fails_before_any_forward(
+    trained, tmp_path, monkeypatch, capsys
+):
+    calls = _counting_forwards(monkeypatch)
+    out = tmp_path / "nodir" / "p.csv"
+    assert _generate(trained, trained / "prep" / "genes_test.txt", out) == 2
+    assert f"catgen: error: cannot write {out}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_eval_gene_distances_into_a_missing_directory_writes_nothing(tmp_path, capsys):
+    _eval_files(tmp_path)
+    out = tmp_path / "eval.csv"
+    distances = tmp_path / "nodir" / "x.csv"
+    assert _eval(tmp_path, out, "--gene-distances", str(distances)) == 2
+    assert f"catgen: error: cannot write {distances}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, target", [("--out", "nodir/m.catg"), ("--save-prepared", "a_file")]
+)
+def test_train_into_an_unwritable_place_fails_before_any_work(
+    trained, tmp_path, monkeypatch, capsys, flag, target
+):
+    calls = []
+    monkeypatch.setattr(cli, "_prepare_from_files", lambda *args: calls.append(1))
+    (tmp_path / "a_file").write_text("")
+    outputs = {"--out": tmp_path / "m.catg", "--save-prepared": tmp_path / "prep"}
+    outputs[flag] = tmp_path / target
+    argv = [
+        "train", "--st", str(trained / "st.csv"), "--sc", str(trained / "sc.csv"),
+        *(str(x) for kv in outputs.items() for x in kv), *SEED, *TINY_TRAIN,
+    ]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("catgen: error:") and str(tmp_path / target) in err
+    assert calls == []
+    assert not (tmp_path / "m.catg").exists()
 
 
 def _mask(tmp_path, name, s="7", sz="2,2,3"):

@@ -17,7 +17,7 @@ from catgen.diffusion import (
 )
 from catgen.errors import ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
 from catgen.generate import equal_width_groups, generate_genes, reverse_step
-from catgen.model import ModelConfig, TokenBatch, cat_forward, decode, encode
+from catgen.model import ModelConfig, TokenBatch, cat_forward, context_cache, decode, encode
 from catgen.synth import chain_config, generate
 from catgen.train import TrainConfig, fit, training_loss
 
@@ -215,6 +215,68 @@ def test_cached_generation_matches_full_sequence(trained, groups, strategy):
     out = generate_genes(pair.sc, genes, params, schedule, groups=groups, strategy=strategy, seed=4)
     ref = _full_sequence_generate(pair.sc, genes, params, schedule, groups, strategy, seed=4)
     assert np.abs(out.values - ref).max() <= 1e-12
+
+
+def _formula_reverse_step(xt, t, eps_hat, schedule, rng):
+    """The reverse step computed from the schedule's own arrays at step t."""
+    beta, alpha, ab = schedule.betas[t - 1], schedule.alphas[t - 1], schedule.alpha_bars[t - 1]
+    mu = (xt - (beta / np.sqrt(1.0 - ab)) * eps_hat) / np.sqrt(alpha)
+    if t == 1:
+        return mu
+    var = beta * (1.0 - schedule.alpha_bars[t - 2]) / (1.0 - ab)
+    return mu + np.sqrt(var) * rng.standard_normal(xt.shape)
+
+
+def _stepwise_generate(sc, genes, params, schedule, groups, strategy, seed):
+    """Reference group loop on the Tensor parameters, with nothing computed
+    ahead of a step: each step embeds its own timestep, joins its keys and
+    values to the recorded cache with ``concat``, projects q, k and v with
+    three matmuls and takes the reverse step from the scalar formula."""
+    d = params.cfg.d
+    scale = float(params["latent.scale"].data)
+    index = sc.gene_index()
+    cond = encode(sc.values[[index[g] for g in genes]], "sc", params).data * (1.0 / scale)
+    sizes = equal_width_groups(len(genes), groups)
+    grid, chain = respaced_chain(schedule, strategy)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    finalized = []
+    for g, size in enumerate(sizes):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, g)))
+        lo, hi = int(bounds[g]), int(bounds[g + 1])
+        context = context_cache((cond, *finalized), ARStepPlan(tuple(sizes[: g + 1])), params)
+        x = rng.standard_normal((size, d))
+        for k in range(len(grid), 0, -1):
+            batch = TokenBatch.assemble(
+                ARStepPlan((size,)), x, cond[lo:hi], np.full(size, grid[k - 1]), schedule,
+                context=context,
+            )
+            x = _formula_reverse_step(x, k, cat_forward(batch, params).data, chain, rng)
+        finalized.append(x)
+    return np.clip(decode(np.vstack(finalized) * scale, params).data, 0.0, None)
+
+
+@pytest.mark.parametrize("strategy", [Full(), Fractional(5)], ids=["full", "frac5"])
+@pytest.mark.parametrize("groups", [1, 2, 3, 7])  # 7: groups of one row each
+def test_generation_matches_the_stepwise_reference_bitwise(trained, groups, strategy):
+    pair, params, schedule = trained
+    genes = pair.genes[:7]
+    out = generate_genes(pair.sc, genes, params, schedule, groups=groups, strategy=strategy, seed=4)
+    ref = _stepwise_generate(pair.sc, genes, params, schedule, groups, strategy, seed=4)
+    assert np.array_equal(out.values, ref)
+
+
+@pytest.mark.parametrize("strategy", [Full(), Fractional(20)], ids=["full", "frac20"])
+def test_reverse_coefficients_match_the_scalar_formula(strategy):
+    """Every entry of the table equals the scalar arithmetic at its step, bitwise."""
+    _, chain = respaced_chain(linear_schedule(2000), strategy)
+    eps_coef, sqrt_alpha, std = chain.reverse_coefficients
+    assert std[0] == 0.0
+    for t in range(1, chain.T + 1):
+        beta, alpha, ab = chain.betas[t - 1], chain.alphas[t - 1], chain.alpha_bars[t - 1]
+        assert eps_coef[t - 1] == beta / np.sqrt(1.0 - ab)
+        assert sqrt_alpha[t - 1] == np.sqrt(alpha)
+        if t > 1:
+            assert std[t - 1] == np.sqrt(beta * (1.0 - chain.alpha_bars[t - 2]) / (1.0 - ab))
 
 
 def test_each_step_feeds_only_the_current_group(trained, monkeypatch):

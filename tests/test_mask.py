@@ -1,7 +1,5 @@
 """Causal attention mask: worked example, oracle equivalence, leakage properties."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -14,7 +14,6 @@ from catgen.autodiff import Tensor, gradients
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError, NotOnTapeError, ShapeMismatchError
 from catgen.model import (
-    CatParameters,
     ModelConfig,
     TokenBatch,
     cat_forward,
@@ -289,30 +288,56 @@ def test_array_forwards_match_tensor_forwards_bitwise():
     latent = rng.standard_normal((3, cfg.d))
     same(decode(latent, frozen), decode(latent, params))
 
-    plan = ARStepPlan((2, 2, 1))
+    plan = ARStepPlan((2, 2, 3))
     context = rng.standard_normal((plan.S + plan.v, cfg.d))  # conditions, then clean rows
     cached = context_cache((context,), plan, frozen)
     reference = context_cache((context,), plan, params)
-    for array_kv, tensor_kv in zip(cached.keys + cached.values, reference.keys + reference.values):
-        same(array_kv, tensor_kv)
+    assert cached.rows == reference.rows == len(context)
+    for buffer, tensor_kv in zip(cached.keys + cached.values, reference.keys + reference.values):
+        # the array cache leaves room for the last group's 3 rows after the context's
+        assert buffer.shape == (cfg.heads, len(context) + 3, cfg.d // cfg.heads)
+        same(buffer[:, : len(context)], tensor_kv)
 
     ts = rng.integers(1, 50, plan.S)
 
-    def forward(p, step_plan, noisy, cond, prefix=(), kv=None):
-        batch = TokenBatch.assemble(step_plan, noisy, cond, ts[: step_plan.S], SCHEDULE, prefix, kv)
+    def forward(p, step_plan, noisy, cond, timesteps, prefix=(), kv=None, features=None):
+        batch = TokenBatch.assemble(
+            step_plan, noisy, cond, timesteps, SCHEDULE, prefix, kv, time_features=features
+        )
         return cat_forward(batch, p)
 
     noisy = rng.standard_normal((plan.S, cfg.d))
     cond = context[: plan.S]  # full mask, three AR steps
     same(
-        forward(frozen, plan, noisy, cond, (context,)),
-        forward(params, plan, noisy, cond, (context,)),
+        forward(frozen, plan, noisy, cond, ts, (context,)),
+        forward(params, plan, noisy, cond, ts, (context,)),
     )
-    step = ARStepPlan((1,))  # the last group's noisy row after the cached context
+    # the last group's noisy rows after the cached context, at one timestep as
+    # in generation: the array step uses the packed projection, writes its
+    # keys and values into the buffers' tail and copies its timestep's row of
+    # a feature table; the recorded step joins its own keys and values after
+    # the cache's and computes its features. A second step through the same
+    # buffers overwrites the tail, and a one-row step takes BLAS's
+    # matrix-vector path.
+    table = sinusoidal_basis(np.arange(1, 50), cfg.d)
+    for t, rows in ((ts[-1], noisy[-3:]), (7, rng.standard_normal((3, cfg.d)))):
+        copies = np.repeat(table[t - 1 : t], 3, axis=0)
+        same(
+            forward(frozen, ARStepPlan((3,)), rows, cond[-3:], np.full(3, t), kv=cached,
+                    features=copies),
+            forward(params, ARStepPlan((3,)), rows, cond[-3:], np.full(3, t), kv=reference),
+        )
+    single = ARStepPlan((2, 2, 1))
+    buffered = context_cache((context[:-2],), single, frozen)
+    recorded = context_cache((context[:-2],), single, params)
+    t = ts[-1]
     same(
-        forward(frozen, step, noisy[-1:], cond[-1:], kv=cached),
-        forward(params, step, noisy[-1:], cond[-1:], kv=reference),
+        forward(frozen, ARStepPlan((1,)), noisy[-1:], cond[-1:], ts[-1:], kv=buffered,
+                features=table[t - 1 : t]),
+        forward(params, ARStepPlan((1,)), noisy[-1:], cond[-1:], ts[-1:], kv=recorded),
     )
+    with pytest.raises(ShapeMismatchError, match="room for 3 noisy rows"):
+        forward(frozen, ARStepPlan((2,)), noisy[-2:], cond[-2:], np.full(2, 7), kv=cached)
 
 
 def test_gradient_of_blocked_attention_path_is_zero(small):
