@@ -8,19 +8,21 @@ on Tensor parameters and gets a graph to differentiate; inference calls them
 on arrays and gets the same numbers, element by element, without recording
 anything. A Tensor meeting an ndarray in a binary operation wins
 (``__array_ufunc__ = None`` makes numpy defer), so mixing the two gives a
-Tensor. Only ``+`` and ``*`` have reflected forms: an array on the left of
-``-`` or ``@`` raises ``TypeError``. ``concat``, ``masked_softmax`` and the
-fused layers return an array when given only arrays. The tape is the graph
-itself: it lives on the Tensors of one forward pass and is garbage-collected
-with them, so there is no global mutable state and independent forward
-passes never interact.
+Tensor. A Tensor's arithmetic is ``+``, ``*`` and ``@``; only ``+`` and
+``*`` have reflected forms, so an array on the left of ``@`` raises
+``TypeError``, as do ``-``, unary ``-`` and ``**`` on a Tensor. ``concat``,
+``masked_softmax`` and the fused layers return an array when given only
+arrays. The tape is the graph itself: it lives on the Tensors of one forward
+pass and is garbage-collected with them, so there is no global mutable state
+and independent forward passes never interact.
 
-The model's layers are fused nodes: ``linear`` (``x @ w + b``),
-``layer_norm`` and ``gelu`` each record one node with an analytic backward
-rule, instead of one node per arithmetic step. Given no Tensor operand, each
-returns straight after its ``isinstance`` checks, through the same numpy
-arithmetic that a Tensor call applies to its data, so inference pays for no
-tape work and gets bitwise the numbers training sees.
+The model's layers and its loss terms are fused nodes: ``linear`` (``x @ w +
+b``), ``layer_norm``, ``gelu`` and ``mse`` each record one node with an
+analytic backward rule, instead of one node per arithmetic step. Given no
+Tensor operand, each layer returns straight after its ``isinstance`` checks,
+through the same numpy arithmetic that a Tensor call applies to its data, so
+inference pays for no tape work and gets bitwise the numbers training sees.
+``mse`` takes a Tensor and a constant target.
 
 ``gradients`` is the one walk, and the one place that decides where a
 gradient flows. It is given a scalar loss and the leaves whose gradients are
@@ -127,16 +129,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def backward(g, a=self):
-            if a._needed:
-                _accumulate(a, -g)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-other)  # a constant's negation stays an array and records no node
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         data = self.data * other.data
@@ -150,16 +142,6 @@ class Tensor:
         return Tensor._make(data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        e = float(exponent)
-        data = self.data ** e
-
-        def backward(g, a=self):
-            if a._needed:
-                _accumulate(a, g * e * a.data ** (e - 1.0))
-
-        return Tensor._make(data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
@@ -182,17 +164,7 @@ class Tensor:
 
         return Tensor._make(data, (self, other), backward)
 
-    # -- reductions and reshapes -------------------------------------------------
-
-    def sum(self) -> "Tensor":
-        def backward(g, a=self):
-            if a._needed:
-                _accumulate(a, np.broadcast_to(g, a.shape))
-
-        return Tensor._make(self.data.sum(), (self,), backward)
-
-    def mean(self) -> "Tensor":
-        return self.sum() * (1.0 / self.data.size)
+    # -- reshapes ------------------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
         data = self.data.reshape(shape)
@@ -368,6 +340,21 @@ def gelu(x: Operand) -> Operand:
             _accumulate(x, g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * slope))
 
     return Tensor._make(0.5 * xd * (1.0 + t), (x,), backward)
+
+
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """The mean of ``(pred - target) ** 2`` as one node, summed and then scaled
+    by ``1/n``; ``target`` is a constant, so only ``pred`` receives a gradient."""
+    if pred.shape != np.shape(target):
+        raise ShapeMismatchError(f"mse of shape {pred.shape} against {np.shape(target)}")
+    diff = pred.data - target
+    inv_n = 1.0 / diff.size
+
+    def backward(g):
+        if pred._needed:
+            _accumulate(pred, (g * inv_n * 2.0) * diff)
+
+    return Tensor._make((diff ** 2.0).sum() * inv_n, (pred,), backward)
 
 
 def as_array(x: Operand) -> np.ndarray:

@@ -23,6 +23,7 @@ import sys
 from .errors import CatgenError, ConfigError, DataFormatError
 
 log = logging.getLogger("catgen")
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,17 +32,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _set_thread_env(argv) -> None:
-    # must happen before numpy is imported anywhere in the process
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
-    if threads is not None and threads.isdigit():
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
+def positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid positive_int value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _default_seed() -> int:
@@ -58,7 +53,7 @@ def _default_seed() -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="catgen", description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", "-v", action="count", default=0)
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
+    parser.add_argument("--threads", type=positive_int, default=None, help="cap BLAS threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -371,12 +366,14 @@ def cmd_ablate(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _set_thread_env(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors (1) and --help (0) return their code
         return exc.code if isinstance(exc.code, int) else 1
+    if args.threads is not None:  # parsing loads no numpy, whose BLAS reads these on import
+        for var in THREAD_ENV:
+            os.environ[var] = str(args.threads)
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:

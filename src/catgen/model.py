@@ -544,6 +544,8 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
 
     The headers are read first, skipping each tensor's data; then every
     parameter's bytes are read straight into its view of a new buffer. A
+    name that is not UTF-8, a model field that is not a whole number and a
+    missing or misshapen tensor raise DataFormatError before the buffer exists. A
     tensor the model does not have is skipped, such as the attention key
     biases ``blk*.bk`` of files written before keys lost their bias and the
     variational head ``enc_var.*`` of files written before the encoder
@@ -561,7 +563,10 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
         found: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, data offset)
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            name = _read_exact(fh, name_len, path).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, path).decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataFormatError(f"{path}: a tensor name is not UTF-8") from None
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
             shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, path)) if ndim else ()
             size = int(np.prod(shape)) if shape else 1
@@ -575,18 +580,22 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
         if fh.tell() > os.fstat(fh.fileno()).st_size:
             raise DataFormatError(f"{path}: truncated checkpoint")
 
-        for required in _CONFIG_FIELDS:
-            if required not in meta:
-                raise DataFormatError(f"{path}: checkpoint missing meta.{required}")
+        for name in _CONFIG_FIELDS:
+            if name not in meta:
+                raise DataFormatError(f"{path}: checkpoint missing meta.{name}")
+            if not meta[name].is_integer():  # nor are NaN and the infinities
+                raise DataFormatError(f"{path}: meta.{name} is {meta[name]!r}, not a whole number")
         cfg = ModelConfig(**{name: kind(meta[name]) for name, kind in _CONFIG_FIELDS.items()})
-        params = CatParameters.empty(cfg)
-        for name, shape in parameter_shapes(cfg).items():
+        shapes = parameter_shapes(cfg)
+        for name, shape in shapes.items():  # before allocating what the file may not hold
             if name not in found:
                 raise DataFormatError(f"{path}: checkpoint missing tensor {name}")
             if found[name][0] != shape:
                 raise DataFormatError(
                     f"{path}: tensor {name} has shape {found[name][0]}, expected {shape}"
                 )
+        params = CatParameters.empty(cfg)
+        for name in shapes:
             fh.seek(found[name][1])
             fh.readinto(memoryview(params[name].data.reshape(-1)).cast("B"))
     if not np.little_endian:  # the file stores little-endian float64

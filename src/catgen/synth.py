@@ -14,6 +14,7 @@ matrix and dropout zeroes entries independently afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,15 +38,17 @@ class ChainEdge:
 
     @classmethod
     def from_text(cls, text: str) -> "ChainEdge":
-        """Parse ``driver->target:coeff[:lag]``."""
+        """Parse ``driver->target:coeff[:lag]``; the coefficient must be finite."""
         head, _, rest = text.partition(":")
         driver, arrow, target = head.partition("->")
-        if not arrow or not rest:
-            raise ShapeMismatchError(f"bad edge spec {text!r}, want driver->target:coeff[:lag]")
         coeff, _, lag = rest.partition(":")
-        return cls(
-            driver=int(driver), target=int(target), coeff=float(coeff), lag=int(lag or 1)
-        )
+        try:
+            fields = int(driver), int(target), float(coeff), int(lag or 1)
+        except ValueError:
+            fields = None
+        if not arrow or fields is None or not math.isfinite(fields[2]):
+            raise ShapeMismatchError(f"bad edge spec {text!r}, want driver->target:coeff[:lag]")
+        return cls(*fields)
 
     def to_text(self) -> str:
         return f"{self.driver}->{self.target}:{self.coeff:g}:{self.lag}"

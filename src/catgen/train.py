@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arplan import ARStepPlan, generate_ar_steps
-from .autodiff import Gradients, Tensor, gradients
+from .autodiff import Gradients, Tensor, gradients, mse
 from .data import ExpressionMatrix, SplitAssignment
 from .diffusion import (
     DiffusionSchedule,
@@ -170,7 +170,7 @@ def training_loss(
     params: CatParameters,
     schedule: DiffusionSchedule,
 ) -> Tensor:
-    """Blended objective for one already-permuted gene batch."""
+    """Blended objective for one already-permuted gene batch: one ``mse`` node."""
     inv_scale = 1.0 / float(params["latent.scale"].data)
     z_st = encode(st_values, "st", params) * inv_scale
     z_sc = encode(sc_values, "sc", params) * inv_scale
@@ -180,7 +180,7 @@ def training_loss(
         plan, noised, z_sc, token_ts, schedule, prefix=(z_sc, z_st[: plan.v])
     )
     pred = cat_forward(batch, params)
-    return ((pred - eps) ** 2.0).mean()
+    return mse(pred, eps)
 
 
 def train_step(
@@ -237,16 +237,18 @@ def _warmup_step(
 
     Reconstruction runs through latents perturbed with Gaussian noise so the
     decoder learns to contract off-manifold directions; generated latents
-    land near the manifold, never exactly on it.
+    land near the manifold, never exactly on it. The loss adds four ``mse``
+    nodes: decoding ``z_st``, ``z_st`` plus noise and ``z_sc`` plus noise, and
+    ``z_sc`` against the constant ``z_st``.
     """
     z_st = encode(st_batch, "st", params)
     z_sc = encode(sc_batch, "sc", params)
     sigma = cfg.warmup_latent_noise * float(z_st.data.std())
     jitter = sigma * rng.standard_normal(z_st.shape)
-    loss = ((decode(z_st, params) - st_batch) ** 2.0).mean()
-    loss = loss + ((decode(z_st + jitter, params) - st_batch) ** 2.0).mean()
-    loss = loss + ((z_sc - z_st.data) ** 2.0).mean()
-    loss = loss + ((decode(z_sc + jitter, params) - st_batch) ** 2.0).mean()
+    loss = mse(decode(z_st, params), st_batch)
+    loss = loss + mse(decode(z_st + jitter, params), st_batch)
+    loss = loss + mse(z_sc, z_st.data)
+    loss = loss + mse(decode(z_sc + jitter, params), st_batch)
     value = loss.item()
     if not math.isfinite(value):
         raise NumericFailureError("non-finite warmup loss")

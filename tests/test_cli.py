@@ -1,7 +1,9 @@
 """The command-line entry point end to end: synth, train, generate, eval,
 mask, granger, ablate, exit codes and byte-identical reruns."""
 
+import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -184,6 +186,13 @@ def test_synth_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
 
 
+@pytest.mark.parametrize("edge", ["a->b:0.9", "0->1:x", "0->1:0.9:two", "0->1:nan", "0-1:0.9"])
+def test_a_malformed_chain_edge_is_a_data_error(tmp_path, capsys, edge):
+    assert _synth(tmp_path / "out", *SEED, "--set", f"synth.chain_edges={edge}") == 2
+    assert f"catgen: error: bad edge spec {edge!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_catgen_seed_sets_the_default_seed(tmp_path, monkeypatch):
     assert _synth(tmp_path / "flag", "--seed", "5") == 0
     monkeypatch.setenv("CATGEN_SEED", "5")
@@ -350,6 +359,37 @@ def test_unknown_flag_is_a_usage_error(trained):
     assert not (trained / "x.csv").exists()
 
 
+def test_parsing_the_arguments_loads_no_numpy():
+    """BLAS reads its thread variables when numpy loads, so ``--threads`` sets
+    them after parsing, which must not load it."""
+    code = (
+        "import sys; from catgen import cli; "
+        "cli.build_parser().parse_args(['--threads', '2', 'synth', '--out-dir', 'x']); "
+        "assert 'numpy' not in sys.modules, 'parsing loaded numpy'"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+
+
+def test_threads_sets_the_blas_variables(tmp_path, monkeypatch):
+    for var in cli.THREAD_ENV:
+        monkeypatch.setenv(var, "7")
+    assert cli.main(["--threads", "3", "synth", "--out-dir", str(tmp_path / "out"), *SEED]) == 0
+    assert [os.environ[var] for var in cli.THREAD_ENV] == ["3", "3", "3"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "x"])
+def test_fewer_than_one_thread_is_a_usage_error(tmp_path, monkeypatch, capsys, threads):
+    for var in cli.THREAD_ENV:
+        monkeypatch.setenv(var, "7")
+    argv = [f"--threads={threads}", "synth", "--out-dir", str(tmp_path / "out"), *SEED]
+    assert cli.main(argv) == 1
+    assert "argument --threads" in capsys.readouterr().err
+    assert [os.environ[var] for var in cli.THREAD_ENV] == ["7", "7", "7"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -419,6 +459,51 @@ def test_checkpoint_without_diffusion_meta_is_a_data_error_before_the_sc_is_read
     err = capsys.readouterr().err
     assert "meta.T, meta.beta_start, meta.beta_end" in err
     assert "absent.csv" not in err  # the checkpoint is rejected first
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def _generate_from_bytes(tmp_path, raw: bytes) -> int:
+    """``generate`` on a checkpoint holding ``raw``, with an SC file that does not exist."""
+    (tmp_path / "bad.catg").write_bytes(raw)
+    (tmp_path / "genes.txt").write_text("G0\n")
+    return cli.main([
+        "generate", "--ckpt", str(tmp_path / "bad.catg"), "--sc", str(tmp_path / "absent.csv"),
+        "--genes", str(tmp_path / "genes.txt"), "--out", str(tmp_path / "pred.csv"), *SEED,
+    ])
+
+
+def _checkpoint_bytes(tmp_path) -> bytes:
+    params = init_params(ModelConfig(p=3, q=4, d=4, heads=1, blocks=1), np.random.default_rng(1))
+    save_checkpoint(params, tmp_path / "good.catg", {"T": 10, "beta_start": 1e-4, "beta_end": 0.02})
+    return (tmp_path / "good.catg").read_bytes()
+
+
+def test_a_tensor_name_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    raw = _checkpoint_bytes(tmp_path)
+    assert raw.count(b"dec.b1") == 1
+    assert _generate_from_bytes(tmp_path, raw.replace(b"dec.b1", b"\xffec.b1")) == 2
+    err = capsys.readouterr().err
+    assert "catgen: error:" in err and "not UTF-8" in err and "absent.csv" not in err
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (math.nan, "meta.d is nan, not a whole number"),
+        (math.inf, "meta.d is inf, not a whole number"),
+        (2.5, "meta.d is 2.5, not a whole number"),
+        (2.0**40, "tensor e1.w1 has shape (3, 4), expected (3, 1099511627776)"),  # not allocated
+    ],
+)
+def test_a_model_field_that_is_not_a_whole_number_is_a_data_error(tmp_path, capsys, value, message):
+    raw = _checkpoint_bytes(tmp_path)
+    entry = struct.pack("<I", 6) + b"meta.d" + struct.pack("<I", 0)  # a scalar: no shape
+    at = raw.index(entry) + len(entry)
+    assert struct.unpack("<d", raw[at : at + 8]) == (4.0,)
+    assert _generate_from_bytes(tmp_path, raw[:at] + struct.pack("<d", value) + raw[at + 8 :]) == 2
+    err = capsys.readouterr().err
+    assert "catgen: error:" in err and message in err and "absent.csv" not in err
     assert not (tmp_path / "pred.csv").exists()
 
 

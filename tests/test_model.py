@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from catgen.arplan import ARStepPlan
-from catgen.autodiff import Tensor, gradients
+from catgen.autodiff import Tensor, gradients, mse
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError, NotOnTapeError, ShapeMismatchError
 from catgen.model import (
@@ -242,7 +242,7 @@ def test_gradients_match_finite_differences(small):
     def objective():
         diffusion = training_loss(st, sc, plan, ts, eps, params, schedule)
         recon = decode(encode(st, "st", params), params)
-        return diffusion + ((recon - st) ** 2.0).mean()
+        return diffusion + mse(recon, st)
 
     def value():
         return objective().item()
@@ -345,19 +345,20 @@ def test_gradient_of_blocked_attention_path_is_zero(small):
     cfg, params = small
     plan = ARStepPlan((2, 2))
     batch, (cond, clean, noisy) = make_batch(params, plan)
-    base = (cat_forward(batch, params)[0:2] ** 2.0).sum().item()
+    target = np.random.default_rng(6).standard_normal((2, cfg.d))
+    base = mse(cat_forward(batch, params)[0:2], target).item()
     # noisy tokens of step 2 are blocked for step-1 rows; perturb them hugely
     noisy2 = noisy.copy()
     noisy2[2:] += 1e3
     batch2 = assemble(plan, cond, clean, noisy2, batch.timesteps)
-    perturbed = (cat_forward(batch2, params)[0:2] ** 2.0).sum().item()
+    perturbed = mse(cat_forward(batch2, params)[0:2], target).item()
     assert base == perturbed
 
 
 def test_not_on_tape(small):
     cfg, params = small
     x = RNG.standard_normal((2, cfg.p))
-    loss = (encode(x, "st", params) ** 2.0).mean()
+    loss = mse(encode(x, "st", params), np.zeros((2, cfg.d)))
     with pytest.raises(NotOnTapeError):
         gradients(loss, {"dec.w1": params["dec.w1"]})
 

@@ -7,7 +7,7 @@ import pytest
 
 from catgen import granger, train
 from catgen.arplan import ARStepPlan, generate_ar_steps
-from catgen.autodiff import Gradients, Tensor, collect_tape, concat, gradients
+from catgen.autodiff import Gradients, Tensor, collect_tape, concat, gradients, mse
 from catgen.data import SC, ST, ExpressionMatrix, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
@@ -200,7 +200,7 @@ def reference_training_loss(st_values, sc_values, plan, token_ts, eps, params, s
         encode(sc_values, "sc", params) * inv_scale,
         plan, token_ts, eps, schedule,
     )
-    return ((cat_forward(batch, params) - Tensor(eps)) ** 2.0).mean()
+    return mse(cat_forward(batch, params), eps)
 
 
 def test_assembled_layout_matches_the_hand_written_reference():
