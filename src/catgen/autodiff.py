@@ -8,21 +8,24 @@ on Tensor parameters and gets a graph to differentiate; inference calls them
 on arrays and gets the same numbers, element by element, without recording
 anything. A Tensor meeting an ndarray in a binary operation wins
 (``__array_ufunc__ = None`` makes numpy defer), so mixing the two gives a
-Tensor. A Tensor's arithmetic is ``+``, ``*`` and ``@``; only ``+`` and
-``*`` have reflected forms, so an array on the left of ``@`` raises
-``TypeError``, as do ``-``, unary ``-`` and ``**`` on a Tensor. ``concat``,
-``masked_softmax`` and the fused layers return an array when given only
-arrays. The tape is the graph itself: it lives on the Tensors of one forward
-pass and is garbage-collected with them, so there is no global mutable state
-and independent forward passes never interact.
+Tensor. A Tensor's arithmetic is ``+``, ``*`` and ``@``, and ``@`` takes
+matrices only. Only ``+`` and ``*`` have reflected forms, so an array on the
+left of ``@`` raises ``TypeError``, as do ``-``, unary ``-`` and ``**`` on a
+Tensor. ``concat`` and the fused layers return an array when given only
+arrays; ``masked_softmax`` takes and gives arrays only. The tape is the graph
+itself: it lives on the Tensors of one forward pass and is garbage-collected
+with them, so there is no global mutable state and independent forward
+passes never interact.
 
 The model's layers and its loss terms are fused nodes: ``linear`` (``x @ w +
-b``), ``layer_norm``, ``gelu`` and ``mse`` each record one node with an
-analytic backward rule, instead of one node per arithmetic step. Given no
-Tensor operand, each layer returns straight after its ``isinstance`` checks,
-through the same numpy arithmetic that a Tensor call applies to its data, so
-inference pays for no tape work and gets bitwise the numbers training sees.
-``mse`` takes a Tensor and a constant target.
+b``), ``layer_norm``, ``gelu``, ``attention`` and ``mse`` each record one
+node with an analytic backward rule, instead of one node per arithmetic
+step. ``attention`` is the one code that splits (rows, d) queries, keys and
+values by head. Given no Tensor operand, each layer returns straight after
+its ``isinstance`` checks, through the same numpy arithmetic that a Tensor
+call applies to its data, so inference pays for no tape work and gets
+bitwise the numbers training sees. ``mse`` takes a Tensor and a constant
+target.
 
 ``gradients`` is the one walk, and the one place that decides where a
 gradient flows. It is given a scalar loss and the leaves whose gradients are
@@ -146,44 +149,16 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2:
+        if a.ndim != 2 or b.ndim != 2:
             raise ShapeMismatchError(f"matmul takes matrices, got {a.shape} @ {b.shape}")
-        if a.ndim > 2 or b.ndim > 2:
-            # batched matmul: leading dims must agree exactly
-            if a.shape[:-2] != b.shape[:-2]:
-                raise ShapeMismatchError(
-                    f"batched matmul with differing batch dims {a.shape} @ {b.shape}"
-                )
-        data = a @ b
 
         def backward(g, x=self, y=other):
             if x._needed:
-                _accumulate(x, g @ np.swapaxes(y.data, -1, -2))
+                _accumulate(x, g @ y.data.T)
             if y._needed:
-                _accumulate(y, np.swapaxes(x.data, -1, -2) @ g)
+                _accumulate(y, x.data.T @ g)
 
-        return Tensor._make(data, (self, other), backward)
-
-    # -- reshapes ------------------------------------------------------------------
-
-    def reshape(self, *shape: int) -> "Tensor":
-        data = self.data.reshape(shape)
-
-        def backward(g, a=self):
-            if a._needed:
-                _accumulate(a, g.reshape(a.shape))
-
-        return Tensor._make(data, (self,), backward)
-
-    def transpose(self, *axes: int) -> "Tensor":
-        inv = np.argsort(axes)
-        data = self.data.transpose(axes)
-
-        def backward(g, a=self, inv=tuple(inv)):
-            if a._needed:
-                _accumulate(a, g.transpose(inv))
-
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(a @ b, (self, other), backward)
 
     def __getitem__(self, key: slice) -> "Tensor":
         """Contiguous row slice along the first axis, ``t[start:stop]``."""
@@ -203,55 +178,43 @@ class Tensor:
 Operand = Tensor | np.ndarray  # what a forward function takes and gives back
 
 
-def concat(tensors: list[Operand], axis: int = 0) -> Operand:
-    """Join along ``axis``; an array if every part is one, else a Tensor."""
+def concat(tensors: list[Operand]) -> Operand:
+    """Join rows; an array if every part is one, else a Tensor."""
     if not any(isinstance(t, Tensor) for t in tensors):
-        return np.concatenate(tensors, axis=axis)
+        return np.concatenate(tensors)
     tensors = [Tensor._lift(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
+    data = np.concatenate([t.data for t in tensors])
+    sizes = [t.data.shape[0] for t in tensors]
 
-    def backward(g, parts=tuple(tensors), sizes=tuple(sizes), ax=axis):
+    def backward(g, parts=tuple(tensors), sizes=tuple(sizes)):
         offset = 0
         for part, n in zip(parts, sizes):
             if part._needed:
-                idx = [slice(None)] * g.ndim
-                idx[ax] = slice(offset, offset + n)
-                _accumulate(part, g[tuple(idx)])
+                _accumulate(part, g[offset : offset + n])
             offset += n
 
     return Tensor._make(data, tuple(tensors), backward)
 
 
-def masked_softmax(logits: Operand, blocked: np.ndarray) -> Operand:
+def masked_softmax(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with ``blocked`` entries forced to weight 0.
 
     ``blocked`` is broadcast against ``logits`` (1/True = no attention). Every
     row must keep at least one allowed entry. Blocked positions receive exactly
-    zero weight and exactly zero gradient, which is what makes the causality
-    guarantees of the attention mask bitwise rather than approximate. A mask
-    that blocks nothing is not applied at all. Array logits give an array.
+    zero weight, and through ``attention``'s backward exactly zero gradient,
+    which is what makes the causality guarantees of the attention mask bitwise
+    rather than approximate. A mask that blocks nothing is not applied at all.
     """
-    z = as_array(logits)
     blocked = np.asarray(blocked, dtype=bool)
     if blocked.any():
-        blocked = np.broadcast_to(blocked, z.shape)
+        blocked = np.broadcast_to(blocked, logits.shape)
         if bool(blocked.all(axis=-1).any()):
             raise ShapeMismatchError("masked_softmax: some row has every key blocked")
-        z = np.where(blocked, -np.inf, z)
+        logits = np.where(blocked, -np.inf, logits)
     # the reductions are ndarray.max and ndarray.sum without their Python wrappers
-    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / np.add.reduce(e, axis=-1, keepdims=True)
-    if not isinstance(logits, Tensor):
-        return out
-
-    def backward(g, a=logits, s=out):
-        if a._needed:
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            _accumulate(a, s * (g - inner))
-
-    return Tensor._make(out, (logits,), backward)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _needs(x: Operand) -> bool:
@@ -340,6 +303,48 @@ def gelu(x: Operand) -> Operand:
             _accumulate(x, g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * slope))
 
     return Tensor._make(0.5 * xd * (1.0 + t), (x,), backward)
+
+
+def attention(q: Operand, k: Operand, v: Operand, blocked: np.ndarray, heads: int) -> Operand:
+    """Masked softmax attention of (rows, d) queries over (keys, d) keys and
+    values, each head on its own d/heads columns, as one node; arrays give an
+    array. ``blocked`` is (rows, keys), True where a query may not see a key:
+    that key gets exactly zero weight from it, and so exactly zero gradient."""
+    qd, kd, vd = as_array(q), as_array(k), as_array(v)
+    d = qd.shape[-1]
+    recording = isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)
+    if recording and (qd.ndim != 2 or kd.shape != vd.shape or kd.shape[1:] != (d,) or d % heads):
+        raise ShapeMismatchError(f"attention on {qd.shape}, {kd.shape}, {vd.shape}, {heads} heads")
+    scale = 1.0 / np.sqrt(d // heads)
+
+    def split(t: np.ndarray) -> np.ndarray:  # (n, d) -> (heads, n, d/heads), a view
+        return t.reshape(len(t), heads, -1).transpose(1, 0, 2)
+
+    def join(t: np.ndarray) -> np.ndarray:  # (heads, n, d/heads) -> a new (n, d)
+        out = np.empty((t.shape[1], d))
+        split(out)[...] = t
+        return out
+
+    qh, kh, vh = split(qd), split(kd), split(vd)
+    weights = masked_softmax((qh @ kh.transpose(0, 2, 1)) * scale, blocked)
+    out = join(weights @ vh)
+    if not recording:
+        return out
+
+    def backward(g):
+        gh = np.ascontiguousarray(split(g))
+        if _needs(v):
+            _accumulate(v, join(weights.transpose(0, 2, 1) @ gh))
+        if _needs(q) or _needs(k):
+            gw = gh @ vh.transpose(0, 2, 1)
+            inner = (gw * weights).sum(axis=-1, keepdims=True)
+            gl = (weights * (gw - inner)) * scale  # the gradient of the logits
+            if _needs(q):
+                _accumulate(q, join(gl @ kh))
+            if _needs(k):
+                _accumulate(k, join((qh.transpose(0, 2, 1) @ gl).transpose(0, 2, 1)))
+
+    return Tensor._make(out, _recorded(q, k, v), backward)
 
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:

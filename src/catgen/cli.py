@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("granger", help="pairwise Granger causality screen")
     p.add_argument("--matrix", required=True)
     p.add_argument("--lag", type=int, default=1)
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--top-k", type=positive_int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_granger)
 
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--st", required=True)
     p.add_argument("--sc", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds per setting")
+    p.add_argument("--seeds", type=positive_int, default=1, help="number of seeds per setting")
     p.set_defaults(func=cmd_ablate)
     return parser
 
@@ -264,6 +264,8 @@ def cmd_generate(args) -> int:
     missing = [f"meta.{key}" for key in ("T", "beta_start", "beta_end") if key not in meta]
     if missing:
         raise DataFormatError(f"{args.ckpt}: checkpoint missing {', '.join(missing)}")
+    if not (meta["T"].is_integer() and meta["T"] >= 1):  # nor are NaN and the infinities
+        raise DataFormatError(f"{args.ckpt}: meta.T is {meta['T']!r}, not a whole number >= 1")
     schedule = linear_schedule(int(meta["T"]), meta["beta_start"], meta["beta_end"])
     opts = DataOptions(  # checkpoints without the data meta used the defaults
         min_genes_sc=int(meta.get("qc_min_genes_sc", DataOptions.min_genes_sc)),

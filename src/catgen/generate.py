@@ -22,8 +22,8 @@ no longer fed at all. Work is done at the outermost level it depends on:
   timestep of the reverse chain, and the chain's step coefficients, which
   its schedule computes once (``reverse_coefficients``);
 - per group: its random stream and its context cache
-  (``model.context_cache``), whose key and value buffers leave room for the
-  group's own rows;
+  (``model.context_cache``), whose (rows, d) key and value buffers leave
+  room for the group's own rows;
 - per step: one forward of the current group's noisy rows only, laid out
   by ``TokenBatch.assemble``, with its keys and values written into the
   buffers' tail, then one reverse step. The step projects its timestep's

@@ -13,12 +13,12 @@ positional identity, and the output rows are the predicted noise for the
 noisy tokens.
 
 Each forward function is written once and runs on either kind of parameter.
-Its layers are the fused nodes of ``autodiff``: ``linear``, ``layer_norm``
-and ``gelu``, one autodiff node each. Training passes ``CatParameters``
-whose tensors are autodiff leaves, so gradients come straight off the
-recorded forward computation; inference passes ``params.detached()``, plain
-ndarray views of the same buffer, and the same functions then compute the
-same numbers on arrays without recording a graph.
+Its layers are the fused nodes of ``autodiff``: ``linear``, ``layer_norm``,
+``gelu`` and ``attention``, one autodiff node each. Training passes
+``CatParameters`` whose tensors are autodiff leaves, so gradients come
+straight off the recorded forward computation; inference passes
+``params.detached()``, plain ndarray views of the same buffer, and the same
+functions then compute the same numbers on arrays without recording a graph.
 
 One block loop serves three callers: training runs every row under the full
 mask; ``context_cache`` runs the context rows [condition | clean] alone and
@@ -29,9 +29,9 @@ Array forwards differ from recorded ones in layout only, never in
 arithmetic. ``detached()`` packs each block's query, key and value
 projections into one (d, 3d) matrix ``[wq|wk|wv]`` with bias ``[bq|0|bv]``,
 so a block computes q, k and v with one matmul and takes them as column
-views. On arrays ``context_cache`` keeps each block's keys and values in a
-(heads, context rows + group size, dh) buffer, and a cached step writes its
-own keys and values into the buffer's tail instead of joining two arrays.
+views. On arrays ``context_cache`` keeps each block's (rows, d) keys and
+values in a (context rows + group size, d) buffer, and a cached step writes
+its own into the buffer's tail instead of joining two arrays.
 A batch may also bring its timesteps' sinusoidal features, which a
 generation request computes once for its whole chain.
 
@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arplan import ARStepPlan
-from .autodiff import Operand, Tensor, as_array, concat, gelu, layer_norm, linear, masked_softmax
+from .autodiff import Operand, Tensor, as_array, attention, concat, gelu, layer_norm, linear
 from .diffusion import DiffusionSchedule
 from .errors import (
     DataFormatError,
@@ -260,9 +260,9 @@ def sinusoidal_basis(ts: np.ndarray, d: int) -> np.ndarray:
 class ContextCache(NamedTuple):
     """Each block's attention keys and values for ``rows`` fixed context rows.
 
-    Recorded (Tensor) keys and values are (heads, rows, dh). Array ones are
-    (heads, rows + group size, dh) buffers whose first ``rows`` rows hold the
-    context; a cached step writes its own rows into the rest.
+    Recorded (Tensor) keys and values are (rows, d). Array ones are (rows +
+    group size, d) buffers whose first ``rows`` rows hold the context; a
+    cached step writes its own rows into the rest.
     """
 
     keys: tuple[Operand, ...]
@@ -282,35 +282,27 @@ def _attention(
     ``prefix`` holds cached keys and values of context rows that come before
     ``x``: recorded ones are joined ahead of x's own, and array buffers take
     x's own in their tail. ``blocked`` then has one column per prefix row
-    first. Returns the output and x's own keys and values, split by head.
+    first. Returns the output and x's own (rows, d) keys and values.
     """
-    heads, d = params.cfg.heads, params.cfg.d
-    dh = d // heads
-    length = x.shape[0]
-
-    def split(t: Operand) -> Operand:
-        return t.reshape(length, heads, dh).transpose(1, 0, 2)
-
+    d = params.cfg.d
     if isinstance(x, Tensor):  # recorded: one node per projection
-        q = split(linear(x, params[f"{block}.wq"], params[f"{block}.bq"]))
+        q = linear(x, params[f"{block}.wq"], params[f"{block}.bq"])
         # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
-        k = split(x @ params[f"{block}.wk"])
-        v = split(linear(x, params[f"{block}.wv"], params[f"{block}.bv"]))
+        k = x @ params[f"{block}.wk"]
+        v = linear(x, params[f"{block}.wv"], params[f"{block}.bv"])
     else:  # arrays: one matmul, whose column thirds are q, k and v
         qkv = linear(x, *params.qkv[block])
-        q, k, v = (split(qkv[:, i * d : (i + 1) * d]) for i in range(3))
+        q, k, v = (qkv[:, i * d : (i + 1) * d] for i in range(3))
     own = k, v
     if prefix is not None:  # cached context rows come first
         keys, values = prefix
         if isinstance(keys, Tensor):
-            k, v = concat([keys, k], axis=1), concat([values, v], axis=1)
+            k, v = concat([keys, k]), concat([values, v])
         else:
-            keys[:, -length:] = k
-            values[:, -length:] = v
+            keys[-len(x) :] = k
+            values[-len(x) :] = v
             k, v = keys, values
-    logits = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
-    weights = masked_softmax(logits, blocked)
-    context = (weights @ v).transpose(1, 0, 2).reshape(length, d)
+    context = attention(q, k, v, blocked, params.cfg.heads)
     return linear(context, params[f"{block}.wo"], params[f"{block}.bo"]), own
 
 
@@ -349,7 +341,7 @@ def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCac
     out its own; ``plan`` is the group's plan (the finished groups, then the
     group still to generate), whose clean rows end the prefix.
     """
-    tokens = concat(list(prefix), axis=0)
+    tokens = concat(list(prefix))
     rows = tokens.shape[0]
     c = rows - plan.v
     if tokens.shape[-1] != params.cfg.d or c < 0:
@@ -362,8 +354,8 @@ def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCac
     def room(part: Operand) -> Operand:  # an array buffer also holds the group's own rows
         if isinstance(part, Tensor):
             return part
-        buffer = np.empty((part.shape[0], rows + plan.sz[-1], part.shape[2]))
-        buffer[:, :rows] = part
+        buffer = np.empty((rows + plan.sz[-1], part.shape[1]))
+        buffer[:rows] = part
         return buffer
 
     return ContextCache(
@@ -436,12 +428,12 @@ class TokenBatch:
         if context is None:
             blocked = build_mask(ctx - plan.v, plan)
         else:  # one step of noisy rows: each sees every cached row and every other row
-            room = context.keys[0].shape[1] - context.rows
+            room = context.keys[0].shape[0] - context.rows
             if isinstance(context.keys[0], np.ndarray) and room != s:
                 raise ShapeMismatchError(f"the cache has room for {room} noisy rows, not {s}")
             blocked = np.zeros((s, context.rows + s), dtype=bool)
         return cls(
-            tokens=concat([*prefix, x_t + cond], axis=0) if prefix else x_t + cond,
+            tokens=concat([*prefix, x_t + cond]) if prefix else x_t + cond,
             plan=plan,
             timesteps=timesteps,
             noisy=x_t,
@@ -476,7 +468,7 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
     if features is None:
         features = sinusoidal_basis(batch.timesteps, d)
     temb = linear(features, params["time.w"], params["time.b"])
-    x = batch.tokens + (concat([np.zeros((ctx, d)), temb], axis=0) if ctx else temb)
+    x = batch.tokens + (concat([np.zeros((ctx, d)), temb]) if ctx else temb)
     x, _ = _blocks(x, batch.blocked, params, batch.context)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])

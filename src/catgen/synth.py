@@ -50,9 +50,6 @@ class ChainEdge:
             raise ShapeMismatchError(f"bad edge spec {text!r}, want driver->target:coeff[:lag]")
         return cls(*fields)
 
-    def to_text(self) -> str:
-        return f"{self.driver}->{self.target}:{self.coeff:g}:{self.lag}"
-
 
 @dataclass
 class SynthConfig:

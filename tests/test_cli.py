@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catgen import cli, train
+from catgen import cli, granger, train
 from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
 from catgen.config import REGISTRY
@@ -462,6 +462,24 @@ def test_checkpoint_without_diffusion_meta_is_a_data_error_before_the_sc_is_read
     assert not (tmp_path / "pred.csv").exists()
 
 
+@pytest.mark.parametrize("T", [math.nan, 2.5, 0.0])
+def test_a_diffusion_length_below_one_or_not_whole_is_a_data_error_before_the_sc_is_read(
+    tmp_path, capsys, T
+):
+    params = init_params(ModelConfig(p=3, q=4, d=4, heads=1, blocks=1), np.random.default_rng(1))
+    meta = {"T": T, "beta_start": 1e-4, "beta_end": 2e-2}
+    save_checkpoint(params, tmp_path / "bad.catg", meta)
+    (tmp_path / "genes.txt").write_text("G0\n")
+    assert cli.main([
+        "generate", "--ckpt", str(tmp_path / "bad.catg"), "--sc", str(tmp_path / "absent.csv"),
+        "--genes", str(tmp_path / "genes.txt"), "--out", str(tmp_path / "pred.csv"), *SEED,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"meta.T is {T!r}, not a whole number" in err
+    assert "absent.csv" not in err  # the checkpoint is rejected first
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def _generate_from_bytes(tmp_path, raw: bytes) -> int:
     """``generate`` on a checkpoint holding ``raw``, with an SC file that does not exist."""
     (tmp_path / "bad.catg").write_bytes(raw)
@@ -622,6 +640,20 @@ def test_granger_reruns_identically_and_rejects_lag_zero(trained):
     assert not bad.exists()
 
 
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_fewer_than_one_top_pair_is_a_usage_error_before_any_screen(
+    trained, monkeypatch, capsys, top_k
+):
+    calls = []
+    monkeypatch.setattr(granger, "screen", lambda *args, **kwargs: calls.append(1))
+    out = trained / "granger_top.csv"
+    assert cli.main([
+        "granger", "--matrix", str(trained / "sc.csv"), f"--top-k={top_k}", "--out", str(out),
+    ]) == 1
+    assert "argument --top-k" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_granger_takes_no_seed(trained):
     out = trained / "granger_seed.csv"
     assert cli.main([
@@ -657,3 +689,19 @@ def test_ablate_reruns_identically_and_rejects_unknown_axis(trained):
     assert second.read_bytes() == first.read_bytes()
     assert _ablate(trained, bad, axis="bogus") == 1
     assert not bad.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_fewer_than_one_seed_per_setting_is_a_usage_error_before_any_fit(
+    trained, monkeypatch, capsys, seeds
+):
+    calls = []
+    monkeypatch.setattr(train, "fit", lambda *args, **kwargs: calls.append(1))
+    out = trained / "ablate_seeds.csv"
+    argv = [
+        "ablate", "--axis", "decay", "--st", str(trained / "st.csv"),
+        "--sc", str(trained / "sc.csv"), "--out", str(out), f"--seeds={seeds}", *SEED, *TINY_TRAIN,
+    ]
+    assert cli.main(argv) == 1
+    assert "argument --seeds" in capsys.readouterr().err
+    assert calls == [] and not out.exists()

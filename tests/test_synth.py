@@ -81,9 +81,8 @@ def test_config_validation():
 
 
 def test_edge_text_round_trip():
-    edge = ChainEdge(3, 5, 0.75, 2)
-    assert ChainEdge.from_text(edge.to_text()) == edge
-    assert ChainEdge.from_text("0->1:0.9") == ChainEdge(0, 1, 0.9, 1)
+    assert ChainEdge.from_text("3->5:0.75:2") == ChainEdge(3, 5, 0.75, 2)
+    assert ChainEdge.from_text("0->1:0.9") == ChainEdge(0, 1, 0.9, 1)  # the lag defaults to 1
     with pytest.raises(ShapeMismatchError):
         ChainEdge.from_text("0-1:0.9")
 

@@ -181,7 +181,7 @@ def reference_assemble_training_batch(z_st, z_sc, plan, token_ts, eps, schedule)
     """The training layout as the trainer once wrote it by hand: [z_sc | clean | noisy]."""
     sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
     noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
-    tokens = concat([z_sc, z_st[: plan.v], noised + z_sc], axis=0)
+    tokens = concat([z_sc, z_st[: plan.v], noised + z_sc])
     return TokenBatch(
         tokens=tokens,
         plan=plan,
