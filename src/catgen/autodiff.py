@@ -21,11 +21,18 @@ The model's layers and its loss terms are fused nodes: ``linear`` (``x @ w +
 b``), ``layer_norm``, ``gelu``, ``attention`` and ``mse`` each record one
 node with an analytic backward rule, instead of one node per arithmetic
 step. ``attention`` is the one code that splits (rows, d) queries, keys and
-values by head. Given no Tensor operand, each layer returns straight after
-its ``isinstance`` checks, through the same numpy arithmetic that a Tensor
-call applies to its data, so inference pays for no tape work and gets
-bitwise the numbers training sees. ``mse`` takes a Tensor and a constant
-target.
+values by head. Each layer computes its output once, on the operands'
+numbers, and returns that array when no operand is a Tensor, else records
+it as the node's data; so inference pays for no tape work and gets bitwise
+the numbers training sees. ``mse`` takes a Tensor and a constant target.
+
+Forward and backward arithmetic runs in place, but only in arrays the
+function made itself: it never writes into an operand, an incoming
+gradient, or an array that a backward rule reads later (a layer norm's
+``xhat``, GELU's ``t``, attention's weights), so a tape can be walked
+twice with the same result. Each element still sees the operations of the
+plain expression in its order; operands are swapped only where IEEE
+arithmetic commutes (``a * b`` for ``b * a``), never regrouped.
 
 ``gradients`` is the one walk, and the one place that decides where a
 gradient flows. It is given a scalar loss and the leaves whose gradients are
@@ -212,9 +219,10 @@ def masked_softmax(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
             raise ShapeMismatchError("masked_softmax: some row has every key blocked")
         logits = np.where(blocked, -np.inf, logits)
     # the reductions are ndarray.max and ndarray.sum without their Python wrappers
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _needs(x: Operand) -> bool:
@@ -230,16 +238,19 @@ def _recorded(*operands: Operand) -> tuple[Tensor, ...]:
 def linear(x: Operand, w: Operand, b: Operand) -> Operand:
     """``x @ w + b`` as one node, for (rows, in) ``x``, (in, out) ``w`` and (out,) ``b``.
 
-    Arrays give an array, by the same arithmetic, and no shape check.
+    Arrays give an array, and no shape check.
     """
-    if not (isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor)):
-        return x @ w + b
     xd, wd, bd = as_array(x), as_array(w), as_array(b)
-    if xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1:
+    recording = isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor)
+    if recording and (xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1):
         raise ShapeMismatchError(
             "linear takes (rows, in) @ (in, out) + (out,), "
             f"got {xd.shape} @ {wd.shape} + {bd.shape}"
         )
+    out = xd @ wd
+    out += bd
+    if not recording:
+        return out
 
     def backward(g):
         if _needs(x):
@@ -249,25 +260,29 @@ def linear(x: Operand, w: Operand, b: Operand) -> Operand:
         if _needs(b):
             _accumulate(b, g.sum(axis=0))
 
-    return Tensor._make(xd @ wd + bd, _recorded(x, w, b), backward)
+    return Tensor._make(out, _recorded(x, w, b), backward)
 
 
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x`` centered and scaled to unit variance over its last axis, and the scale."""
     inv_n = 1.0 / x.shape[-1]  # means as sum * (1/n); ndarray.mean divides
     centered = x - np.add.reduce(x, axis=-1, keepdims=True) * inv_n
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n
-    scale = (var + _LN_EPS) ** -0.5
-    return centered * scale, scale
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    var *= inv_n
+    var += _LN_EPS
+    scale = var ** -0.5
+    centered *= scale
+    return centered, scale
 
 
 def layer_norm(x: Operand, gain: Operand, bias: Operand) -> Operand:
     """Layer normalization over the last axis as one node; arrays give an array."""
-    if not (isinstance(x, Tensor) or isinstance(gain, Tensor) or isinstance(bias, Tensor)):
-        xhat, _ = _normalize(x)
-        return xhat * gain + bias
     xhat, scale = _normalize(as_array(x))
     gd = as_array(gain)
+    out = xhat * gd
+    out += as_array(bias)
+    if not (isinstance(x, Tensor) or isinstance(gain, Tensor) or isinstance(bias, Tensor)):
+        return out
 
     def backward(g):
         if _needs(x):
@@ -283,26 +298,47 @@ def layer_norm(x: Operand, gain: Operand, bias: Operand) -> Operand:
         if _needs(bias):
             _accumulate(bias, _unbroadcast(g, bias.shape))
 
-    return Tensor._make(xhat * gd + as_array(bias), _recorded(x, gain, bias), backward)
+    return Tensor._make(out, _recorded(x, gain, bias), backward)
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x)))  # float pow is ~50x slower
+    """``tanh(sqrt(2/pi) * (x + 0.044715 * x³))``, built in one new array."""
+    t = x * x
+    t *= x  # x * x * x: float pow is ~50x slower
+    t *= 0.044715
+    t += x
+    t *= _SQRT_2_OVER_PI
+    return np.tanh(t, out=t)
 
 
 def gelu(x: Operand) -> Operand:
-    """tanh-form GELU as one node; arrays give an array."""
-    if not isinstance(x, Tensor):
-        return 0.5 * x * (1.0 + _gelu_tanh(x))
-    xd = x.data
+    """tanh-form GELU, ``0.5 * x * (1 + t)``, as one node; arrays give an array."""
+    xd = as_array(x)
     t = _gelu_tanh(xd)
+    out = t + 1.0
+    out *= xd * 0.5
+    if not isinstance(x, Tensor):
+        return out
 
     def backward(g):
         if x._needed:
-            slope = _SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * (xd * xd))
-            _accumulate(x, g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * slope))
+            # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * slope), one product at a time
+            slope = xd * xd
+            slope *= 3.0 * 0.044715
+            slope += 1.0
+            slope *= _SQRT_2_OVER_PI
+            part = t * t
+            np.subtract(1.0, part, out=part)
+            gx = xd * 0.5
+            gx *= part
+            gx *= slope
+            np.add(t, 1.0, out=part)
+            part *= 0.5
+            gx += part
+            gx *= g
+            _accumulate(x, gx)
 
-    return Tensor._make(0.5 * xd * (1.0 + t), (x,), backward)
+    return Tensor._make(out, (x,), backward)
 
 
 def attention(q: Operand, k: Operand, v: Operand, blocked: np.ndarray, heads: int) -> Operand:
@@ -326,7 +362,9 @@ def attention(q: Operand, k: Operand, v: Operand, blocked: np.ndarray, heads: in
         return out
 
     qh, kh, vh = split(qd), split(kd), split(vd)
-    weights = masked_softmax((qh @ kh.transpose(0, 2, 1)) * scale, blocked)
+    logits = qh @ kh.transpose(0, 2, 1)
+    logits *= scale
+    weights = masked_softmax(logits, blocked)
     out = join(weights @ vh)
     if not recording:
         return out
@@ -336,9 +374,11 @@ def attention(q: Operand, k: Operand, v: Operand, blocked: np.ndarray, heads: in
         if _needs(v):
             _accumulate(v, join(weights.transpose(0, 2, 1) @ gh))
         if _needs(q) or _needs(k):
-            gw = gh @ vh.transpose(0, 2, 1)
-            inner = (gw * weights).sum(axis=-1, keepdims=True)
-            gl = (weights * (gw - inner)) * scale  # the gradient of the logits
+            gl = gh @ vh.transpose(0, 2, 1)  # the gradient of the weights, then of the logits
+            inner = (gl * weights).sum(axis=-1, keepdims=True)
+            gl -= inner
+            gl *= weights
+            gl *= scale
             if _needs(q):
                 _accumulate(q, join(gl @ kh))
             if _needs(k):

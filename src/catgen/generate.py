@@ -23,7 +23,8 @@ no longer fed at all. Work is done at the outermost level it depends on:
   its schedule computes once (``reverse_coefficients``);
 - per group: its random stream and its context cache
   (``model.context_cache``), whose (rows, d) key and value buffers leave
-  room for the group's own rows;
+  room for the group's own rows, and which holds the one-step plan and the
+  mask that every step of the group shares;
 - per step: one forward of the current group's noisy rows only, laid out
   by ``TokenBatch.assemble``, with its keys and values written into the
   buffers' tail, then one reverse step. The step projects its timestep's
@@ -181,7 +182,7 @@ def _predict_noise(
     """
     size = x.shape[0]
     batch = TokenBatch.assemble(
-        ARStepPlan((size,)), x, cond, np.full(size, t_raw), schedule, context=context,
+        context.step, x, cond, np.full(size, t_raw), schedule, context=context,
         time_features=np.repeat(features[None], size, axis=0),
     )
     return cat_forward(batch, frozen)

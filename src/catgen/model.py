@@ -48,7 +48,7 @@ import os
 import struct
 import tempfile
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -130,6 +130,18 @@ def _bounds(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     return bounds
 
 
+@functools.lru_cache(maxsize=8)
+def _block_names(cfg: ModelConfig) -> tuple[dict[str, str], ...]:
+    """Per block, each parameter's full name by its name within the block
+    (``ln1.g`` for ``blk0.ln1.g``): forwards look names up, never format them."""
+    names: tuple[dict[str, str], ...] = tuple({} for _ in range(cfg.blocks))
+    for name in parameter_shapes(cfg):
+        block, _, part = name.partition(".")
+        if block.startswith("blk"):
+            names[int(block[len("blk"):])][part] = name
+    return names
+
+
 def _views(cfg: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Each tensor's view into ``flat``, in buffer order."""
     shapes = parameter_shapes(cfg)
@@ -150,7 +162,7 @@ class CatParameters:
     flat: np.ndarray
     tensors: dict[str, Operand]
     # per block, the packed [wq|wk|wv] and [bq|0|bv] of array forwards; see detached()
-    qkv: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    qkv: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     @classmethod
     def from_flat(cls, cfg: ModelConfig, flat: np.ndarray) -> "CatParameters":
@@ -190,12 +202,12 @@ class CatParameters:
         a later write to the buffer does not reach it.
         """
         tensors = _views(self.cfg, self.flat)
-        qkv = {}
-        for i in range(self.cfg.blocks):
-            w = [tensors[f"blk{i}.{name}"] for name in ("wq", "wk", "wv")]
-            b = [tensors[f"blk{i}.bq"], np.zeros(self.cfg.d), tensors[f"blk{i}.bv"]]
-            qkv[f"blk{i}"] = np.concatenate(w, axis=1), np.concatenate(b)
-        return CatParameters(cfg=self.cfg, flat=self.flat, tensors=tensors, qkv=qkv)
+        qkv = []
+        for names in _block_names(self.cfg):
+            w = [tensors[names[part]] for part in ("wq", "wk", "wv")]
+            b = [tensors[names["bq"]], np.zeros(self.cfg.d), tensors[names["bv"]]]
+            qkv.append((np.concatenate(w, axis=1), np.concatenate(b)))
+        return CatParameters(cfg=self.cfg, flat=self.flat, tensors=tensors, qkv=tuple(qkv))
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
@@ -258,7 +270,8 @@ def sinusoidal_basis(ts: np.ndarray, d: int) -> np.ndarray:
 
 
 class ContextCache(NamedTuple):
-    """Each block's attention keys and values for ``rows`` fixed context rows.
+    """Each block's attention keys and values for ``rows`` fixed context rows,
+    and what every cached step of the group's noisy rows shares.
 
     Recorded (Tensor) keys and values are (rows, d). Array ones are (rows +
     group size, d) buffers whose first ``rows`` rows hold the context; a
@@ -268,16 +281,18 @@ class ContextCache(NamedTuple):
     keys: tuple[Operand, ...]
     values: tuple[Operand, ...]
     rows: int
+    step: ARStepPlan  # one AR step of the group's noisy rows
+    blocked: np.ndarray  # (group size, rows + group size), all False: see TokenBatch.assemble
 
 
 def _attention(
     x: Operand,
     blocked: np.ndarray,
-    block: str,
+    block: int,
     params: CatParameters,
     prefix: tuple[Operand, Operand] | None = None,
 ) -> tuple[Operand, tuple[Operand, Operand]]:
-    """Masked multi-head attention of the rows of ``x``.
+    """Masked multi-head attention of the rows of ``x`` in block number ``block``.
 
     ``prefix`` holds cached keys and values of context rows that come before
     ``x``: recorded ones are joined ahead of x's own, and array buffers take
@@ -285,11 +300,12 @@ def _attention(
     first. Returns the output and x's own (rows, d) keys and values.
     """
     d = params.cfg.d
+    names = _block_names(params.cfg)[block]
     if isinstance(x, Tensor):  # recorded: one node per projection
-        q = linear(x, params[f"{block}.wq"], params[f"{block}.bq"])
+        q = linear(x, params[names["wq"]], params[names["bq"]])
         # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
-        k = x @ params[f"{block}.wk"]
-        v = linear(x, params[f"{block}.wv"], params[f"{block}.bv"])
+        k = x @ params[names["wk"]]
+        v = linear(x, params[names["wv"]], params[names["bv"]])
     else:  # arrays: one matmul, whose column thirds are q, k and v
         qkv = linear(x, *params.qkv[block])
         q, k, v = (qkv[:, i * d : (i + 1) * d] for i in range(3))
@@ -303,7 +319,7 @@ def _attention(
             values[-len(x) :] = v
             k, v = keys, values
     context = attention(q, k, v, blocked, params.cfg.heads)
-    return linear(context, params[f"{block}.wo"], params[f"{block}.bo"]), own
+    return linear(context, params[names["wo"]], params[names["bo"]]), own
 
 
 def _blocks(
@@ -316,17 +332,15 @@ def _blocks(
     and values of the rows of ``x``.
     """
     own = []
-    for i in range(params.cfg.blocks):
-        b = f"blk{i}"
+    for i, names in enumerate(_block_names(params.cfg)):
         prefix = None if cache is None else (cache.keys[i], cache.values[i])
-        attended, kv = _attention(
-            layer_norm(x, params[f"{b}.ln1.g"], params[f"{b}.ln1.b"]), blocked, b, params, prefix
-        )
+        h = layer_norm(x, params[names["ln1.g"]], params[names["ln1.b"]])
+        attended, kv = _attention(h, blocked, i, params, prefix)
         own.append(kv)
         x = x + attended
-        h = layer_norm(x, params[f"{b}.ln2.g"], params[f"{b}.ln2.b"])
-        hidden = gelu(linear(h, params[f"{b}.ff.w1"], params[f"{b}.ff.b1"]))
-        x = x + linear(hidden, params[f"{b}.ff.w2"], params[f"{b}.ff.b2"])
+        h = layer_norm(x, params[names["ln2.g"]], params[names["ln2.b"]])
+        hidden = gelu(linear(h, params[names["ff.w1"]], params[names["ff.b1"]]))
+        x = x + linear(hidden, params[names["ff.w2"]], params[names["ff.b2"]])
     return x, own
 
 
@@ -336,7 +350,9 @@ def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCac
     Context rows carry no time embedding and, under the causal mask, attend
     only to context rows, so their keys and values do not depend on any noisy
     row or timestep: one cache serves every reverse step of an AR group, and
-    on arrays it has room for that group's rows (``plan.sz[-1]``).
+    on arrays it has room for that group's rows (``plan.sz[-1]``). It also
+    holds the one-step plan of those rows and their all-False mask, so a
+    cached step builds neither.
     ``prefix`` holds the context rows in parts, laid out as a TokenBatch lays
     out its own; ``plan`` is the group's plan (the finished groups, then the
     group still to generate), whose clean rows end the prefix.
@@ -350,16 +366,21 @@ def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCac
             f"and width {params.cfg.d}"
         )
     _, own = _blocks(tokens, build_mask(c, plan)[:rows, :rows], params)
+    size = plan.sz[-1]
 
     def room(part: Operand) -> Operand:  # an array buffer also holds the group's own rows
         if isinstance(part, Tensor):
             return part
-        buffer = np.empty((rows + plan.sz[-1], part.shape[1]))
+        buffer = np.empty((rows + size, part.shape[1]))
         buffer[:rows] = part
         return buffer
 
     return ContextCache(
-        keys=tuple(room(k) for k, _ in own), values=tuple(room(v) for _, v in own), rows=rows
+        keys=tuple(room(k) for k, _ in own),
+        values=tuple(room(v) for _, v in own),
+        rows=rows,
+        step=ARStepPlan((size,)),
+        blocked=np.zeros((size, rows + size), dtype=bool),
     )
 
 
@@ -407,7 +428,8 @@ class TokenBatch:
         token and ``cond`` that gene's condition latent, added in to tie the
         noisy slot to its gene. Each token's signal level is looked up from
         ``schedule`` at its 1-based timestep. A cached step passes
-        ``context`` and no prefix rows. A caller that already holds the
+        ``context`` and no prefix rows, and its rows must be the cache's
+        group; it takes the cache's mask. A caller that already holds the
         timesteps' sinusoidal features passes them as ``time_features``.
         """
         timesteps = np.asarray(timesteps, dtype=np.int64)
@@ -428,10 +450,11 @@ class TokenBatch:
         if context is None:
             blocked = build_mask(ctx - plan.v, plan)
         else:  # one step of noisy rows: each sees every cached row and every other row
-            room = context.keys[0].shape[0] - context.rows
-            if isinstance(context.keys[0], np.ndarray) and room != s:
-                raise ShapeMismatchError(f"the cache has room for {room} noisy rows, not {s}")
-            blocked = np.zeros((s, context.rows + s), dtype=bool)
+            if context.step.S != s:
+                raise ShapeMismatchError(
+                    f"the cache has room for {context.step.S} noisy rows, not {s}"
+                )
+            blocked = context.blocked
         return cls(
             tokens=concat([*prefix, x_t + cond]) if prefix else x_t + cond,
             plan=plan,

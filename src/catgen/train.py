@@ -84,6 +84,12 @@ class TrainConfig:
         parse_strategy(self.val_sampling)
 
 
+# values per block of Adam's update: 256 KiB of float64 per array, so the six
+# arrays a block touches (m, v, gradient, values, two scratch) take 1.5 MiB
+# and stay in cache from the block's first operation to its last
+_ADAM_BLOCK = 32768
+
+
 class Adam:
     """Adam with bias correction over one flat slice of parameters.
 
@@ -91,8 +97,12 @@ class Adam:
     slice it is given; every later step must update a slice of that size.
     Each step applies Adam's per-element arithmetic (Kingma & Ba 2015) in
     the order ``lr * m_hat / (sqrt(v_hat) + eps)``, so every element comes
-    out bitwise as a per-tensor update would give it, and it works through
-    two reused scratch arrays, so it makes no array after the first step.
+    out bitwise as a per-tensor update would give it. The slice is walked
+    in blocks of ``_ADAM_BLOCK`` values, and each block runs every
+    operation of the update before the next block starts, through two
+    block-sized scratch arrays; so the step makes no array after the first,
+    and each block's arrays are read from memory once rather than once per
+    operation.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -101,29 +111,35 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self._t = 0
-        self._m = self._v = self._a = self._b = None  # m, v and two scratch arrays
+        self._m = self._v = self._a = self._b = None  # m, v and two block-sized scratch arrays
 
     def step(self, values: np.ndarray, grad: np.ndarray) -> None:
         """Update ``values`` in place from its gradient ``grad`` (same shape)."""
         if self._m is None:
-            self._m, self._v, self._a, self._b = (np.zeros_like(grad) for _ in range(4))
+            self._m, self._v = np.zeros_like(grad), np.zeros_like(grad)
+            self._a, self._b = (np.empty(min(grad.size, _ADAM_BLOCK)) for _ in range(2))
         elif grad.shape != self._m.shape:
             raise ShapeMismatchError(
                 f"Adam state is for {self._m.size} values, got a gradient of {grad.size}"
             )
         self._t += 1
-        m, v, a, b = self._m, self._v, self._a, self._b
-        m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=a)
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=a)
-        v += np.multiply(a, grad, out=a)
-        np.divide(m, 1.0 - self.beta1**self._t, out=a)  # m_hat
-        a *= self.lr
-        np.divide(v, 1.0 - self.beta2**self._t, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += self.eps
-        values -= np.divide(a, b, out=a)
+        fresh1, fresh2 = 1.0 - self.beta1, 1.0 - self.beta2
+        bias1, bias2 = 1.0 - self.beta1**self._t, 1.0 - self.beta2**self._t
+        for start in range(0, grad.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            m, v, g, x = self._m[block], self._v[block], grad[block], values[block]
+            a, b = self._a[: len(g)], self._b[: len(g)]
+            m *= self.beta1
+            m += np.multiply(g, fresh1, out=a)
+            v *= self.beta2
+            np.multiply(g, fresh2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bias1, out=a)  # m_hat
+            a *= self.lr
+            np.divide(v, bias2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.eps
+            x -= np.divide(a, b, out=a)
 
 
 def clip_global_norm(grads: Gradients, max_norm: float) -> None:

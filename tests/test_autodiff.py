@@ -148,6 +148,60 @@ def test_array_inputs_give_the_same_arrays_and_record_nothing():
         assert np.array_equal(array_out, tensor_out.data)
 
 
+def test_layers_leave_every_input_untouched():
+    """Each fused layer, on arrays and recorded with its backward walk,
+    ``masked_softmax`` and ``mse`` leave their operands, masks and targets
+    byte-identical."""
+    rows, w, b = RNG.standard_normal((5, 12)), RNG.standard_normal((12, 3)), RNG.standard_normal(3)
+    gain, bias = RNG.standard_normal(12), RNG.standard_normal(12)
+    keys, values = RNG.standard_normal((7, 12)), RNG.standard_normal((7, 12))
+    blocked = RNG.random((5, 7)) < 0.4
+    blocked[:, 0] = False
+    logits = RNG.standard_normal((3, 5, 7))
+    cases = [
+        (linear, (rows, w, b)),
+        (layer_norm, (rows, gain, bias)),
+        (gelu, (rows,)),
+        (lambda q, k, v: attention(q, k, v, blocked, 3), (rows, keys, values)),
+    ]
+    for layer, operands in cases:
+        kept = [a.tobytes() for a in (*operands, blocked, logits)]
+        layer(*operands)
+        masked_softmax(logits, blocked)
+        leaves = {str(i): Tensor(a) for i, a in enumerate(operands)}  # Tensors over the same arrays
+        out = layer(*leaves.values())
+        target = RNG.standard_normal(out.shape)
+        kept += [target.tobytes(), out.data.tobytes()]
+        gradients(mse(out, target), leaves)
+        assert [a.tobytes() for a in (*operands, blocked, logits, target, out.data)] == kept
+
+
+def test_gelu_layer_norm_and_softmax_match_their_plain_expressions_bitwise():
+    """The in-place arithmetic of the layers gives each element what the
+    one-line expressions give it, GELU's backward rule included."""
+    x, target = RNG.standard_normal((4, 12)), RNG.standard_normal((4, 12))
+    gain, bias = RNG.standard_normal(12), RNG.standard_normal(12)
+    c = 0.7978845608028654
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) * (1.0 / 12)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / 12)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    softmax = e / np.add.reduce(e, axis=-1, keepdims=True)
+    assert np.array_equal(masked_softmax(x, np.zeros(12, bool)), softmax)
+    layer_out = centered * (var + 1e-5) ** -0.5 * gain + bias
+    assert np.array_equal(layer_norm(x, gain, bias), layer_out)
+    assert np.array_equal(layer_norm(Tensor(x), gain, bias).data, layer_out)
+
+    gelu_out = 0.5 * x * (1.0 + t)
+    leaf = Tensor(x)
+    out = gelu(leaf)
+    grad = gradients(mse(out, target), {"x": leaf})["x"]
+    g = (np.ones(()) * (1.0 / x.size) * 2.0) * (out.data - target)  # mse's rule
+    slope = c * (1.0 + 3.0 * 0.044715 * (x * x))
+    assert np.array_equal(gelu(x), gelu_out) and np.array_equal(out.data, gelu_out)
+    assert np.array_equal(grad, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * slope))
+
+
 def test_gelu_gradient():
     check_grads(lambda ts: gelu(ts[0]), [(7,)])
     check_grads(lambda ts: gelu(ts[0]) * ts[1], [(3, 4), (3, 4)])
@@ -371,6 +425,24 @@ def test_walk_over_every_parameter_on_the_tape_fills_each_one():
     pruned = gradients(loss, {"e1.w1": params["e1.w1"], "blk0.wq": params["blk0.wq"]})
     for name, grad in pruned.items():
         np.testing.assert_array_equal(grad, full[name])
+
+
+def test_a_second_walk_of_one_tape_gives_the_same_gradients(monkeypatch):
+    """Walking one diffusion loss and one warmup loss twice gives bitwise the
+    same gradients: no rule writes into its incoming gradient or into an
+    array that it, or a rule walked after it, reads."""
+    warmup = []
+    monkeypatch.setattr("catgen.train._update", lambda loss, *_: warmup.append(loss))
+    params = init_params(ModelConfig(p=6, q=10, d=8, heads=2, blocks=2), np.random.default_rng(4))
+    loss, tcfg = diffusion_loss(params, seed=4)
+    rng = np.random.default_rng(4)
+    st, sc = rng.uniform(0.1, 2.0, (8, 6)), rng.uniform(0.1, 2.0, (8, 10))
+    _warmup_step(st, sc, params, tcfg, rng, None, [])
+    for loss in (loss, *warmup):
+        tape = collect_tape(loss)
+        leaves = {n: t for n, t in params.tensors.items() if id(t) in tape}
+        first = gradients(loss, leaves).flat.copy()
+        assert np.array_equal(gradients(loss, leaves).flat, first)
 
 
 def test_first_contribution_never_aliases_another_gradient():

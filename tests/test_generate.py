@@ -142,10 +142,14 @@ def test_ar_group_causality_bitwise(trained, monkeypatch):
 
 
 def test_multi_group_generation_runs(trained):
+    """Groups of 2, 2 and 1 genes; the parameters and the SC matrix come out
+    byte-identical."""
     pair, params, schedule = trained
     genes = pair.genes[:5]
+    kept = params.flat.tobytes(), pair.sc.values.tobytes()
     out = generate_genes(pair.sc, genes, params, schedule, groups=3, seed=5)
     assert out.values.shape == (5, pair.st.n_obs)
+    assert (params.flat.tobytes(), pair.sc.values.tobytes()) == kept
 
 
 def test_fractional_inference_runs(trained):
@@ -280,11 +284,14 @@ def test_reverse_coefficients_match_the_scalar_formula(strategy):
 
 
 def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
+    """Each step feeds the group's rows, and every step of a group shares
+    one plan and one mask, which its context cache holds."""
     pair, params, schedule = trained
-    fed = []
+    fed, shared = [], []
 
     def recording(batch, frozen):
         fed.append((batch.tokens.shape[0], batch.context.rows))
+        shared.append((batch.plan, batch.blocked))
         return cat_forward(batch, frozen)
 
     monkeypatch.setattr(generate_module, "cat_forward", recording)
@@ -294,6 +301,12 @@ def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
     # groups of 3, 2 and 2 genes; the context is the 7 conditions plus finished groups
     expected = [(3, 7)] * steps + [(2, 10)] * steps + [(2, 12)] * steps
     assert fed == expected
+    for first in range(0, len(shared), steps):
+        plan, blocked = shared[first]
+        assert all(p is plan and b is blocked for p, b in shared[first : first + steps])
+        rows, context_rows = fed[first]
+        assert plan.sz == (rows,) and blocked.shape == (rows, context_rows + rows)
+        assert not blocked.any()
 
 
 def test_generation_conditions_on_the_latents_training_sees(trained, monkeypatch):

@@ -327,6 +327,50 @@ def test_flat_update_matches_per_tensor_reference(tiny_setup, monkeypatch, grad_
         assert np.array_equal(flat[name].data, ref[name].data), name
 
 
+class WholeArrayAdam:
+    """The flat Adam's update as whole-array passes, one operation over every
+    value before the next: the reference for the blocked walk."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self._t = 0
+        self._m = None
+
+    def step(self, values, grad):
+        if self._m is None:
+            self._m, self._v, self._a, self._b = (np.zeros_like(grad) for _ in range(4))
+        self._t += 1
+        m, v, a, b = self._m, self._v, self._a, self._b
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, grad, out=a)
+        np.divide(m, 1.0 - self.beta1**self._t, out=a)  # m_hat
+        a *= self.lr
+        np.divide(v, 1.0 - self.beta2**self._t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        values -= np.divide(a, b, out=a)
+
+
+def test_blocked_adam_matches_whole_array_passes_bitwise():
+    """About 2.5 blocks and a ragged tail, over 5 steps of varied gradients."""
+    rng = np.random.default_rng(11)
+    size = 2 * train._ADAM_BLOCK + train._ADAM_BLOCK // 2 + 37
+    start = rng.standard_normal(size)
+    blocked, whole = start.copy(), start.copy()
+    opt, ref = Adam(3e-3), WholeArrayAdam(3e-3)
+    for _ in range(5):
+        grad = rng.standard_normal(size) * rng.uniform(1e-6, 10.0, size)
+        kept = grad.copy()
+        opt.step(blocked, grad)
+        ref.step(whole, grad)
+        assert np.array_equal(grad, kept)
+        assert np.array_equal(blocked, whole)
+    assert not np.array_equal(blocked, start)
+
+
 def test_adam_rejects_a_slice_of_another_size():
     opt = Adam(1e-3)
     opt.step(np.zeros(4), np.ones(4))
