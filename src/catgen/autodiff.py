@@ -8,10 +8,13 @@ on Tensor parameters and gets a graph to differentiate; inference calls them
 on arrays and gets the same numbers, element by element, without recording
 anything. A Tensor meeting an ndarray in a binary operation wins
 (``__array_ufunc__ = None`` makes numpy defer), so mixing the two gives a
-Tensor. A Tensor's arithmetic is ``+``, ``*`` and ``@``, and ``@`` takes
-matrices only. Only ``+`` and ``*`` have reflected forms, so an array on the
-left of ``@`` raises ``TypeError``, as do ``-``, unary ``-`` and ``**`` on a
-Tensor. ``concat`` and the fused layers return an array when given only
+Tensor. A Tensor's arithmetic is ``+`` and ``*``, each with a reflected
+form; ``@``, ``-``, unary ``-`` and ``**`` on a Tensor raise ``TypeError``.
+A node's parents are its Tensor operands only: an array or number operand
+is data its backward rule keeps, never a node of the tape. Every Tensor
+operand of ``+`` and ``*`` must have the result's shape, so no rule sums a
+gradient back down; an array operand may still broadcast into it.
+``concat`` and the fused layers return an array when given only
 arrays; ``masked_softmax`` takes and gives arrays only. The tape is the graph
 itself: it lives on the Tensors of one forward pass and is garbage-collected
 with them, so there is no global mutable state and independent forward
@@ -38,11 +41,13 @@ arithmetic commutes (``a * b`` for ``b * a``), never regrouped.
 gradient flows. It is given a scalar loss and the leaves whose gradients are
 wanted, and it visits only the nodes that lead to one of them, so the
 branches that feed only other leaves are skipped. A wanted leaf accumulates
-into its view of one flat array. An inner node's gradient array is made by
-its first contribution: a fresh C-contiguous result is adopted as it is,
-anything else is copied, so no two nodes share an array and each gradient
-has the memory layout of its node's data. An inner node's gradient is
-dropped as soon as its rule has passed it on.
+into its view of one flat array. An inner node's gradient is dropped as
+soon as its rule has passed it on, so a rule may hand that array itself to
+one parent; every other parent gets a view of it or an array computed for
+it alone. An inner node's gradient array is made by its first
+contribution: an array that owns its memory and is C-contiguous is adopted
+as it is, a view is copied, so no two nodes share an array and each
+gradient has the memory layout of its node's data.
 
 Only the operations the model actually needs are implemented. Each backward
 rule is exercised against central finite differences in the test suite.
@@ -62,10 +67,11 @@ def _accumulate(node: "Tensor", g) -> None:
     """Add the contribution ``g`` to ``node.grad``.
 
     The first contribution becomes the gradient array. It is adopted when it
-    owns its memory and is C-contiguous like the node's data: backward rules
-    pass an incoming gradient on only through views, so such an array was
-    computed for this contribution alone. Anything else is copied into an
-    array laid out like the node's data.
+    owns its memory and is C-contiguous like the node's data: a rule hands
+    such an array to one parent only, either one computed for that parent
+    or the rule's own gradient, which the walk drops once the rule has run;
+    any other parent that gradient reaches gets a view. Anything else is
+    copied into an array laid out like the node's data.
     """
     if node.grad is not None:
         node.grad += g
@@ -79,15 +85,13 @@ def _accumulate(node: "Tensor", g) -> None:
         node.grad[...] = g
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+def _elementwise(data: np.ndarray, *operands) -> tuple["Tensor", ...]:
+    """The Tensors among the operands of ``+`` or ``*``, each of which must
+    have the shape of the result ``data``: only arrays broadcast."""
+    parents = _recorded(*operands)
+    if any(t.shape != data.shape for t in parents):
+        raise ShapeMismatchError(f"Tensors of shapes {[t.shape for t in parents]} -> {data.shape}")
+    return parents
 
 
 class Tensor:
@@ -106,10 +110,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
-
-    @staticmethod
     def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
         out._parents = tuple(parents)
@@ -126,46 +126,33 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        data = self.data + other.data
+        data = self.data + as_array(other)
+        parents = _elementwise(data, self, other)
 
-        def backward(g, a=self, b=other):
-            if a._needed:
-                _accumulate(a, _unbroadcast(g, a.shape))
-            if b._needed:
-                _accumulate(b, _unbroadcast(g, b.shape))
+        def backward(g):
+            for parent in parents:
+                if parent._needed:
+                    _accumulate(parent, g)
+                    g = g[...]  # the first needed parent may keep g itself, the next a view
 
-        return Tensor._make(data, (self, other), backward)
+        return Tensor._make(data, parents, backward)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        data = self.data * other.data
+        od = as_array(other)
+        data = self.data * od
+        parents = _elementwise(data, self, other)
 
-        def backward(g, a=self, b=other):
-            if a._needed:
-                _accumulate(a, _unbroadcast(g * b.data, a.shape))
-            if b._needed:
-                _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        def backward(g):
+            if self._needed:
+                _accumulate(self, g * od)
+            if _needs(other):
+                _accumulate(other, g * self.data)
 
-        return Tensor._make(data, (self, other), backward)
+        return Tensor._make(data, parents, backward)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2:
-            raise ShapeMismatchError(f"matmul takes matrices, got {a.shape} @ {b.shape}")
-
-        def backward(g, x=self, y=other):
-            if x._needed:
-                _accumulate(x, g @ y.data.T)
-            if y._needed:
-                _accumulate(y, x.data.T @ g)
-
-        return Tensor._make(a @ b, (self, other), backward)
 
     def __getitem__(self, key: slice) -> "Tensor":
         """Contiguous row slice along the first axis, ``t[start:stop]``."""
@@ -189,18 +176,18 @@ def concat(tensors: list[Operand]) -> Operand:
     """Join rows; an array if every part is one, else a Tensor."""
     if not any(isinstance(t, Tensor) for t in tensors):
         return np.concatenate(tensors)
-    tensors = [Tensor._lift(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors])
-    sizes = [t.data.shape[0] for t in tensors]
+    parts = tuple(tensors)
+    data = np.concatenate([as_array(t) for t in parts])
 
-    def backward(g, parts=tuple(tensors), sizes=tuple(sizes)):
+    def backward(g):
         offset = 0
-        for part, n in zip(parts, sizes):
-            if part._needed:
+        for part in parts:
+            n = len(as_array(part))
+            if _needs(part):
                 _accumulate(part, g[offset : offset + n])
             offset += n
 
-    return Tensor._make(data, tuple(tensors), backward)
+    return Tensor._make(data, _recorded(*parts), backward)
 
 
 def masked_softmax(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
@@ -235,20 +222,22 @@ def _recorded(*operands: Operand) -> tuple[Tensor, ...]:
     return tuple(t for t in operands if isinstance(t, Tensor))
 
 
-def linear(x: Operand, w: Operand, b: Operand) -> Operand:
-    """``x @ w + b`` as one node, for (rows, in) ``x``, (in, out) ``w`` and (out,) ``b``.
+def linear(x: Operand, w: Operand, b: Operand | None = None) -> Operand:
+    """``x @ w + b`` as one node, for (rows, in) ``x``, (in, out) ``w`` and (out,)
+    ``b``; with no ``b``, ``x @ w``.
 
     Arrays give an array, and no shape check.
     """
     xd, wd, bd = as_array(x), as_array(w), as_array(b)
     recording = isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor)
-    if recording and (xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1):
+    if recording and (xd.ndim != 2 or wd.ndim != 2 or (bd is not None and bd.ndim != 1)):
         raise ShapeMismatchError(
             "linear takes (rows, in) @ (in, out) + (out,), "
-            f"got {xd.shape} @ {wd.shape} + {bd.shape}"
+            f"got {xd.shape} @ {wd.shape} + {None if bd is None else bd.shape}"
         )
     out = xd @ wd
-    out += bd
+    if bd is not None:
+        out += bd
     if not recording:
         return out
 
@@ -276,12 +265,16 @@ def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def layer_norm(x: Operand, gain: Operand, bias: Operand) -> Operand:
-    """Layer normalization over the last axis as one node; arrays give an array."""
-    xhat, scale = _normalize(as_array(x))
-    gd = as_array(gain)
+    """Layer normalization over the last axis as one node, with a gain and a
+    bias per feature; arrays give an array, and no shape check."""
+    xd, gd, bd = as_array(x), as_array(gain), as_array(bias)
+    recording = isinstance(x, Tensor) or isinstance(gain, Tensor) or isinstance(bias, Tensor)
+    if recording and not gd.shape == bd.shape == xd.shape[-1:]:
+        raise ShapeMismatchError(f"layer_norm of {xd.shape} with gain {gd.shape}, bias {bd.shape}")
+    xhat, scale = _normalize(xd)
     out = xhat * gd
-    out += as_array(bias)
-    if not (isinstance(x, Tensor) or isinstance(gain, Tensor) or isinstance(bias, Tensor)):
+    out += bd
+    if not recording:
         return out
 
     def backward(g):
@@ -293,10 +286,11 @@ def layer_norm(x: Operand, gain: Operand, bias: Operand) -> Operand:
             gx -= xhat * along
             gx *= scale
             _accumulate(x, gx)
+        rows = tuple(range(g.ndim - 1))  # a gain and a bias sum over every leading axis
         if _needs(gain):
-            _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
+            _accumulate(gain, (g * xhat).sum(axis=rows))
         if _needs(bias):
-            _accumulate(bias, _unbroadcast(g, bias.shape))
+            _accumulate(bias, g.sum(axis=rows))
 
     return Tensor._make(out, _recorded(x, gain, bias), backward)
 

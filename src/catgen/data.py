@@ -192,8 +192,6 @@ def qc_filter(
         raise EmptyResultError(
             f"qc_filter removed every {m.modality} observation (threshold {threshold})"
         )
-    if keep.size == m.n_obs:
-        return m.subset_obs(range(m.n_obs))
     return m.subset_obs(keep)
 
 

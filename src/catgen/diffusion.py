@@ -156,9 +156,9 @@ def respaced_chain(
     Returns the ascending grid of raw timesteps the model is queried at and a
     derived schedule whose step k jumps between consecutive grid points, so
     the cumulative signal level at grid point k matches the base schedule
-    exactly. full keeps the base chain.
+    exactly. full and frac:1 keep the base chain, whose grid is every step.
     """
-    if not isinstance(strategy, Fractional):
+    if not isinstance(strategy, Fractional) or strategy.n == 1:
         return np.arange(1, schedule.T + 1), schedule
     grid = candidate_grid(schedule, strategy)
     ab = schedule.alpha_bars[grid - 1]

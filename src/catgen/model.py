@@ -304,7 +304,7 @@ def _attention(
     if isinstance(x, Tensor):  # recorded: one node per projection
         q = linear(x, params[names["wq"]], params[names["bq"]])
         # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
-        k = x @ params[names["wk"]]
+        k = linear(x, params[names["wk"]])
         v = linear(x, params[names["wv"]], params[names["bv"]])
     else:  # arrays: one matmul, whose column thirds are q, k and v
         qkv = linear(x, *params.qkv[block])

@@ -71,8 +71,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.recon_epochs < 0:
             raise ShapeMismatchError("epoch counts must not be negative")
-        if self.lr <= 0 or self.recon_lr <= 0:
-            raise ShapeMismatchError("learning rates must be positive")
+        # NaN fails every comparison; a grad_clip of 0 or less would turn clipping off
+        if not all(0.0 < v < math.inf for v in (self.lr, self.recon_lr, self.grad_clip)):
+            raise ShapeMismatchError("lr, recon_lr and grad_clip must be finite and positive")
+        if not 0.0 <= self.warmup_latent_noise < math.inf:
+            raise ShapeMismatchError("warmup_latent_noise must be finite and non-negative")
         if not 0.0 < self.ar_decay <= 1.0:
             raise ShapeMismatchError(f"ar_decay must be in (0, 1], got {self.ar_decay}")
         if self.gene_order not in ("random", "granger"):

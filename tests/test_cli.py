@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catgen import cli, granger, train
+from catgen import cli, data, granger, train
 from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
 from catgen.config import REGISTRY
@@ -422,6 +422,43 @@ def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
     assert cli.main(argv) == 2
     assert not out.exists()
     assert calls == []
+
+
+def test_a_learning_rate_of_nan_is_a_data_error_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys
+):
+    reads = []
+    monkeypatch.setattr(data, "load_matrix", lambda *args, **kwargs: reads.append(args))
+    argv = [
+        "train", "--st", str(tmp_path / "st.csv"), "--sc", str(tmp_path / "sc.csv"),
+        "--out", str(tmp_path / "m.catg"), "--set", "train.lr=nan",
+    ]
+    assert cli.main(argv) == 2
+    assert "lr, recon_lr and grad_clip must be finite" in capsys.readouterr().err
+    assert reads == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["train", "--st", "{st}", "--out", "{out}"], 1),  # no --sc
+        (["eval", "--pred", "{st}", "--out", "{out}"], 1),  # no --truth
+        (["mask", "--s", "7", "--sz", "2,2,3", "--out", "{out}"], 1),  # no --c
+        (["ablate", "--axis", "decay", "--st", "{absent}", "--sc", "{sc}", "--out", "{out}"], 2),
+    ],
+    ids=["train", "eval", "mask", "ablate"],
+)
+def test_a_missing_argument_exits_1_and_a_missing_input_file_exits_2_writing_nothing(
+    trained, tmp_path, monkeypatch, argv, code
+):
+    fits = []
+    monkeypatch.setattr(train, "fit", lambda *args, **kwargs: fits.append(1))
+    paths = {
+        "st": trained / "st.csv", "sc": trained / "sc.csv",
+        "absent": tmp_path / "absent.csv", "out": tmp_path / "out.csv",
+    }
+    assert cli.main([arg.format(**paths) for arg in argv]) == code
+    assert fits == [] and list(tmp_path.iterdir()) == []
 
 
 def test_generate_without_data_meta_prepares_sc_with_the_defaults(tmp_path):

@@ -13,6 +13,7 @@ from catgen.diffusion import (
     Fractional,
     Full,
     linear_schedule,
+    parse_strategy,
     respaced_chain,
 )
 from catgen.errors import ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
@@ -158,6 +159,14 @@ def test_fractional_inference_runs(trained):
     out = generate_genes(pair.sc, genes, params, schedule, strategy=Fractional(5), seed=5)
     assert out.values.shape == (4, pair.st.n_obs)
     assert np.isfinite(out.values).all()
+
+
+def test_frac_1_generates_bitwise_what_full_generates(trained):
+    pair, params, schedule = trained
+    genes = pair.genes[:5]
+    full = generate_genes(pair.sc, genes, params, schedule, strategy=parse_strategy("full"), seed=3)
+    frac = generate_genes(pair.sc, genes, params, schedule, strategy=parse_strategy("frac:1"), seed=3)
+    assert np.array_equal(frac.values, full.values)
 
 
 def test_generation_constructs_no_tensor(trained, monkeypatch):

@@ -397,6 +397,15 @@ def test_train_config_validation():
         TrainConfig(sampling="adaptive")
     with pytest.raises(ConfigError):
         TrainConfig(val_sampling="frac:x")
+    for bad in (
+        {"lr": math.nan}, {"recon_lr": math.inf}, {"recon_lr": -1.0},
+        {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"grad_clip": math.nan},
+        {"warmup_latent_noise": -0.25}, {"warmup_latent_noise": math.nan},
+        {"warmup_latent_noise": math.inf},
+    ):
+        with pytest.raises(ShapeMismatchError):
+            TrainConfig(**bad)
+    TrainConfig(warmup_latent_noise=0.0)  # a warmup without jitter
 
 
 def test_batch_gene_count_mismatch(tiny_setup):
