@@ -214,8 +214,8 @@ def cmd_train(args) -> int:
     from .train import fit
 
     _require_out_dirs(args.out, args.history)
-    if args.save_prepared:
-        os.makedirs(args.save_prepared, exist_ok=True)
+    if args.save_prepared and os.path.isfile(args.save_prepared):  # it is made just before fit
+        raise DataFormatError(f"cannot write to {args.save_prepared}: not a directory")
     seed = _resolve_seed(args)
     values = _load_values(args)
     cfg = train_config(values, seed)
@@ -224,6 +224,8 @@ def cmd_train(args) -> int:
     pair, opts = _prepare_from_files(args.st, args.sc, values)
     split = split_genes(range(len(pair.genes)), seed)
     mcfg = model_config(values, p=pair.st.n_obs, q=pair.sc.n_obs)
+    if args.save_prepared:  # not earlier, so that a run that fails before fit leaves none
+        os.makedirs(args.save_prepared, exist_ok=True)
 
     result = fit(pair.st, pair.sc, split, mcfg, cfg)
     meta = {
@@ -253,7 +255,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .data import SC, DataOptions, load_matrix, save_matrix, write_csv
+    from .data import SC, DataOptions, load_matrix, save_matrix, utf8_text, write_csv
     from .diffusion import linear_schedule, parse_strategy
     from .generate import generate_genes
     from .model import load_checkpoint
@@ -272,7 +274,7 @@ def cmd_generate(args) -> int:
         apply_normalize=bool(meta.get("data_normalize", DataOptions.apply_normalize)),
     )
     sc = opts.qc_normalize(load_matrix(args.sc, modality=SC))
-    with open(args.genes, "r", encoding="utf-8") as fh:
+    with open(args.genes, "r", encoding="utf-8") as fh, utf8_text(args.genes):
         genes = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
     predicted = generate_genes(
         sc,

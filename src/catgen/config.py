@@ -17,7 +17,8 @@ typed fields, so a new field is a new key without an edit here:
 - ``train.*``, ``diffusion.*`` and ``ar.decay``: ``TrainConfig`` but
   ``seed``, which ``--seed`` sets;
 - ``data.*``: ``DataOptions``, under the key names of a 4-entry table;
-- ``synth.*``: ``chain_config``'s parameters but ``seed``.
+- ``synth.*``: ``SynthConfig``'s fields but ``seed`` and ``chain_edges``, and
+  ``chain_config``'s ``chain_length``, ``coeff`` and ``lag``.
 
 Written by hand are only the key names that differ from their field names
 and ``synth.chain_edges``, a text list of edges. Keys left unset keep their
@@ -74,7 +75,8 @@ _DATA_KEYS = _keys(DataOptions, "data", renamed={
     "apply_normalize": "data.normalize",
     "top_fraction": "data.hvg_fraction",
 })
-_SYNTH_KEYS = _keys(chain_config, "synth", skip=("seed",))
+_SYNTH_KEYS = _keys(SynthConfig, "synth", skip=("chain_edges", "seed"))
+_SYNTH_KEYS |= _keys(chain_config, "synth")
 
 REGISTRY: dict[str, type] = {
     key: kind
@@ -101,12 +103,14 @@ def load_config(path=None) -> dict[str, object]:
         return values
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive: ``diffusion.T``
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            values[f"{section}.{key}"] = _convert(f"{section}.{key}", raw)
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                values[f"{section}.{key}"] = _convert(f"{section}.{key}", raw)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     return values
 
 

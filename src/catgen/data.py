@@ -16,6 +16,7 @@ gene selection per modality, then intersection of the surviving gene sets
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -95,6 +96,15 @@ class ExpressionMatrix:
         )
 
 
+@contextlib.contextmanager
+def utf8_text(path):
+    """Report text read from ``path`` that is not UTF-8 as a ``DataFormatError``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_matrix(path, modality: str = ST) -> ExpressionMatrix:
     """Read a gene x observation matrix from a CSV file.
 
@@ -107,7 +117,7 @@ def load_matrix(path, modality: str = ST) -> ExpressionMatrix:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with fh, utf8_text(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -270,19 +270,18 @@ def sinusoidal_basis(ts: np.ndarray, d: int) -> np.ndarray:
 
 
 class ContextCache(NamedTuple):
-    """Each block's attention keys and values for ``rows`` fixed context rows,
-    and what every cached step of the group's noisy rows shares.
+    """Each block's attention keys and values for the fixed context rows, and
+    what every cached step of the group's noisy rows shares.
 
-    Recorded (Tensor) keys and values are (rows, d). Array ones are (rows +
-    group size, d) buffers whose first ``rows`` rows hold the context; a
-    cached step writes its own rows into the rest.
+    Recorded (Tensor) keys and values are (context rows, d). Array ones are
+    (context rows + group size, d) buffers whose first rows hold the context;
+    a cached step writes its own rows into the rest.
     """
 
     keys: tuple[Operand, ...]
     values: tuple[Operand, ...]
-    rows: int
     step: ARStepPlan  # one AR step of the group's noisy rows
-    blocked: np.ndarray  # (group size, rows + group size), all False: see TokenBatch.assemble
+    blocked: np.ndarray  # (group size, context rows + group size), all False: see TokenBatch.assemble
 
 
 def _attention(
@@ -378,7 +377,6 @@ def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCac
     return ContextCache(
         keys=tuple(room(k) for k, _ in own),
         values=tuple(room(v) for _, v in own),
-        rows=rows,
         step=ARStepPlan((size,)),
         blocked=np.zeros((size, rows + size), dtype=bool),
     )

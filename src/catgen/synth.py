@@ -77,30 +77,11 @@ class SynthConfig:
                     raise ShapeMismatchError(f"edge gene {g} outside [0, {self.n_genes})")
 
 
-def chain_config(
-    n_genes: int = 32,
-    n_spots: int = 16,
-    n_cells: int = 64,
-    chain_length: int = 6,
-    coeff: float = 0.9,
-    lag: int = 1,
-    noise_sd: float = 0.1,
-    dropout_rate: float = 0.0,
-    n_factors: int = 4,
-    seed: int = 0,
-) -> SynthConfig:
-    """Convenience config with one linear chain G0 -> G1 -> ... planted."""
+def chain_config(chain_length: int = 6, coeff: float = 0.9, lag: int = 1, **fields) -> SynthConfig:
+    """``SynthConfig(**fields)`` with a ``chain_length``-gene chain G0 -> G1 -> ... planted."""
+    n_genes = fields.get("n_genes", SynthConfig.n_genes)
     edges = [ChainEdge(i, i + 1, coeff, lag) for i in range(min(chain_length, n_genes) - 1)]
-    return SynthConfig(
-        n_genes=n_genes,
-        n_spots=n_spots,
-        n_cells=n_cells,
-        chain_edges=edges,
-        noise_sd=noise_sd,
-        dropout_rate=dropout_rate,
-        n_factors=n_factors,
-        seed=seed,
-    )
+    return SynthConfig(chain_edges=edges, **fields)
 
 
 def _topological_order(n_genes: int, edges: list[ChainEdge]) -> list[int]:

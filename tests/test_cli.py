@@ -193,6 +193,27 @@ def test_a_malformed_chain_edge_is_a_data_error(tmp_path, capsys, edge):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"[synth]\nn_genes = 12\nn_genes = 13\n",  # a duplicated option
+        b"n_genes = 12\n",  # no section header
+        b"[synth]\nn_genes\n",  # not key = value
+        b"[synth]\nchain_edges = 0->1:0.5%\n",  # % starts an interpolation
+        b"[synth]\nn_genes = 1\xe9\n",  # Latin-1, not UTF-8
+    ],
+    ids=["duplicate", "no-section", "no-value", "percent", "latin1"],
+)
+def test_a_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(text)
+    assert _synth(tmp_path / "out", *SEED, "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"catgen: error: malformed config file {config}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_catgen_seed_sets_the_default_seed(tmp_path, monkeypatch):
     assert _synth(tmp_path / "flag", "--seed", "5") == 0
     monkeypatch.setenv("CATGEN_SEED", "5")
@@ -431,11 +452,20 @@ def test_a_learning_rate_of_nan_is_a_data_error_before_any_input_is_read(
     monkeypatch.setattr(data, "load_matrix", lambda *args, **kwargs: reads.append(args))
     argv = [
         "train", "--st", str(tmp_path / "st.csv"), "--sc", str(tmp_path / "sc.csv"),
-        "--out", str(tmp_path / "m.catg"), "--set", "train.lr=nan",
+        "--out", str(tmp_path / "m.catg"), "--save-prepared", str(tmp_path / "prep"),
+        "--set", "train.lr=nan",
     ]
     assert cli.main(argv) == 2
     assert "lr, recon_lr and grad_clip must be finite" in capsys.readouterr().err
     assert reads == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def latin1(tmp_path_factory):
+    """A one-gene matrix, and a gene list, that is Latin-1 text, not UTF-8."""
+    path = tmp_path_factory.mktemp("latin1") / "latin1.csv"
+    path.write_bytes(b"gene_id,spot0\nG\xe9000,1.0\n")
+    return path
 
 
 @pytest.mark.parametrize(
@@ -445,20 +475,29 @@ def test_a_learning_rate_of_nan_is_a_data_error_before_any_input_is_read(
         (["eval", "--pred", "{st}", "--out", "{out}"], 1),  # no --truth
         (["mask", "--s", "7", "--sz", "2,2,3", "--out", "{out}"], 1),  # no --c
         (["ablate", "--axis", "decay", "--st", "{absent}", "--sc", "{sc}", "--out", "{out}"], 2),
+        ([
+            "train", "--st", "{latin1}", "--sc", "{sc}", "--out", "{out}",
+            "--save-prepared", "{prep}",
+        ], 2),
+        (["generate", "--ckpt", "{ckpt}", "--sc", "{sc}", "--genes", "{latin1}", "--out", "{out}"], 2),
     ],
-    ids=["train", "eval", "mask", "ablate"],
+    ids=["train", "eval", "mask", "ablate", "train-latin1-st", "generate-latin1-genes"],
 )
 def test_a_missing_argument_exits_1_and_a_missing_input_file_exits_2_writing_nothing(
-    trained, tmp_path, monkeypatch, argv, code
+    trained, latin1, tmp_path, monkeypatch, capsys, argv, code
 ):
     fits = []
     monkeypatch.setattr(train, "fit", lambda *args, **kwargs: fits.append(1))
+    monkeypatch.setattr(generate_module, "generate_genes", lambda *args, **kwargs: fits.append(1))
     paths = {
-        "st": trained / "st.csv", "sc": trained / "sc.csv",
-        "absent": tmp_path / "absent.csv", "out": tmp_path / "out.csv",
+        "st": trained / "st.csv", "sc": trained / "sc.csv", "ckpt": trained / "model.catg",
+        "absent": tmp_path / "absent.csv", "latin1": latin1,
+        "out": tmp_path / "out.csv", "prep": tmp_path / "prep",
     }
     assert cli.main([arg.format(**paths) for arg in argv]) == code
     assert fits == [] and list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert all(str(paths[bad]) in err for bad in ("absent", "latin1") if f"{{{bad}}}" in argv)
 
 
 def test_generate_without_data_meta_prepares_sc_with_the_defaults(tmp_path):

@@ -299,7 +299,8 @@ def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
     fed, shared = [], []
 
     def recording(batch, frozen):
-        fed.append((batch.tokens.shape[0], batch.context.rows))
+        rows = batch.tokens.shape[0]  # the key buffers hold the context rows, then these
+        fed.append((rows, len(batch.context.keys[0]) - rows))
         shared.append((batch.plan, batch.blocked))
         return cat_forward(batch, frozen)
 

@@ -292,9 +292,9 @@ def test_array_forwards_match_tensor_forwards_bitwise():
     context = rng.standard_normal((plan.S + plan.v, cfg.d))  # conditions, then clean rows
     cached = context_cache((context,), plan, frozen)
     reference = context_cache((context,), plan, params)
-    assert cached.rows == reference.rows == len(context)
     for buffer, tensor_kv in zip(cached.keys + cached.values, reference.keys + reference.values):
         # the array cache leaves room for the last group's 3 rows after the context's
+        assert tensor_kv.shape == (len(context), cfg.d)
         assert buffer.shape == (len(context) + 3, cfg.d)
         same(buffer[: len(context)], tensor_kv)
 
