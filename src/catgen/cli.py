@@ -1,10 +1,11 @@
 """Command-line entry point: synth, granger, mask, train, generate, eval, ablate.
 
-Exit codes: 0 success, 1 usage error, 2 data, file or numeric error; train,
-generate and eval check their output directories before any work. All randomness
-flows from --seed (default: CATGEN_SEED environment variable, then 42; a
-CATGEN_SEED that is not an integer is an error), and every subcommand is
-reproducible byte-for-byte given identical arguments, seed and inputs.
+Exit codes: 0 success, 1 usage error, 2 data, file or numeric error; granger,
+mask, train, generate and eval check their output directories before any
+work. All randomness flows from --seed (default: CATGEN_SEED environment
+variable, then 42; a CATGEN_SEED that is not an integer is an error), and
+every subcommand is reproducible byte-for-byte given identical arguments,
+seed and inputs.
 Commands parse their arguments, call the library and write every table
 through ``data.write_csv``; only ``mask`` writes its own header-less CSV.
 """
@@ -98,8 +99,9 @@ def build_parser() -> _Parser:
     p.add_argument("--genes", required=True, help="file with one target gene id per line")
     p.add_argument("--out", required=True)
     p.add_argument("--ar-groups", type=int, default=1)
-    p.add_argument("--sampling", default="full")
-    p.add_argument("--embeddings", default=None, help="write each gene's condition latent as CSV")
+    p.add_argument("--sampling", default="full", help="full (= frac:1) or frac:n")
+    p.add_argument("--embeddings", default=None, help="write each gene's encode(sc) as CSV; "
+                   "generation conditions on it times 1/latent.scale")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_generate)
 
@@ -169,6 +171,7 @@ def cmd_granger(args) -> int:
     from .data import load_matrix, write_csv
     from .granger import screen
 
+    _require_out_dirs(args.out)
     results = screen(load_matrix(args.matrix), lag=args.lag, top_k=args.top_k)
     rows = ([r.driver, r.target, r.lag, r.f_stat, r.p_value] for r in results)
     write_csv(args.out, ["driver", "target", "lag", "f_stat", "p_value"], rows)
@@ -180,6 +183,7 @@ def cmd_mask(args) -> int:
     from .errors import ShapeMismatchError
     from .mask import build_mask
 
+    _require_out_dirs(args.out, args.pbm)
     plan = ARStepPlan.from_text(args.sz)
     if plan.S != args.s:
         raise ShapeMismatchError(f"split sizes {args.sz} cover {plan.S} tokens, not --s {args.s}")
@@ -269,6 +273,8 @@ def cmd_generate(args) -> int:
     if not (meta["T"].is_integer() and meta["T"] >= 1):  # nor are NaN and the infinities
         raise DataFormatError(f"{args.ckpt}: meta.T is {meta['T']!r}, not a whole number >= 1")
     schedule = linear_schedule(int(meta["T"]), meta["beta_start"], meta["beta_end"])
+    strategy = parse_strategy(args.sampling)
+    strategy.check(schedule.T)  # a stride beyond T fails before the SC is read
     opts = DataOptions(  # checkpoints without the data meta used the defaults
         min_genes_sc=int(meta.get("qc_min_genes_sc", DataOptions.min_genes_sc)),
         apply_normalize=bool(meta.get("data_normalize", DataOptions.apply_normalize)),
@@ -282,7 +288,7 @@ def cmd_generate(args) -> int:
         params,
         schedule,
         groups=args.ar_groups,
-        strategy=parse_strategy(args.sampling),
+        strategy=strategy,
         seed=seed,
         trained_T=int(meta["T"]),
     )

@@ -4,10 +4,10 @@ Timesteps are 1-based: t runs over [1, T]. The cumulative signal level
 alpha_bar[t-1] is the product of (1 - beta) up to step t, accumulated in
 extended precision so long schedules do not drift.
 
-Two sampling strategies pick the timesteps training draws from and the chain
-generation walks: ``full`` uses every timestep in [1, T]; ``fractional(n)``
-uses an evenly spaced grid of floor(T/n) timesteps anchored so the grid always
-contains T (the reverse process must be able to start at maximal noise).
+One sampling strategy, ``frac:n``, picks the timesteps training draws from
+and the chain generation walks: every n-th timestep, floor(T/n) of them,
+anchored so the grid always contains T (the reverse process must be able to
+start at maximal noise). ``full`` is ``frac:1``, every timestep in [1, T].
 
 A schedule also holds the coefficients of its reverse steps,
 ``reverse_coefficients``: computed elementwise over every step on first use,
@@ -29,23 +29,20 @@ from .errors import ConfigError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
-class Full:
-    pass
-
-
-@dataclass(frozen=True)
 class Fractional:
     n: int
 
+    def check(self, T: int) -> None:
+        """Raise unless the stride n lies in [1, T]."""
+        if not 1 <= self.n <= T:
+            raise ShapeMismatchError(f"fractional n={self.n} outside [1, T={T}]")
 
-Strategy = Full | Fractional
 
-
-def parse_strategy(text: str) -> Strategy:
-    """Parse ``full`` or ``frac:<n>``."""
+def parse_strategy(text: str) -> Fractional:
+    """Parse ``full`` (= ``frac:1``) or ``frac:<n>``."""
     body = text.strip().lower()
     if body == "full":
-        return Full()
+        return Fractional(1)
     if body.startswith("frac:"):
         try:
             return Fractional(int(body.split(":", 1)[1]))
@@ -123,20 +120,16 @@ def noising_coefficients(
 # -- timestep sampling ---------------------------------------------------------------
 
 
-def candidate_grid(schedule: DiffusionSchedule, strategy: Strategy) -> np.ndarray:
+def candidate_grid(schedule: DiffusionSchedule, strategy: Fractional) -> np.ndarray:
     """Ascending candidate timesteps a strategy may draw from."""
     T = schedule.T
-    if isinstance(strategy, Fractional):
-        if strategy.n < 1 or strategy.n > T:
-            raise ShapeMismatchError(f"fractional n={strategy.n} outside [1, T={T}]")
-        count = T // strategy.n
-        return T - strategy.n * np.arange(count - 1, -1, -1)
-    return np.arange(1, T + 1)
+    strategy.check(T)
+    return T - strategy.n * np.arange(T // strategy.n - 1, -1, -1)
 
 
 def sample_timesteps(
     schedule: DiffusionSchedule,
-    strategy: Strategy,
+    strategy: Fractional,
     n_tokens: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -149,18 +142,18 @@ def sample_timesteps(
 
 
 def respaced_chain(
-    schedule: DiffusionSchedule, strategy: Strategy
+    schedule: DiffusionSchedule, strategy: Fractional
 ) -> tuple[np.ndarray, DiffusionSchedule]:
     """Reverse-process chain for a strategy.
 
     Returns the ascending grid of raw timesteps the model is queried at and a
     derived schedule whose step k jumps between consecutive grid points, so
     the cumulative signal level at grid point k matches the base schedule
-    exactly. full and frac:1 keep the base chain, whose grid is every step.
+    exactly. ``full`` (= ``frac:1``) keeps the base chain, whose grid is every step.
     """
-    if not isinstance(strategy, Fractional) or strategy.n == 1:
-        return np.arange(1, schedule.T + 1), schedule
     grid = candidate_grid(schedule, strategy)
+    if strategy.n == 1:
+        return grid, schedule
     ab = schedule.alpha_bars[grid - 1]
     ab_prev = np.concatenate(([1.0], ab[:-1]))
     betas = 1.0 - ab / ab_prev

@@ -48,7 +48,7 @@ import numpy as np
 
 from .arplan import ARStepPlan
 from .data import ST, ExpressionMatrix
-from .diffusion import DiffusionSchedule, Full, Strategy, respaced_chain
+from .diffusion import DiffusionSchedule, Fractional, respaced_chain
 from .errors import DataFormatError, ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
 from .model import (
     CatParameters,
@@ -106,7 +106,7 @@ def generate_genes(
     params: CatParameters,
     schedule: DiffusionSchedule,
     groups: int = 1,
-    strategy: Strategy = Full(),
+    strategy: Fractional = Fractional(1),
     seed: int = 0,
     trained_T: int | None = None,
 ) -> ExpressionMatrix:

@@ -14,6 +14,7 @@ matrix and dropout zeroes entries independently afterwards.
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass, field
 
@@ -85,25 +86,14 @@ def chain_config(chain_length: int = 6, coeff: float = 0.9, lag: int = 1, **fiel
 
 
 def _topological_order(n_genes: int, edges: list[ChainEdge]) -> list[int]:
-    # Kahn's algorithm on the driver -> target graph, smallest index first
-    out_edges: dict[int, list[int]] = {g: [] for g in range(n_genes)}
-    indeg = dict.fromkeys(range(n_genes), 0)
+    # every gene after its drivers; generate's output does not depend on which such order
+    drivers: dict[int, list[int]] = {g: [] for g in range(n_genes)}
     for e in edges:
-        out_edges[e.driver].append(e.target)
-        indeg[e.target] += 1
-    ready = sorted(g for g in range(n_genes) if indeg[g] == 0)
-    order: list[int] = []
-    while ready:
-        g = ready.pop(0)
-        order.append(g)
-        for tgt in sorted(out_edges[g]):
-            indeg[tgt] -= 1
-            if indeg[tgt] == 0:
-                ready.append(tgt)
-        ready.sort()
-    if len(order) != n_genes:
-        raise ShapeMismatchError("chain_edges contain a cycle")
-    return order
+        drivers[e.target].append(e.driver)
+    try:
+        return list(graphlib.TopologicalSorter(drivers).static_order())
+    except graphlib.CycleError:
+        raise ShapeMismatchError("chain_edges contain a cycle") from None
 
 
 def gene_name(i: int, n_genes: int) -> str:

@@ -26,7 +26,6 @@ from .autodiff import Gradients, Tensor, gradients, mse
 from .data import ExpressionMatrix, SplitAssignment
 from .diffusion import (
     DiffusionSchedule,
-    candidate_grid,
     linear_schedule,
     noising_coefficients,
     parse_strategy,
@@ -82,9 +81,10 @@ class TrainConfig:
             raise ShapeMismatchError(f"unknown gene_order {self.gene_order!r}")
         if self.batch_genes < 1 or self.val_every < 1:
             raise ShapeMismatchError("batch_genes and val_every must be at least 1")
-        # syntax only: fit checks the range of frac:n against T
-        parse_strategy(self.sampling)
-        parse_strategy(self.val_sampling)
+        if self.T < 1:  # else the specs below would be blamed for it
+            raise ShapeMismatchError(f"T must be >= 1, got {self.T}")
+        for spec in (self.sampling, self.val_sampling):
+            parse_strategy(spec).check(self.T)
 
 
 # values per block of Adam's update: 256 KiB of float64 per array, so the six
@@ -321,12 +321,8 @@ def fit(
         raise ShapeMismatchError("fit expects matrices aligned on the same gene list")
     rng = np.random.default_rng(cfg.seed)
     schedule = linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
-    for spec in (cfg.sampling, cfg.val_sampling):  # fail before warmup, not after it
-        candidate_grid(schedule, parse_strategy(spec))
     params = init_params(model_cfg, rng)
     result = FitResult(params=params)
-    if cfg.epochs == 0:
-        return result
 
     train_genes = list(split.train_genes)
     val_genes = list(split.val_genes)

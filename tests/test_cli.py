@@ -445,18 +445,26 @@ def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
     assert calls == []
 
 
-def test_a_learning_rate_of_nan_is_a_data_error_before_any_input_is_read(
-    tmp_path, monkeypatch, capsys
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("train.lr=nan", "lr, recon_lr and grad_clip must be finite"),
+        ("diffusion.sampling=frac:5000", "fractional n=5000 outside [1, T=2000]"),
+    ],
+    ids=["lr-nan", "sampling-beyond-T"],
+)
+def test_a_bad_train_setting_is_a_data_error_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys, override, message
 ):
     reads = []
     monkeypatch.setattr(data, "load_matrix", lambda *args, **kwargs: reads.append(args))
     argv = [
         "train", "--st", str(tmp_path / "st.csv"), "--sc", str(tmp_path / "sc.csv"),
         "--out", str(tmp_path / "m.catg"), "--save-prepared", str(tmp_path / "prep"),
-        "--set", "train.lr=nan",
+        "--set", override,
     ]
     assert cli.main(argv) == 2
-    assert "lr, recon_lr and grad_clip must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert reads == [] and list(tmp_path.iterdir()) == []
 
 
@@ -535,6 +543,30 @@ def test_checkpoint_without_diffusion_meta_is_a_data_error_before_the_sc_is_read
     err = capsys.readouterr().err
     assert "meta.T, meta.beta_start, meta.beta_end" in err
     assert "absent.csv" not in err  # the checkpoint is rejected first
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("bogus", "unknown sampling strategy 'bogus'"),
+        ("frac:0", "fractional n=0 outside [1, T=10]"),
+        ("frac:50", "fractional n=50 outside [1, T=10]"),
+    ],
+    ids=["bogus", "frac:0", "frac:50"],
+)
+def test_a_bad_sampling_spec_is_a_data_error_before_the_sc_is_read(tmp_path, capsys, spec, message):
+    params = init_params(ModelConfig(p=3, q=4, d=4, heads=1, blocks=1), np.random.default_rng(1))
+    save_checkpoint(params, tmp_path / "model.catg", {"T": 10, "beta_start": 1e-4, "beta_end": 2e-2})
+    (tmp_path / "genes.txt").write_text("G0\n")
+    assert cli.main([
+        "generate", "--ckpt", str(tmp_path / "model.catg"), "--sc", str(tmp_path / "absent.csv"),
+        "--genes", str(tmp_path / "genes.txt"), "--out", str(tmp_path / "pred.csv"),
+        "--sampling", spec, *SEED,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "absent.csv" not in err  # the spec is rejected first
     assert not (tmp_path / "pred.csv").exists()
 
 
@@ -666,6 +698,26 @@ def test_train_into_an_unwritable_place_fails_before_any_work(
     assert err.startswith("catgen: error:") and str(tmp_path / target) in err
     assert calls == []
     assert not (tmp_path / "m.catg").exists()
+
+
+@pytest.mark.parametrize("command", ["granger", "mask", "mask-to-stdout"])
+def test_granger_and_mask_into_a_missing_directory_fail_before_any_work(
+    trained, tmp_path, monkeypatch, capsys, command
+):
+    calls = []
+    test_pair = granger.test_pair
+    monkeypatch.setattr(granger, "test_pair", lambda *a, **k: calls.append(1) or test_pair(*a, **k))
+    missing = tmp_path / "nodir" / "out"
+    mask = ["mask", "--s", "7", "--c", "2", "--sz", "2,2,3", "--pbm", str(missing)]
+    argv = {
+        "granger": ["granger", "--matrix", str(trained / "sc.csv"), "--out", str(missing)],
+        "mask": [*mask, "--out", str(tmp_path / "m.csv")],
+        "mask-to-stdout": mask,
+    }[command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"catgen: error: cannot write {missing}" in captured.err and captured.out == ""
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 def _mask(tmp_path, name, s="7", sz="2,2,3"):

@@ -6,7 +6,6 @@ import pytest
 from catgen.diffusion import (
     DiffusionSchedule,
     Fractional,
-    Full,
     candidate_grid,
     linear_schedule,
     noising_coefficients,
@@ -135,7 +134,7 @@ def test_fractional_grid_anchoring():
 
 def test_full_single_timestep():
     sched = linear_schedule(1)
-    draws = sample_timesteps(sched, Full(), 15, np.random.default_rng(0))
+    draws = sample_timesteps(sched, Fractional(1), 15, np.random.default_rng(0))
     assert (draws == 1).all()
 
 
@@ -148,7 +147,7 @@ def test_timesteps_in_range_and_deterministic():
 
 
 def test_strategy_parsing_round_trip():
-    assert parse_strategy("full") == Full()
+    assert parse_strategy("full") == Fractional(1)
     assert parse_strategy("frac:4") == Fractional(4)
     with pytest.raises(ConfigError):
         parse_strategy("adaptive")
@@ -163,5 +162,5 @@ def test_respaced_chain_matches_signal_levels():
     grid, chain = respaced_chain(sched, Fractional(20))
     assert chain.T == grid.size == 100
     np.testing.assert_allclose(chain.alpha_bars, sched.alpha_bars[grid - 1], rtol=1e-10)
-    full_grid, full_chain = respaced_chain(sched, Full())
+    full_grid, full_chain = respaced_chain(sched, Fractional(1))
     assert full_chain is sched and full_grid.size == 2000

@@ -11,7 +11,6 @@ from catgen.data import prepare_pair, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
     Fractional,
-    Full,
     linear_schedule,
     parse_strategy,
     respaced_chain,
@@ -220,7 +219,7 @@ def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed)
     return np.clip(decode(np.vstack(finalized) * scale, params).data, 0.0, None)
 
 
-@pytest.mark.parametrize("strategy", [Full(), Fractional(5)], ids=["full", "frac5"])
+@pytest.mark.parametrize("strategy", [Fractional(1), Fractional(5)], ids=["full", "frac5"])
 @pytest.mark.parametrize("groups", [1, 2, 3])
 def test_cached_generation_matches_full_sequence(trained, groups, strategy):
     pair, params, schedule = trained
@@ -268,7 +267,7 @@ def _stepwise_generate(sc, genes, params, schedule, groups, strategy, seed):
     return np.clip(decode(np.vstack(finalized) * scale, params).data, 0.0, None)
 
 
-@pytest.mark.parametrize("strategy", [Full(), Fractional(5)], ids=["full", "frac5"])
+@pytest.mark.parametrize("strategy", [Fractional(1), Fractional(5)], ids=["full", "frac5"])
 @pytest.mark.parametrize("groups", [1, 2, 3, 7])  # 7: groups of one row each
 def test_generation_matches_the_stepwise_reference_bitwise(trained, groups, strategy):
     pair, params, schedule = trained
@@ -278,7 +277,7 @@ def test_generation_matches_the_stepwise_reference_bitwise(trained, groups, stra
     assert np.array_equal(out.values, ref)
 
 
-@pytest.mark.parametrize("strategy", [Full(), Fractional(20)], ids=["full", "frac20"])
+@pytest.mark.parametrize("strategy", [Fractional(1), Fractional(20)], ids=["full", "frac20"])
 def test_reverse_coefficients_match_the_scalar_formula(strategy):
     """Every entry of the table equals the scalar arithmetic at its step, bitwise."""
     _, chain = respaced_chain(linear_schedule(2000), strategy)

@@ -73,7 +73,7 @@ def make_step_args(mcfg, cfg, seed=1):
 
 def test_zero_noise_edge_loss_is_pure_prediction_power(tiny_setup):
     st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=5, seed=0)
+    cfg = TrainConfig(T=5, seed=0, val_sampling="full")  # the default frac:20 needs T >= 20
     params = init_params(mcfg, np.random.default_rng(1))
     # beta ~ 0 edge schedule: x_t = x0 exactly when eps = 0
     schedule = DiffusionSchedule.from_betas(np.full(5, 1e-12), validate=False)
@@ -397,6 +397,10 @@ def test_train_config_validation():
         TrainConfig(sampling="adaptive")
     with pytest.raises(ConfigError):
         TrainConfig(val_sampling="frac:x")
+    with pytest.raises(ShapeMismatchError, match="T must be >= 1"):
+        TrainConfig(T=0)
+    with pytest.raises(ShapeMismatchError, match="fractional n=21 outside"):
+        TrainConfig(T=20, val_sampling="frac:21")
     for bad in (
         {"lr": math.nan}, {"recon_lr": math.inf}, {"recon_lr": -1.0},
         {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"grad_clip": math.nan},
@@ -410,7 +414,7 @@ def test_train_config_validation():
 
 def test_batch_gene_count_mismatch(tiny_setup):
     st, sc, mcfg = tiny_setup
-    cfg = TrainConfig(T=10, seed=0)
+    cfg = TrainConfig(T=10, seed=0, val_sampling="full")  # the default frac:20 needs T >= 20
     params, schedule, opt = make_step_args(mcfg, cfg)
     with pytest.raises(ShapeMismatchError):
         train_step(st[:4], sc, params, cfg, np.random.default_rng(0), schedule, opt)
@@ -423,15 +427,19 @@ def prepared_dataset(n_genes=16, seed=0):
     return pair, split
 
 
-def test_fit_zero_epochs_returns_initial_params():
+def test_fit_zero_epochs_runs_the_warmup_only():
     pair, split = prepared_dataset()
     mcfg = ModelConfig(p=pair.st.n_obs, q=pair.sc.n_obs, d=8, heads=2, blocks=1)
-    cfg = TrainConfig(epochs=0, seed=3)
+    cfg = TrainConfig(epochs=0, recon_epochs=3, seed=3)
     result = fit(pair.st, pair.sc, split, mcfg, cfg)
     reference = init_params(mcfg, np.random.default_rng(3))
-    assert result.history == []
+    assert result.history == [] and result.best_epoch == -1 and math.isnan(result.best_val_pcc)
     for name in reference.names():
-        np.testing.assert_array_equal(result.params[name].data, reference[name].data)
+        if name.startswith(("blk", "out.", "time.")):  # diffusion-only tensors
+            np.testing.assert_array_equal(result.params[name].data, reference[name].data)
+        elif name.startswith(("e1.", "e2.", "dec.")):  # the warmup's tensors
+            assert not np.array_equal(result.params[name].data, reference[name].data), name
+    assert float(result.params["latent.scale"].data) != 1.0
 
 
 def test_fit_smoke_records_history_and_validates():
