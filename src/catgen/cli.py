@@ -1,8 +1,8 @@
 """Command-line entry point: synth, granger, mask, train, generate, eval, ablate.
 
 Exit codes: 0 success, 1 usage error, 2 data, file or numeric error; granger,
-mask, train, generate and eval check their output directories before any
-work. All randomness flows from --seed (default: CATGEN_SEED environment
+mask, train, generate, eval and ablate check their output directories before
+any work. All randomness flows from --seed (default: CATGEN_SEED environment
 variable, then 42; a CATGEN_SEED that is not an integer is an error), and
 every subcommand is reproducible byte-for-byte given identical arguments,
 seed and inputs.
@@ -354,21 +354,25 @@ def cmd_ablate(args) -> int:
     from .data import split_genes, write_csv
     from .train import fit
 
+    _require_out_dirs(args.out)
     base_seed = _resolve_seed(args)
     values = _load_values(args)
-    pair, _ = _prepare_from_files(args.st, args.sc, values)
     key, settings = _ABLATION_AXES[args.axis]
+    trials = []  # every trial's settings are checked before any input is read
+    for setting in settings:
+        trial = {**values, key: setting}
+        for seed in range(base_seed, base_seed + args.seeds):
+            trials.append((setting, seed, trial, train_config(trial, seed)))
+    pair, _ = _prepare_from_files(args.st, args.sc, values)
 
     def rows():  # each row is written as soon as its fit ends
-        for setting in settings:
-            for seed in range(base_seed, base_seed + args.seeds):
-                trial = {**values, key: setting}
-                mcfg = model_config(trial, p=pair.st.n_obs, q=pair.sc.n_obs)
-                split = split_genes(range(len(pair.genes)), seed)
-                result = fit(pair.st, pair.sc, split, mcfg, train_config(trial, seed))
-                log.info("ablate %s=%s seed=%d -> %.4f", args.axis, setting, seed,
-                         result.best_val_pcc)
-                yield [args.axis, setting, seed, result.best_val_pcc, result.best_epoch]
+        for setting, seed, trial, cfg in trials:
+            mcfg = model_config(trial, p=pair.st.n_obs, q=pair.sc.n_obs)
+            split = split_genes(range(len(pair.genes)), seed)
+            result = fit(pair.st, pair.sc, split, mcfg, cfg)
+            log.info("ablate %s=%s seed=%d -> %.4f", args.axis, setting, seed,
+                     result.best_val_pcc)
+            yield [args.axis, setting, seed, result.best_val_pcc, result.best_epoch]
 
     write_csv(args.out, ["axis", "setting", "seed", "best_val_pcc", "best_epoch"], rows())
     return 0

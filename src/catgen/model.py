@@ -24,6 +24,9 @@ One block loop serves three callers: training runs every row under the full
 mask; ``context_cache`` runs the context rows [condition | clean] alone and
 keeps each block's keys and values; and a cached step runs only noisy rows,
 with those keys and values ahead of its own (KV caching, Pope et al. 2022).
+The last block carries only the rows its caller reads: in training every row
+still gives it keys and values, but only the noisy rows ask queries and pass
+through its feed-forward and the noise head.
 
 Array forwards differ from recorded ones in layout only, never in
 arithmetic. ``detached()`` packs each block's query, key and value
@@ -290,24 +293,28 @@ def _attention(
     block: int,
     params: CatParameters,
     prefix: tuple[Operand, Operand] | None = None,
+    keep: int = 0,
 ) -> tuple[Operand, tuple[Operand, Operand]]:
     """Masked multi-head attention of the rows of ``x`` in block number ``block``.
 
     ``prefix`` holds cached keys and values of context rows that come before
     ``x``: recorded ones are joined ahead of x's own, and array buffers take
     x's own in their tail. ``blocked`` then has one column per prefix row
-    first. Returns the output and x's own (rows, d) keys and values.
+    first. Only the rows of ``x`` from ``keep`` on ask queries, so the output
+    has one row for each of them and ``blocked`` one row for each; every row
+    still gives a key and a value. Returns the output and x's own (rows, d)
+    keys and values.
     """
     d = params.cfg.d
     names = _block_names(params.cfg)[block]
     if isinstance(x, Tensor):  # recorded: one node per projection
-        q = linear(x, params[names["wq"]], params[names["bq"]])
+        q = linear(x[keep:] if keep else x, params[names["wq"]], params[names["bq"]])
         # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
         k = linear(x, params[names["wk"]])
         v = linear(x, params[names["wv"]], params[names["bv"]])
     else:  # arrays: one matmul, whose column thirds are q, k and v
         qkv = linear(x, *params.qkv[block])
-        q, k, v = (qkv[:, i * d : (i + 1) * d] for i in range(3))
+        q, k, v = qkv[keep:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
     own = k, v
     if prefix is not None:  # cached context rows come first
         keys, values = prefix
@@ -322,21 +329,30 @@ def _attention(
 
 
 def _blocks(
-    x: Operand, blocked: np.ndarray, params: CatParameters, cache: ContextCache | None = None
+    x: Operand,
+    blocked: np.ndarray,
+    params: CatParameters,
+    cache: ContextCache | None = None,
+    keep: int = 0,
 ) -> tuple[Operand, list[tuple[Operand, Operand]]]:
     """The transformer blocks, shared by every forward pass.
 
     With ``cache`` each block's attention also sees that block's cached
-    context keys and values. Returns the output rows and, per block, the keys
-    and values of the rows of ``x``.
+    context keys and values. The last block carries only the rows its caller
+    reads, those from ``keep`` on: every row still gives it keys and values,
+    but only those rows ask queries and pass through its feed-forward.
+    Returns those output rows and, per block, the keys and values of every
+    row of ``x``.
     """
     own = []
+    last = params.cfg.blocks - 1
     for i, names in enumerate(_block_names(params.cfg)):
         prefix = None if cache is None else (cache.keys[i], cache.values[i])
+        rows = keep if i == last else 0
         h = layer_norm(x, params[names["ln1.g"]], params[names["ln1.b"]])
-        attended, kv = _attention(h, blocked, i, params, prefix)
+        attended, kv = _attention(h, blocked[rows:], i, params, prefix, rows)
         own.append(kv)
-        x = x + attended
+        x = (x[rows:] if rows else x) + attended
         h = layer_norm(x, params[names["ln2.g"]], params[names["ln2.b"]])
         hidden = gelu(linear(h, params[names["ff.w1"]], params[names["ff.b1"]]))
         x = x + linear(hidden, params[names["ff.w2"]], params[names["ff.b2"]])
@@ -490,10 +506,10 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
         features = sinusoidal_basis(batch.timesteps, d)
     temb = linear(features, params["time.w"], params["time.b"])
     x = batch.tokens + (concat([np.zeros((ctx, d)), temb]) if ctx else temb)
-    x, _ = _blocks(x, batch.blocked, params, batch.context)
+    x, _ = _blocks(x, batch.blocked, params, batch.context, keep=ctx)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
-    v_hat = linear(x, params["out.w"], params["out.b"])[ctx:seq]
+    v_hat = linear(x, params["out.w"], params["out.b"])
     signal = batch.alpha_bars[:, None]
     pred = batch.noisy * np.sqrt(1.0 - signal) + v_hat * np.sqrt(signal)
     if not np.isfinite(as_array(pred)).all():

@@ -98,14 +98,19 @@ class Adam:
 
     ``m``, ``v`` and one step counter are made at the first step for the
     slice it is given; every later step must update a slice of that size.
-    Each step applies Adam's per-element arithmetic (Kingma & Ba 2015) in
-    the order ``lr * m_hat / (sqrt(v_hat) + eps)``, so every element comes
-    out bitwise as a per-tensor update would give it. The slice is walked
-    in blocks of ``_ADAM_BLOCK`` values, and each block runs every
-    operation of the update before the next block starts, through two
-    block-sized scratch arrays; so the step makes no array after the first,
-    and each block's arrays are read from memory once rather than once per
-    operation.
+    Each step computes Algorithm 1 of Kingma & Ba (2015) in the order their
+    section 2 gives for efficiency: with ``alpha_t = lr * sqrt(1 - beta2^t) /
+    (1 - beta1^t)`` and ``eps_hat = eps * sqrt(1 - beta2^t)``, the update is
+    ``alpha_t * m / (sqrt(v) + eps_hat)``. That is Algorithm 1's ``lr * m_hat
+    / (sqrt(v_hat) + eps)``, because ``sqrt(v_hat) + eps = (sqrt(v) +
+    eps_hat) / sqrt(1 - beta2^t)``, with one square root and one division
+    per value where Algorithm 1 takes a square root and three divisions.
+    Every element still comes out bitwise as a per-tensor update in this
+    order would give it. The slice is walked in blocks of ``_ADAM_BLOCK``
+    values, and each block runs every operation of the update before the
+    next block starts, through two block-sized scratch arrays; so the step
+    makes no array after the first, and each block's arrays are read from
+    memory once rather than once per operation.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -127,7 +132,9 @@ class Adam:
             )
         self._t += 1
         fresh1, fresh2 = 1.0 - self.beta1, 1.0 - self.beta2
-        bias1, bias2 = 1.0 - self.beta1**self._t, 1.0 - self.beta2**self._t
+        root2 = math.sqrt(1.0 - self.beta2**self._t)
+        alpha = self.lr * root2 / (1.0 - self.beta1**self._t)
+        eps_hat = self.eps * root2
         for start in range(0, grad.size, _ADAM_BLOCK):
             block = slice(start, start + _ADAM_BLOCK)
             m, v, g, x = self._m[block], self._v[block], grad[block], values[block]
@@ -137,21 +144,21 @@ class Adam:
             v *= self.beta2
             np.multiply(g, fresh2, out=a)
             v += np.multiply(a, g, out=a)
-            np.divide(m, bias1, out=a)  # m_hat
-            a *= self.lr
-            np.divide(v, bias2, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += self.eps
+            np.sqrt(v, out=b)
+            b += eps_hat
+            np.multiply(m, alpha, out=a)
             x -= np.divide(a, b, out=a)
 
 
 def clip_global_norm(grads: Gradients, max_norm: float) -> None:
     """Scale ``grads.flat`` in place so that its norm is at most ``max_norm``.
 
-    The squared norm adds one sum of squares per tensor, in name order: one
-    sum over the whole flat array would round differently in the last bits.
+    The squared norm is one reduction over ``grads.flat``. It is ``einsum``'s
+    own loop, not ``np.dot``: OpenBLAS splits a long dot product across its
+    threads, so its last bits, and with them training, would depend on the
+    BLAS thread count.
     """
-    total = math.sqrt(sum(float((grads[n] * grads[n]).sum()) for n in sorted(grads)))
+    total = math.sqrt(np.einsum("i,i->", grads.flat, grads.flat))
     if total > max_norm > 0:
         grads.flat *= max_norm / total
 

@@ -17,6 +17,7 @@ from catgen.arplan import ARStepPlan
 from catgen.config import REGISTRY
 from catgen.data import SC, ST, DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
 from catgen.diffusion import linear_schedule
+from catgen.errors import DataFormatError
 from catgen.generate import generate_genes
 from catgen.mask import build_mask
 from catgen.metrics import js_divergence, pcc, rmse_z, ssim
@@ -833,3 +834,32 @@ def test_fewer_than_one_seed_per_setting_is_a_usage_error_before_any_fit(
     assert cli.main(argv) == 1
     assert "argument --seeds" in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "axis, overrides, out, message",
+    [
+        ("decay", [], "nodir/a.csv", "cannot write"),
+        ("decay", ["train.lr=nan"], "a.csv", "lr, recon_lr and grad_clip must be finite"),
+        # full, frac:2 and frac:3 fit T=3; the fourth trial's frac:4 does not
+        ("sampling", ["diffusion.T=3", "train.val_sampling=full"], "a.csv",
+         "fractional n=4 outside [1, T=3]"),
+    ],
+    ids=["missing-dir", "lr-nan", "sampling-beyond-T"],
+)
+def test_ablate_fails_before_any_work(tmp_path, monkeypatch, capsys, axis, overrides, out, message):
+    reads = []
+
+    def load_matrix(*args, **kwargs):
+        reads.append(args)
+        raise DataFormatError("no input is read in this test")
+
+    monkeypatch.setattr(data, "load_matrix", load_matrix)
+    argv = [
+        "ablate", "--axis", axis, "--st", str(tmp_path / "st.csv"),
+        "--sc", str(tmp_path / "sc.csv"), "--out", str(tmp_path / out), *SEED,
+        *(arg for override in overrides for arg in ("--set", override)),
+    ]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert reads == [] and list(tmp_path.iterdir()) == []

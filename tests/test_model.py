@@ -9,8 +9,9 @@ import types
 import numpy as np
 import pytest
 
+from catgen import model, train
 from catgen.arplan import ARStepPlan
-from catgen.autodiff import Tensor, gradients, mse
+from catgen.autodiff import Tensor, as_array, concat, gradients, layer_norm, linear, mse
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError, NotOnTapeError, ShapeMismatchError
 from catgen.model import (
@@ -193,6 +194,79 @@ def test_cached_step_matches_full_layout(small):
             assert cached.shape == full.shape
             worst = max(worst, float(np.abs(cached - full).max()))
     assert worst <= 1e-12
+
+
+def _full_row_forward(batch, params):
+    """``cat_forward`` with every row through every block and the head, and
+    the noisy rows sliced off the end: the reference for the last block's
+    pruned rows."""
+    seq, d = batch.tokens.shape
+    ctx = seq - batch.plan.S
+    temb = linear(sinusoidal_basis(batch.timesteps, d), params["time.w"], params["time.b"])
+    x = batch.tokens + (concat([np.zeros((ctx, d)), temb]) if ctx else temb)
+    x, _ = model._blocks(x, batch.blocked, params, keep=0)
+    x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
+    v_hat = linear(x, params["out.w"], params["out.b"])[ctx:seq]
+    signal = batch.alpha_bars[:, None]
+    return batch.noisy * np.sqrt(1.0 - signal) + v_hat * np.sqrt(signal)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_last_block_on_the_noisy_rows_matches_the_full_row_forward(monkeypatch, blocks):
+    """Predictions and every diffusion-trainable gradient of a training loss
+    agree with the full-row forward's, on random plans with and without clean rows."""
+    cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=blocks)
+    params = init_params(cfg, np.random.default_rng(blocks))
+    names = train.diffusion_trainable(params, None)
+    schedule = linear_schedule(50)
+    rng = np.random.default_rng(31)
+    plans = [ARStepPlan((1,)), ARStepPlan((5,))]  # N = 1, so no clean row
+    plans += [_random_plan(int(rng.integers(1, 6)), rng) for _ in range(22)]
+    assert sum(p.v == 0 for p in plans) >= 2 and sum(p.v > 0 for p in plans) >= 15
+    for plan in plans:
+        S = plan.S
+        st, sc = rng.standard_normal((S, cfg.p)), rng.standard_normal((S, cfg.q))
+        ts, eps = rng.integers(1, 51, S), rng.standard_normal((S, cfg.d))
+        results = []
+        for forward in (model.cat_forward, _full_row_forward):
+            preds = []
+
+            def recorded(batch, p, forward=forward):
+                preds.append(forward(batch, p))
+                return preds[0]
+
+            with monkeypatch.context() as patched:
+                patched.setattr(train, "cat_forward", recorded)
+                loss = train.training_loss(st, sc, plan, ts, eps, params, schedule)
+            results.append((preds[0].data, gradients(loss, {n: params[n] for n in names})))
+        (pred, grads), (ref_pred, ref_grads) = results
+        assert pred.shape == (S, cfg.d)
+        assert np.abs(pred - ref_pred).max() <= 1e-12, plan
+        for name in names:
+            worst = np.abs(grads[name] - ref_grads[name]).max()
+            assert worst <= 1e-12 * np.abs(ref_grads[name]).max(), (plan, name)
+
+
+def test_only_the_last_block_drops_the_rows_nobody_reads(small, monkeypatch):
+    """Each block's feed-forward GELU sees every row, but the last block's
+    sees the noisy rows only; a context cache keeps every row in every block."""
+    rows = []
+
+    def counting(x):
+        rows.append(as_array(x).shape[0])
+        return gelu(x)
+
+    gelu = model.gelu
+    monkeypatch.setattr(model, "gelu", counting)
+    cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=3)
+    params = init_params(cfg, np.random.default_rng(4))
+    plan = ARStepPlan((2, 3, 2))
+    batch, (cond, clean, _) = make_batch(params, plan, c=5)
+    cat_forward(batch, params)
+    assert rows == [5 + 5 + 7, 5 + 5 + 7, 7]
+    rows.clear()
+    context_cache((cond, clean), plan, params.detached())
+    assert rows == [5 + 5] * 3
 
 
 def test_cached_step_feeds_noisy_rows_only(small):

@@ -1,6 +1,9 @@
 """Training step and fit loop: objective structure, determinism, freezing."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from catgen import granger, train
 from catgen.arplan import ARStepPlan, generate_ar_steps
 from catgen.autodiff import Gradients, Tensor, collect_tape, concat, gradients, mse
+from catgen.cli import THREAD_ENV
 from catgen.data import SC, ST, ExpressionMatrix, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
@@ -262,7 +266,8 @@ def test_clip_global_norm():
 
 
 class ReferenceAdam:
-    """Adam with its state kept per parameter name: the reference for the flat Adam."""
+    """Adam with its state kept per parameter name, in the efficient order of
+    Kingma & Ba's section 2: the reference for the flat Adam."""
 
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -278,13 +283,15 @@ class ReferenceAdam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            params[name].data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            root2 = math.sqrt(1.0 - self.beta2**t)
+            alpha = self.lr * root2 / (1.0 - self.beta1**t)
+            params[name].data -= alpha * m / (np.sqrt(v) + self.eps * root2)
 
 
 def reference_clip(grads, max_norm):
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """One sum of squares over every gradient, joined in the order of ``grads``."""
+    joined = np.concatenate([g.ravel() for g in grads.values()])
+    total = math.sqrt(np.einsum("i,i->", joined, joined))
     if total > max_norm > 0:
         scale = max_norm / total
         return {k: g * scale for k, g in grads.items()}, True
@@ -294,7 +301,8 @@ def reference_clip(grads, max_norm):
 @pytest.mark.parametrize("grad_clip", [1e-3, 1e3])
 def test_flat_update_matches_per_tensor_reference(tiny_setup, monkeypatch, grad_clip):
     """30 warmup and 30 diffusion steps give bitwise the parameters of an
-    unpruned walk, a per-tensor clip in name order and a per-tensor Adam."""
+    unpruned walk, a clip over the gradients joined in buffer order and a
+    per-tensor Adam."""
     st, sc, mcfg = tiny_setup
     cfg = TrainConfig(T=20, seed=0, grad_clip=grad_clip)
     clipped = []
@@ -302,7 +310,7 @@ def test_flat_update_matches_per_tensor_reference(tiny_setup, monkeypatch, grad_
     def reference_update(loss, params, names, opt, max_norm):
         tape = collect_tape(loss)  # every parameter on the tape, not only the trainable ones
         full = gradients(loss, {n: t for n, t in params.tensors.items() if id(t) in tape})
-        grads, scaled = reference_clip({n: full[n].copy() for n in sorted(names)}, max_norm)
+        grads, scaled = reference_clip({n: full[n].copy() for n in names}, max_norm)
         clipped.append(scaled)
         opt.step(params, grads)
 
@@ -341,16 +349,15 @@ class WholeArrayAdam:
             self._m, self._v, self._a, self._b = (np.zeros_like(grad) for _ in range(4))
         self._t += 1
         m, v, a, b = self._m, self._v, self._a, self._b
+        root2 = math.sqrt(1.0 - self.beta2**self._t)
         m *= self.beta1
         m += np.multiply(grad, 1.0 - self.beta1, out=a)
         v *= self.beta2
         np.multiply(grad, 1.0 - self.beta2, out=a)
         v += np.multiply(a, grad, out=a)
-        np.divide(m, 1.0 - self.beta1**self._t, out=a)  # m_hat
-        a *= self.lr
-        np.divide(v, 1.0 - self.beta2**self._t, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += self.eps
+        np.sqrt(v, out=b)
+        b += self.eps * root2
+        np.multiply(m, self.lr * root2 / (1.0 - self.beta1**self._t), out=a)
         values -= np.divide(a, b, out=a)
 
 
@@ -369,6 +376,65 @@ def test_blocked_adam_matches_whole_array_passes_bitwise():
         assert np.array_equal(grad, kept)
         assert np.array_equal(blocked, whole)
     assert not np.array_equal(blocked, start)
+
+
+def test_adam_matches_algorithm_1_of_kingma_and_ba():
+    """20 steps on three tensors match Algorithm 1, written out per tensor, to
+    rounding; the third tensor's gradients near 1e-9 leave eps to dominate
+    the denominator, so a wrongly scaled eps_hat fails here."""
+    lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(17)
+    scales = {"a": 1.0, "b": 1e3, "tiny": 1e-9}
+    shapes = {"a": (7, 5), "b": (40,), "tiny": (30,)}
+    # the values start at 0, so each is the sum of its updates
+    values = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    ref = {n: np.zeros(shape) for n, shape in shapes.items()}
+    m = {n: np.zeros(shape) for n, shape in shapes.items()}
+    v = {n: np.zeros(shape) for n, shape in shapes.items()}
+    opt = Adam(lr, beta1, beta2, eps)
+    for t in range(1, 21):
+        grads = {n: scales[n] * rng.standard_normal(shape) for n, shape in shapes.items()}
+        opt.step(values, np.concatenate([g.ravel() for g in grads.values()]))
+        for n, g in grads.items():
+            m[n] = beta1 * m[n] + (1.0 - beta1) * g
+            v[n] = beta2 * v[n] + (1.0 - beta2) * g**2
+            m_hat = m[n] / (1.0 - beta1**t)
+            v_hat = v[n] / (1.0 - beta2**t)
+            ref[n] = ref[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.testing.assert_allclose(
+            values, np.concatenate([r.ravel() for r in ref.values()]), rtol=1e-12, atol=0
+        )
+    assert np.sqrt(v["tiny"] / (1.0 - beta2**20)).max() < eps / 3
+
+
+_CLIP_IN_A_SUBPROCESS = """
+import hashlib
+import numpy as np
+from catgen.autodiff import Gradients
+from catgen.train import clip_global_norm
+
+flat = np.random.default_rng(5).standard_normal(166528) * 400.0
+clip_global_norm(Gradients(flat, {"all": flat}), 1.0)
+print(hashlib.sha256(flat.tobytes()).hexdigest())
+"""
+
+
+def test_clip_norm_does_not_depend_on_the_blas_thread_count():
+    """The squared norm is one reduction outside BLAS, whose dot product
+    splits a long vector across threads; so one and two BLAS threads give a
+    bit-equal clip, here on a vector of the benchmark model's size."""
+    src = os.path.dirname(os.path.dirname(train.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src}
+        env.update(dict.fromkeys(THREAD_ENV, threads))
+        done = subprocess.run(
+            [sys.executable, "-c", _CLIP_IN_A_SUBPROCESS], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 def test_adam_rejects_a_slice_of_another_size():
