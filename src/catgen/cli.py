@@ -225,9 +225,10 @@ def cmd_train(args) -> int:
     cfg = train_config(values, seed)
     if args.gene_order:
         cfg.gene_order = args.gene_order
+    mcfg = model_config(values, p=1, q=1)  # p and q come from the data, the rest is checked first
     pair, opts = _prepare_from_files(args.st, args.sc, values)
     split = split_genes(range(len(pair.genes)), seed)
-    mcfg = model_config(values, p=pair.st.n_obs, q=pair.sc.n_obs)
+    mcfg = dataclasses.replace(mcfg, p=pair.st.n_obs, q=pair.sc.n_obs)
     if args.save_prepared:  # not earlier, so that a run that fails before fit leaves none
         os.makedirs(args.save_prepared, exist_ok=True)
 
@@ -275,10 +276,14 @@ def cmd_generate(args) -> int:
     schedule = linear_schedule(int(meta["T"]), meta["beta_start"], meta["beta_end"])
     strategy = parse_strategy(args.sampling)
     strategy.check(schedule.T)  # a stride beyond T fails before the SC is read
-    opts = DataOptions(  # checkpoints without the data meta used the defaults
-        min_genes_sc=int(meta.get("qc_min_genes_sc", DataOptions.min_genes_sc)),
-        apply_normalize=bool(meta.get("data_normalize", DataOptions.apply_normalize)),
-    )
+    # checkpoints without the data meta used the defaults
+    qc = float(meta.get("qc_min_genes_sc", DataOptions.min_genes_sc))
+    if not qc.is_integer():
+        raise DataFormatError(f"{args.ckpt}: meta.qc_min_genes_sc is {qc!r}, not a whole number")
+    normalize = meta.get("data_normalize", DataOptions.apply_normalize)
+    if normalize not in (0, 1):  # nor is NaN
+        raise DataFormatError(f"{args.ckpt}: meta.data_normalize is {normalize!r}, not 0 or 1")
+    opts = DataOptions(min_genes_sc=int(qc), apply_normalize=bool(normalize))
     sc = opts.qc_normalize(load_matrix(args.sc, modality=SC))
     with open(args.genes, "r", encoding="utf-8") as fh, utf8_text(args.genes):
         genes = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
@@ -361,13 +366,14 @@ def cmd_ablate(args) -> int:
     trials = []  # every trial's settings are checked before any input is read
     for setting in settings:
         trial = {**values, key: setting}
+        mcfg = model_config(trial, p=1, q=1)  # p and q come from the data
         for seed in range(base_seed, base_seed + args.seeds):
-            trials.append((setting, seed, trial, train_config(trial, seed)))
+            trials.append((setting, seed, mcfg, train_config(trial, seed)))
     pair, _ = _prepare_from_files(args.st, args.sc, values)
 
     def rows():  # each row is written as soon as its fit ends
-        for setting, seed, trial, cfg in trials:
-            mcfg = model_config(trial, p=pair.st.n_obs, q=pair.sc.n_obs)
+        for setting, seed, mcfg, cfg in trials:
+            mcfg = dataclasses.replace(mcfg, p=pair.st.n_obs, q=pair.sc.n_obs)
             split = split_genes(range(len(pair.genes)), seed)
             result = fit(pair.st, pair.sc, split, mcfg, cfg)
             log.info("ablate %s=%s seed=%d -> %.4f", args.axis, setting, seed,

@@ -183,6 +183,10 @@ class DataOptions:
     min_genes_st: int = 1
     apply_normalize: bool = True
 
+    def __post_init__(self):
+        if not 0.0 < self.top_fraction <= 1.0:
+            raise ShapeMismatchError(f"top_fraction must be in (0, 1], got {self.top_fraction}")
+
     def qc_normalize(self, m: ExpressionMatrix) -> ExpressionMatrix:
         """Per-matrix steps: QC-filter the observations, then normalize if set."""
         m = qc_filter(m, self.min_genes_sc, self.min_genes_st)

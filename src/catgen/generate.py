@@ -8,29 +8,30 @@ structure the mask enforced during training. Every group runs on its own
 seeded random stream derived from (seed, group index), which keeps earlier
 groups bit-identical when later groups are re-seeded.
 
-The groups of a request are one ARStepPlan, and group g's context plan is its
-first g + 1 groups. The context rows of a group (the conditions of all
-requested genes, then the finalized latents of earlier groups) carry no time
-embedding and attend only to condition and clean rows, so their keys and
-values in every block are fixed for the whole group. The noisy rows of
-finished groups are invisible to later groups under the mask, so they are
-no longer fed at all. Work is done at the outermost level it depends on:
+The context rows of a request are the conditions of all requested genes,
+then the finalized latents of each finished group. They carry no time
+embedding and see no later group, so their keys and values in every block
+never change once computed. The noisy rows of finished groups are invisible
+to later groups under the mask, so they are not fed at all. Work is done at
+the outermost level it depends on:
 
 - per request: ``params.detached()`` (plain arrays over the model's
   parameter buffer, plus each block's packed q/k/v projection), the
   condition latents, the AR plan, the sinusoidal features of every
-  timestep of the reverse chain, and the chain's step coefficients, which
-  its schedule computes once (``reverse_coefficients``);
-- per group: its random stream and its context cache
-  (``model.context_cache``), whose (rows, d) key and value buffers leave
-  room for the group's own rows, and which holds the one-step plan and the
-  mask that every step of the group shares;
+  timestep of the reverse chain, the chain's step coefficients, which its
+  schedule computes once (``reverse_coefficients``), and one context cache
+  (``model.context_cache``) of the conditions, whose key and value buffers
+  leave room for the latents of every group but the last and for one
+  group's noisy rows;
+- per group: its random stream and its one-step plan; a finished group but
+  the last is appended to the cache, once;
 - per step: one forward of the current group's noisy rows only, laid out
-  by ``TokenBatch.assemble``, with its keys and values written into the
-  buffers' tail, then one reverse step. The step projects its timestep's
-  features into the time embedding itself, over one copy per row: a
-  table of projections would round differently for a one-row group, whose
-  product takes BLAS's matrix-vector path.
+  by ``TokenBatch.assemble``, with its keys and values written right after
+  the cached rows, where the group's finished latents go later, then one
+  reverse step. The step projects its timestep's features into the time
+  embedding itself, over one copy per row: a table of projections would
+  round differently for a one-row group, whose product takes BLAS's
+  matrix-vector path.
 
 This module stacks no rows for the model. Generation records no autodiff
 graph; training runs the same model functions on Tensors.
@@ -139,17 +140,21 @@ def generate_genes(
     grid, chain = respaced_chain(schedule, strategy)
     features = sinusoidal_basis(grid, d)  # row k - 1 holds step k's timestep features
 
+    # room for every finished group but the last, then the last group's noisy rows
+    context = context_cache(cond, frozen, room=plan.S)
     finalized: list[np.ndarray] = []
     for g, size in enumerate(plan.sz):
         rng = _group_rng(seed, g)
         lo, hi = plan.cs[g], plan.cs[g + 1]
-        context = context_cache((cond, *finalized), ARStepPlan(plan.sz[: g + 1]), frozen)
+        step = ARStepPlan((size,))
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
             t_raw, row = int(grid[k - 1]), features[k - 1]
-            eps_hat = _predict_noise(x, t_raw, row, schedule, cond[lo:hi], context, frozen)
+            eps_hat = _predict_noise(x, t_raw, row, schedule, cond[lo:hi], step, context, frozen)
             x = reverse_step(x, k, eps_hat, chain, rng)
         finalized.append(x)
+        if g < plan.N - 1:
+            context = context_cache(x, frozen, context)
 
     latents = np.vstack(finalized) * scale
     values = np.clip(decode(latents, frozen), 0.0, None)
@@ -165,24 +170,23 @@ def _predict_noise(
     features: np.ndarray,
     schedule: DiffusionSchedule,
     cond: np.ndarray,
+    step: ARStepPlan,
     context: ContextCache,
     frozen: CatParameters,
 ) -> np.ndarray:
     """CAT noise prediction for the current group's noisy latents ``x``.
 
     Only the group's own rows are fed: x_t plus each gene's condition latent,
-    as one AR step, so they attend to each other.
-    They also attend to every row of ``context``, the cached keys and values
-    of the condition and clean rows. Those rows carry no time embedding and
-    attend only to each other, so the cache is exact for every step of the
-    group; the noisy rows of finished groups, which the mask hides from this
+    as the one AR step ``step``, so they attend to each other and to every
+    row of ``context``, the cached keys and values of the condition and clean
+    rows; the noisy rows of finished groups, which the mask hides from this
     group, are not fed. ``features`` are the sinusoidal features of ``t_raw``;
     every row gets its own copy, so the time projection is the product of as
     many rows as when the batch computes them.
     """
     size = x.shape[0]
     batch = TokenBatch.assemble(
-        context.step, x, cond, np.full(size, t_raw), schedule, context=context,
+        step, x, cond, np.full(size, t_raw), schedule, context=context,
         time_features=np.repeat(features[None], size, axis=0),
     )
     return cat_forward(batch, frozen)

@@ -2,15 +2,13 @@
 masked-attention blocks, sinusoidal time embedding, noise-prediction head and
 decoder.
 
-Tokens are d-dimensional gene latents. A forward pass consumes a TokenBatch
-laid out as [condition | clean | noisy], and ``TokenBatch.assemble`` is the
-one code that writes that layout: training and generation hand it their
-parts, and ``context_cache`` takes the same prefix parts. It looks up each
-token's signal level and derives the attention mask from the AR plan and the
-condition count, so no caller builds either. The time
-embedding is added to noisy tokens only, conditions and clean tokens carry no
-positional identity, and the output rows are the predicted noise for the
-noisy tokens.
+Tokens are d-dimensional gene latents. A training forward pass consumes a
+TokenBatch laid out as [condition | clean | noisy], and
+``TokenBatch.assemble`` is the one code that writes that layout. It looks up
+each token's signal level and derives the attention mask from the AR plan and
+the condition count, so no caller builds either. The time embedding is added
+to noisy tokens only, conditions and clean tokens carry no positional
+identity, and the output rows are the predicted noise for the noisy tokens.
 
 Each forward function is written once and runs on either kind of parameter.
 Its layers are the fused nodes of ``autodiff``: ``linear``, ``layer_norm``,
@@ -21,20 +19,22 @@ straight off the recorded forward computation; inference passes
 functions then compute the same numbers on arrays without recording a graph.
 
 One block loop serves three callers: training runs every row under the full
-mask; ``context_cache`` runs the context rows [condition | clean] alone and
-keeps each block's keys and values; and a cached step runs only noisy rows,
-with those keys and values ahead of its own (KV caching, Pope et al. 2022).
-The last block carries only the rows its caller reads: in training every row
-still gives it keys and values, but only the noisy rows ask queries and pass
-through its feed-forward and the noise head.
+mask; ``context_cache`` appends one AR step of context rows [condition |
+clean] to a request's ``ContextCache``; and a cached step runs only noisy
+rows against that cache (KV caching, Pope et al. 2022). Context rows carry no
+time embedding and see no later AR step, so the cache only grows, a request
+computes each context row once, and neither an append nor a cached step
+masks anything. The last block carries only the rows its caller reads: in
+training every row still gives it keys and values, but only the noisy rows
+ask queries and pass through its feed-forward and the noise head.
 
 Array forwards differ from recorded ones in layout only, never in
 arithmetic. ``detached()`` packs each block's query, key and value
 projections into one (d, 3d) matrix ``[wq|wk|wv]`` with bias ``[bq|0|bv]``,
 so a block computes q, k and v with one matmul and takes them as column
-views. On arrays ``context_cache`` keeps each block's (rows, d) keys and
-values in a (context rows + group size, d) buffer, and a cached step writes
-its own into the buffer's tail instead of joining two arrays.
+views. On arrays a cache keeps each block's keys and values in buffers with
+room after the cached rows, and an append or a cached step writes its own
+right after them instead of joining two arrays.
 A batch may also bring its timesteps' sinusoidal features, which a
 generation request computes once for its whole chain.
 
@@ -273,18 +273,26 @@ def sinusoidal_basis(ts: np.ndarray, d: int) -> np.ndarray:
 
 
 class ContextCache(NamedTuple):
-    """Each block's attention keys and values for the fixed context rows, and
-    what every cached step of the group's noisy rows shares.
+    """One request's context rows: each block's attention keys and values for
+    the conditions and the finished groups, in the order they were appended.
 
-    Recorded (Tensor) keys and values are (context rows, d). Array ones are
-    (context rows + group size, d) buffers whose first rows hold the context;
-    a cached step writes its own rows into the rest.
+    Recorded (Tensor) keys and values hold exactly ``rows`` rows. Array ones
+    are buffers with room after ``rows``: the next append, or a cached step,
+    writes its own rows there.
     """
 
     keys: tuple[Operand, ...]
     values: tuple[Operand, ...]
-    step: ARStepPlan  # one AR step of the group's noisy rows
-    blocked: np.ndarray  # (group size, context rows + group size), all False: see TokenBatch.assemble
+    rows: int = 0
+
+    def block(self, i: int, n: int) -> tuple[Operand, Operand]:
+        """Block i's keys and values, buffers as views that end after ``n`` more rows."""
+        keys, values = self.keys[i], self.values[i]
+        if isinstance(keys, Tensor):
+            return keys, values
+        if self.rows + n > len(keys):
+            raise ShapeMismatchError(f"cache has room for {len(keys) - self.rows} rows, not {n}")
+        return keys[: self.rows + n], values[: self.rows + n]
 
 
 def _attention(
@@ -298,12 +306,12 @@ def _attention(
     """Masked multi-head attention of the rows of ``x`` in block number ``block``.
 
     ``prefix`` holds cached keys and values of context rows that come before
-    ``x``: recorded ones are joined ahead of x's own, and array buffers take
-    x's own in their tail. ``blocked`` then has one column per prefix row
+    ``x``: recorded ones are joined ahead of x's own, and array views take
+    x's own in their last rows. ``blocked`` then has one column per prefix row
     first. Only the rows of ``x`` from ``keep`` on ask queries, so the output
     has one row for each of them and ``blocked`` one row for each; every row
-    still gives a key and a value. Returns the output and x's own (rows, d)
-    keys and values.
+    still gives a key and a value. Returns the output and the keys and values
+    it attended over.
     """
     d = params.cfg.d
     names = _block_names(params.cfg)[block]
@@ -315,7 +323,6 @@ def _attention(
     else:  # arrays: one matmul, whose column thirds are q, k and v
         qkv = linear(x, *params.qkv[block])
         q, k, v = qkv[keep:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
-    own = k, v
     if prefix is not None:  # cached context rows come first
         keys, values = prefix
         if isinstance(keys, Tensor):
@@ -325,7 +332,7 @@ def _attention(
             values[-len(x) :] = v
             k, v = keys, values
     context = attention(q, k, v, blocked, params.cfg.heads)
-    return linear(context, params[names["wo"]], params[names["bo"]]), own
+    return linear(context, params[names["wo"]], params[names["bo"]]), (k, v)
 
 
 def _blocks(
@@ -338,64 +345,51 @@ def _blocks(
     """The transformer blocks, shared by every forward pass.
 
     With ``cache`` each block's attention also sees that block's cached
-    context keys and values. The last block carries only the rows its caller
-    reads, those from ``keep`` on: every row still gives it keys and values,
-    but only those rows ask queries and pass through its feed-forward.
-    Returns those output rows and, per block, the keys and values of every
-    row of ``x``.
+    context keys and values, and x's own go right after ``cache.rows``. The
+    last block carries only the rows its caller reads, those from ``keep``
+    on: every row still gives it keys and values, but only those rows ask
+    queries and pass through its feed-forward. Returns those output rows
+    and, per block, the keys and values attended over.
     """
-    own = []
+    attended = []
     last = params.cfg.blocks - 1
     for i, names in enumerate(_block_names(params.cfg)):
-        prefix = None if cache is None else (cache.keys[i], cache.values[i])
+        prefix = None if cache is None else cache.block(i, x.shape[0])
         rows = keep if i == last else 0
         h = layer_norm(x, params[names["ln1.g"]], params[names["ln1.b"]])
-        attended, kv = _attention(h, blocked[rows:], i, params, prefix, rows)
-        own.append(kv)
-        x = (x[rows:] if rows else x) + attended
+        out, kv = _attention(h, blocked[rows:], i, params, prefix, rows)
+        attended.append(kv)
+        x = (x[rows:] if rows else x) + out
         h = layer_norm(x, params[names["ln2.g"]], params[names["ln2.b"]])
         hidden = gelu(linear(h, params[names["ff.w1"]], params[names["ff.b1"]]))
         x = x + linear(hidden, params[names["ff.w2"]], params[names["ff.b2"]])
-    return x, own
+    return x, attended
 
 
-def context_cache(prefix, plan: ARStepPlan, params: CatParameters) -> ContextCache:
-    """Every block's keys and values for the context rows [condition | clean].
+def context_cache(
+    x, params: CatParameters, cache: ContextCache | None = None, room: int = 0
+) -> ContextCache:
+    """``cache`` with one AR step of context rows ``x`` appended.
 
-    Context rows carry no time embedding and, under the causal mask, attend
-    only to context rows, so their keys and values do not depend on any noisy
-    row or timestep: one cache serves every reverse step of an AR group, and
-    on arrays it has room for that group's rows (``plan.sz[-1]``). It also
-    holds the one-step plan of those rows and their all-False mask, so a
-    cached step builds neither.
-    ``prefix`` holds the context rows in parts, laid out as a TokenBatch lays
-    out its own; ``plan`` is the group's plan (the finished groups, then the
-    group still to generate), whose clean rows end the prefix.
+    Context rows carry no time embedding and attend only to context rows
+    before them and in their own step, so each appended row attends to every
+    cached row and to the other rows of ``x``, and no later row changes its
+    keys and values: a request computes each context row once. Without
+    ``cache`` the rows start a new cache; on arrays its buffers then leave
+    room for ``room`` rows after x's, for every later append and for the
+    rows of a cached step.
     """
-    tokens = concat(list(prefix))
-    rows = tokens.shape[0]
-    c = rows - plan.v
-    if tokens.shape[-1] != params.cfg.d or c < 0:
-        raise ShapeMismatchError(
-            f"context of shape {tokens.shape} does not fit plan {plan.to_text()} "
-            f"and width {params.cfg.d}"
-        )
-    _, own = _blocks(tokens, build_mask(c, plan)[:rows, :rows], params)
-    size = plan.sz[-1]
-
-    def room(part: Operand) -> Operand:  # an array buffer also holds the group's own rows
-        if isinstance(part, Tensor):
-            return part
-        buffer = np.empty((rows + size, part.shape[1]))
-        buffer[:rows] = part
-        return buffer
-
-    return ContextCache(
-        keys=tuple(room(k) for k, _ in own),
-        values=tuple(room(v) for _, v in own),
-        step=ARStepPlan((size,)),
-        blocked=np.zeros((size, rows + size), dtype=bool),
-    )
+    n, d = x.shape
+    if d != params.cfg.d:
+        raise ShapeMismatchError(f"context rows of width {d} do not fit model width {params.cfg.d}")
+    if cache is None and params.qkv:  # arrays (see detached()): buffers with room after x
+        buffers = np.empty((2, params.cfg.blocks, n + room, d))
+        cache = ContextCache(tuple(buffers[0]), tuple(buffers[1]))
+    rows = 0 if cache is None else cache.rows
+    _, attended = _blocks(x, np.zeros((n, rows + n), dtype=bool), params, cache)
+    if cache is not None and not isinstance(cache.keys[0], Tensor):
+        return cache._replace(rows=rows + n)
+    return ContextCache(*zip(*attended), rows + n)
 
 
 @dataclass
@@ -442,8 +436,8 @@ class TokenBatch:
         token and ``cond`` that gene's condition latent, added in to tie the
         noisy slot to its gene. Each token's signal level is looked up from
         ``schedule`` at its 1-based timestep. A cached step passes
-        ``context`` and no prefix rows, and its rows must be the cache's
-        group; it takes the cache's mask. A caller that already holds the
+        ``context`` and no prefix rows, and an array cache must have room for
+        its rows; nothing is masked. A caller that already holds the
         timesteps' sinusoidal features passes them as ``time_features``.
         """
         timesteps = np.asarray(timesteps, dtype=np.int64)
@@ -464,11 +458,7 @@ class TokenBatch:
         if context is None:
             blocked = build_mask(ctx - plan.v, plan)
         else:  # one step of noisy rows: each sees every cached row and every other row
-            if context.step.S != s:
-                raise ShapeMismatchError(
-                    f"the cache has room for {context.step.S} noisy rows, not {s}"
-                )
-            blocked = context.blocked
+            blocked = np.zeros((s, context.rows + s), dtype=bool)
         return cls(
             tokens=concat([*prefix, x_t + cond]) if prefix else x_t + cond,
             plan=plan,

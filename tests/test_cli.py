@@ -451,8 +451,10 @@ def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
     [
         ("train.lr=nan", "lr, recon_lr and grad_clip must be finite"),
         ("diffusion.sampling=frac:5000", "fractional n=5000 outside [1, T=2000]"),
+        ("model.heads=3", "d=64 not divisible by heads=3"),
+        ("data.hvg_fraction=0", "top_fraction must be in (0, 1], got 0.0"),
     ],
-    ids=["lr-nan", "sampling-beyond-T"],
+    ids=["lr-nan", "sampling-beyond-T", "heads-3", "hvg-fraction-0"],
 )
 def test_a_bad_train_setting_is_a_data_error_before_any_input_is_read(
     tmp_path, monkeypatch, capsys, override, message
@@ -585,6 +587,34 @@ def test_a_diffusion_length_below_one_or_not_whole_is_a_data_error_before_the_sc
     ]) == 2
     err = capsys.readouterr().err
     assert f"meta.T is {T!r}, not a whole number" in err
+    assert "absent.csv" not in err  # the checkpoint is rejected first
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("qc_min_genes_sc", math.nan, "meta.qc_min_genes_sc is nan, not a whole number"),
+        ("qc_min_genes_sc", math.inf, "meta.qc_min_genes_sc is inf, not a whole number"),
+        ("qc_min_genes_sc", 2.5, "meta.qc_min_genes_sc is 2.5, not a whole number"),
+        ("data_normalize", math.nan, "meta.data_normalize is nan, not 0 or 1"),
+        ("data_normalize", 2.0, "meta.data_normalize is 2.0, not 0 or 1"),
+    ],
+    ids=["qc-nan", "qc-inf", "qc-2.5", "normalize-nan", "normalize-2"],
+)
+def test_data_meta_that_is_not_whole_or_not_0_or_1_is_a_data_error_before_the_sc_is_read(
+    tmp_path, capsys, key, value, message
+):
+    params = init_params(ModelConfig(p=3, q=4, d=4, heads=1, blocks=1), np.random.default_rng(1))
+    meta = {"T": 10, "beta_start": 1e-4, "beta_end": 2e-2, key: value}
+    save_checkpoint(params, tmp_path / "bad.catg", meta)
+    (tmp_path / "genes.txt").write_text("G0\n")
+    assert cli.main([
+        "generate", "--ckpt", str(tmp_path / "bad.catg"), "--sc", str(tmp_path / "absent.csv"),
+        "--genes", str(tmp_path / "genes.txt"), "--out", str(tmp_path / "pred.csv"), *SEED,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "absent.csv" not in err  # the checkpoint is rejected first
     assert not (tmp_path / "pred.csv").exists()
 
@@ -844,8 +874,10 @@ def test_fewer_than_one_seed_per_setting_is_a_usage_error_before_any_fit(
         # full, frac:2 and frac:3 fit T=3; the fourth trial's frac:4 does not
         ("sampling", ["diffusion.T=3", "train.val_sampling=full"], "a.csv",
          "fractional n=4 outside [1, T=3]"),
+        ("decay", ["model.heads=3"], "a.csv", "d=64 not divisible by heads=3"),
+        ("decay", ["data.hvg_fraction=0"], "a.csv", "top_fraction must be in (0, 1], got 0.0"),
     ],
-    ids=["missing-dir", "lr-nan", "sampling-beyond-T"],
+    ids=["missing-dir", "lr-nan", "sampling-beyond-T", "heads-3", "hvg-fraction-0"],
 )
 def test_ablate_fails_before_any_work(tmp_path, monkeypatch, capsys, axis, overrides, out, message):
     reads = []

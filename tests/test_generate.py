@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from catgen import autodiff
+from catgen import autodiff, model
 from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
 from catgen.autodiff import Tensor
@@ -84,7 +84,8 @@ def trained():
     st, sc, _ = generate(chain_config(n_genes=16, n_spots=8, n_cells=24, seed=2))
     pair = prepare_pair(st, sc, top_fraction=1.0, min_genes_sc=1, min_genes_st=1)
     split = split_genes(range(len(pair.genes)), seed=0)
-    mcfg = ModelConfig(p=pair.st.n_obs, q=pair.sc.n_obs, d=8, heads=2, blocks=1)
+    # two blocks: in a single one, context keys and values do not depend on what the rows attend to
+    mcfg = ModelConfig(p=pair.st.n_obs, q=pair.sc.n_obs, d=8, heads=2, blocks=2)
     cfg = TrainConfig(epochs=3, recon_epochs=5, T=30, seed=1, batch_genes=8, val_every=100)
     result = fit(pair.st, pair.sc, split, mcfg, cfg)
     schedule = linear_schedule(30)
@@ -243,7 +244,8 @@ def _stepwise_generate(sc, genes, params, schedule, groups, strategy, seed):
     """Reference group loop on the Tensor parameters, with nothing computed
     ahead of a step: each step embeds its own timestep, joins its keys and
     values to the recorded cache with ``concat``, projects q, k and v with
-    three matmuls and takes the reverse step from the scalar formula."""
+    three matmuls and takes the reverse step from the scalar formula. The
+    cache starts from the conditions and each finished group is appended."""
     d = params.cfg.d
     scale = float(params["latent.scale"].data)
     index = sc.gene_index()
@@ -252,10 +254,12 @@ def _stepwise_generate(sc, genes, params, schedule, groups, strategy, seed):
     grid, chain = respaced_chain(schedule, strategy)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     finalized = []
+    context = context_cache(cond, params)
     for g, size in enumerate(sizes):
         rng = np.random.default_rng(np.random.SeedSequence((seed, g)))
         lo, hi = int(bounds[g]), int(bounds[g + 1])
-        context = context_cache((cond, *finalized), ARStepPlan(tuple(sizes[: g + 1])), params)
+        if finalized:
+            context = context_cache(finalized[-1], params, context)
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
             batch = TokenBatch.assemble(
@@ -292,14 +296,13 @@ def test_reverse_coefficients_match_the_scalar_formula(strategy):
 
 
 def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
-    """Each step feeds the group's rows, and every step of a group shares
-    one plan and one mask, which its context cache holds."""
+    """Each step feeds the group's rows after the cached context rows, every
+    step of a group shares one plan, and no step masks anything."""
     pair, params, schedule = trained
     fed, shared = [], []
 
     def recording(batch, frozen):
-        rows = batch.tokens.shape[0]  # the key buffers hold the context rows, then these
-        fed.append((rows, len(batch.context.keys[0]) - rows))
+        fed.append((batch.tokens.shape[0], batch.context.rows))
         shared.append((batch.plan, batch.blocked))
         return cat_forward(batch, frozen)
 
@@ -311,11 +314,30 @@ def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
     expected = [(3, 7)] * steps + [(2, 10)] * steps + [(2, 12)] * steps
     assert fed == expected
     for first in range(0, len(shared), steps):
-        plan, blocked = shared[first]
-        assert all(p is plan and b is blocked for p, b in shared[first : first + steps])
+        plan = shared[first][0]
+        assert all(p is plan for p, _ in shared[first : first + steps])
         rows, context_rows = fed[first]
-        assert plan.sz == (rows,) and blocked.shape == (rows, context_rows + rows)
-        assert not blocked.any()
+        assert plan.sz == (rows,)
+        for _, blocked in shared[first : first + steps]:
+            assert blocked.shape == (rows, context_rows + rows) and not blocked.any()
+
+
+def test_each_context_row_is_fed_once_per_request(trained, monkeypatch):
+    """The conditions start the cache and each finished group but the last
+    is appended once: 7 + 3 + 2 context rows, not the 7 + 10 + 12 of a
+    context rebuilt for every group."""
+    pair, params, schedule = trained
+    fed = []
+    blocks = model._blocks
+
+    def recording(x, *args, **kwargs):
+        fed.append(x.shape[0])
+        return blocks(x, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_blocks", recording)
+    generate_genes(pair.sc, pair.genes[:7], params, schedule, groups=3, strategy=Fractional(5))
+    steps = len(respaced_chain(schedule, Fractional(5))[0])
+    assert fed == [7] + [3] * steps + [3] + [2] * steps + [2] + [2] * steps
 
 
 def test_generation_conditions_on_the_latents_training_sees(trained, monkeypatch):

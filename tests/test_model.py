@@ -166,20 +166,24 @@ def _random_plan(N, rng):
 
 
 def _cached_last_step(params, plan, cond, clean, noisy, timesteps):
-    """The last AR step's noisy rows run against a cache of the context rows."""
+    """The last AR step's noisy rows run against a cache of the context rows:
+    the conditions, then the clean rows appended one AR step at a time."""
     v = clean.shape[0]
-    context = context_cache((cond, clean), plan, params)
+    context = context_cache(cond, params, room=plan.S)
+    for lo, hi in zip(plan.cs[:-2], plan.cs[1:-1]):
+        context = context_cache(clean[lo:hi], params, context)
     step = ARStepPlan((plan.S - v,))
     batch = TokenBatch.assemble(
-        step, Tensor(noisy[v:]), np.zeros(noisy[v:].shape), timesteps[v:], SCHEDULE,
-        context=context,
+        step, noisy[v:], np.zeros(noisy[v:].shape), timesteps[v:], SCHEDULE, context=context
     )
-    return cat_forward(batch, params).data
+    return as_array(cat_forward(batch, params))
 
 
 def test_cached_step_matches_full_layout(small):
-    """A cached step reproduces the last AR step's rows of the full-layout forward."""
+    """A cached step on arrays reproduces the last AR step's rows of the
+    full-layout forward, which runs every context row under the full mask."""
     cfg, params = small
+    frozen = params.detached()
     rng = np.random.default_rng(29)
     worst = 0.0
     for N in range(1, 5):
@@ -190,7 +194,7 @@ def test_cached_step_matches_full_layout(small):
             ts = rng.integers(1, 50, S)
             batch, (cond, clean, noisy) = make_batch(params, plan, c=c, rng=rng, timesteps=ts)
             full = cat_forward(batch, params).data[v:]
-            cached = _cached_last_step(params, plan, cond, clean, noisy, ts)
+            cached = _cached_last_step(frozen, plan, cond, clean, noisy, ts)
             assert cached.shape == full.shape
             worst = max(worst, float(np.abs(cached - full).max()))
     assert worst <= 1e-12
@@ -265,24 +269,48 @@ def test_only_the_last_block_drops_the_rows_nobody_reads(small, monkeypatch):
     cat_forward(batch, params)
     assert rows == [5 + 5 + 7, 5 + 5 + 7, 7]
     rows.clear()
-    context_cache((cond, clean), plan, params.detached())
-    assert rows == [5 + 5] * 3
+    frozen = params.detached()
+    context = context_cache(cond, frozen, room=plan.S)
+    context_cache(clean[:2], frozen, context)
+    assert rows == [5] * 3 + [2] * 3
 
 
 def test_cached_step_feeds_noisy_rows_only(small):
     cfg, params = small
     plan = ARStepPlan((2, 2))
     batch, (cond, clean, noisy) = make_batch(params, plan, c=3)
-    context = context_cache((cond, clean), plan, params)
+    context = context_cache(clean, params, context_cache(cond, params))
     with pytest.raises(ShapeMismatchError, match="noisy rows only"):
         TokenBatch.assemble(
             plan, batch.noisy, np.zeros(noisy.shape), batch.timesteps, SCHEDULE,
             prefix=(cond, clean), context=context,
         )
-    with pytest.raises(ShapeMismatchError):  # fewer rows than the plan's 2 clean ones
-        context_cache((clean[:1],), plan, params)
-    with pytest.raises(ShapeMismatchError):
-        context_cache((cond[:, 1:], clean[:, 1:]), plan, params)
+    with pytest.raises(ShapeMismatchError, match="do not fit model width"):
+        context_cache(cond[:, 1:], params)
+    full = context_cache(cond, params.detached(), room=2)
+    with pytest.raises(ShapeMismatchError, match="room for 2 rows, not 3"):
+        context_cache(cond, params.detached(), full)
+
+
+def test_appends_and_cached_steps_leave_earlier_context_rows_unchanged(small):
+    """Each block's keys and values of a context row are written once: a
+    later append, or a cached step, changes none of them."""
+    cfg, params = small
+    rng = np.random.default_rng(13)
+    cond, steps = rng.standard_normal((4, cfg.d)), [rng.standard_normal((n, cfg.d)) for n in (2, 3)]
+    noisy = rng.standard_normal((2, cfg.d))
+    for p in (params.detached(), params):
+        context = context_cache(cond, p, room=7)
+        for rows in steps:
+            kept = [as_array(part)[: context.rows].copy() for part in context.keys + context.values]
+            context = context_cache(rows, p, context)
+            batch = TokenBatch.assemble(
+                ARStepPlan((2,)), noisy, np.zeros(noisy.shape), np.full(2, 9), SCHEDULE,
+                context=context,
+            )
+            cat_forward(batch, p)
+            for old, part in zip(kept, context.keys + context.values):
+                assert np.array_equal(as_array(part)[: len(old)], old)
 
 
 def test_all_finite_for_bounded_inputs(small):
@@ -364,8 +392,12 @@ def test_array_forwards_match_tensor_forwards_bitwise():
 
     plan = ARStepPlan((2, 2, 3))
     context = rng.standard_normal((plan.S + plan.v, cfg.d))  # conditions, then clean rows
-    cached = context_cache((context,), plan, frozen)
-    reference = context_cache((context,), plan, params)
+    cached = context_cache(context[: plan.S], frozen, room=plan.S)
+    reference = context_cache(context[: plan.S], params)
+    for lo, hi in ((7, 9), (9, 11)):  # the clean rows, one AR step at a time
+        cached = context_cache(context[lo:hi], frozen, cached)
+        reference = context_cache(context[lo:hi], params, reference)
+    assert cached.rows == reference.rows == len(context)
     for buffer, tensor_kv in zip(cached.keys + cached.values, reference.keys + reference.values):
         # the array cache leaves room for the last group's 3 rows after the context's
         assert tensor_kv.shape == (len(context), cfg.d)
@@ -388,30 +420,32 @@ def test_array_forwards_match_tensor_forwards_bitwise():
     )
     # the last group's noisy rows after the cached context, at one timestep as
     # in generation: the array step uses the packed projection, writes its
-    # keys and values into the buffers' tail and copies its timestep's row of
-    # a feature table; the recorded step joins its own keys and values after
-    # the cache's and computes its features. A second step through the same
-    # buffers overwrites the tail, and a one-row step takes BLAS's
-    # matrix-vector path.
+    # keys and values right after the cached rows and copies its timestep's
+    # row of a feature table; the recorded step joins its own keys and values
+    # after the cache's and computes its features. A second step through the
+    # same buffers overwrites those rows, a step of fewer rows than the room
+    # leaves the rest unread, and a one-row step takes BLAS's matrix-vector
+    # path.
     table = sinusoidal_basis(np.arange(1, 50), cfg.d)
-    for t, rows in ((ts[-1], noisy[-3:]), (7, rng.standard_normal((3, cfg.d)))):
-        copies = np.repeat(table[t - 1 : t], 3, axis=0)
+    steps = ((ts[-1], noisy[-3:]), (7, rng.standard_normal((3, cfg.d))), (9, noisy[-2:]))
+    for t, rows in steps:
+        n = len(rows)
+        copies = np.repeat(table[t - 1 : t], n, axis=0)
         same(
-            forward(frozen, ARStepPlan((3,)), rows, cond[-3:], np.full(3, t), kv=cached,
+            forward(frozen, ARStepPlan((n,)), rows, cond[-n:], np.full(n, t), kv=cached,
                     features=copies),
-            forward(params, ARStepPlan((3,)), rows, cond[-3:], np.full(3, t), kv=reference),
+            forward(params, ARStepPlan((n,)), rows, cond[-n:], np.full(n, t), kv=reference),
         )
-    single = ARStepPlan((2, 2, 1))
-    buffered = context_cache((context[:-2],), single, frozen)
-    recorded = context_cache((context[:-2],), single, params)
+    buffered = context_cache(context[:-2], frozen, room=1)
+    recorded = context_cache(context[:-2], params)
     t = ts[-1]
     same(
         forward(frozen, ARStepPlan((1,)), noisy[-1:], cond[-1:], ts[-1:], kv=buffered,
                 features=table[t - 1 : t]),
         forward(params, ARStepPlan((1,)), noisy[-1:], cond[-1:], ts[-1:], kv=recorded),
     )
-    with pytest.raises(ShapeMismatchError, match="room for 3 noisy rows"):
-        forward(frozen, ARStepPlan((2,)), noisy[-2:], cond[-2:], np.full(2, 7), kv=cached)
+    with pytest.raises(ShapeMismatchError, match="room for 3 rows, not 4"):
+        forward(frozen, ARStepPlan((4,)), noisy[-4:], cond[-4:], np.full(4, 7), kv=cached)
 
 
 def test_gradient_of_blocked_attention_path_is_zero(small):
