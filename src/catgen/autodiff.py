@@ -348,7 +348,7 @@ def attention(q: Operand, k: Operand, v: Operand, blocked: np.ndarray, heads: in
     scale = 1.0 / np.sqrt(d // heads)
 
     def split(t: np.ndarray) -> np.ndarray:  # (n, d) -> (heads, n, d/heads), a view
-        return t.reshape(len(t), heads, -1).transpose(1, 0, 2)
+        return t.reshape(len(t), heads, d // heads).transpose(1, 0, 2)
 
     def join(t: np.ndarray) -> np.ndarray:  # (heads, n, d/heads) -> a new (n, d)
         out = np.empty((t.shape[1], d))

@@ -24,7 +24,8 @@ the outermost level it depends on:
   leave room for the latents of every group but the last and for one
   group's noisy rows;
 - per group: its random stream and its one-step plan; a finished group but
-  the last is appended to the cache, once;
+  the last is appended to the cache, once, its last block computing keys
+  and values only;
 - per step: one forward of the current group's noisy rows only, laid out
   by ``TokenBatch.assemble``, with its keys and values written right after
   the cached rows, where the group's finished latents go later, then one

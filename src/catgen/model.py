@@ -26,15 +26,17 @@ time embedding and see no later AR step, so the cache only grows, a request
 computes each context row once, and neither an append nor a cached step
 masks anything. The last block carries only the rows its caller reads: in
 training every row still gives it keys and values, but only the noisy rows
-ask queries and pass through its feed-forward and the noise head.
+ask queries and pass through its feed-forward and the noise head; an append
+reads nothing but keys and values, so its last block computes only those.
 
 Array forwards differ from recorded ones in layout only, never in
 arithmetic. ``detached()`` packs each block's query, key and value
 projections into one (d, 3d) matrix ``[wq|wk|wv]`` with bias ``[bq|0|bv]``,
 so a block computes q, k and v with one matmul and takes them as column
-views. On arrays a cache keeps each block's keys and values in buffers with
-room after the cached rows, and an append or a cached step writes its own
-right after them instead of joining two arrays.
+views. A cache, whichever parameters built it, keeps each block's keys and
+values as numbers in array buffers with room after the cached rows, and an
+append or a cached step writes its own right after them. It holds no
+recorded graph, so no gradient flows through cached rows.
 A batch may also bring its timesteps' sinusoidal features, which a
 generation request computes once for its whole chain.
 
@@ -276,20 +278,19 @@ class ContextCache(NamedTuple):
     """One request's context rows: each block's attention keys and values for
     the conditions and the finished groups, in the order they were appended.
 
-    Recorded (Tensor) keys and values hold exactly ``rows`` rows. Array ones
-    are buffers with room after ``rows``: the next append, or a cached step,
-    writes its own rows there.
+    Keys and values are array buffers with room after ``rows``, whichever
+    parameters built them: the next append, or a cached step, writes its own
+    rows there. They hold numbers, not a recorded graph, so no gradient flows
+    through them, not even to a recorded cached step's own keys and values.
     """
 
-    keys: tuple[Operand, ...]
-    values: tuple[Operand, ...]
+    keys: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
     rows: int = 0
 
-    def block(self, i: int, n: int) -> tuple[Operand, Operand]:
-        """Block i's keys and values, buffers as views that end after ``n`` more rows."""
+    def block(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block i's key and value buffers as views that end after ``n`` more rows."""
         keys, values = self.keys[i], self.values[i]
-        if isinstance(keys, Tensor):
-            return keys, values
         if self.rows + n > len(keys):
             raise ShapeMismatchError(f"cache has room for {len(keys) - self.rows} rows, not {n}")
         return keys[: self.rows + n], values[: self.rows + n]
@@ -300,18 +301,17 @@ def _attention(
     blocked: np.ndarray,
     block: int,
     params: CatParameters,
-    prefix: tuple[Operand, Operand] | None = None,
+    prefix: tuple[np.ndarray, np.ndarray] | None = None,
     keep: int = 0,
-) -> tuple[Operand, tuple[Operand, Operand]]:
+) -> Operand:
     """Masked multi-head attention of the rows of ``x`` in block number ``block``.
 
-    ``prefix`` holds cached keys and values of context rows that come before
-    ``x``: recorded ones are joined ahead of x's own, and array views take
-    x's own in their last rows. ``blocked`` then has one column per prefix row
-    first. Only the rows of ``x`` from ``keep`` on ask queries, so the output
-    has one row for each of them and ``blocked`` one row for each; every row
-    still gives a key and a value. Returns the output and the keys and values
-    it attended over.
+    ``prefix`` holds views of a cache's key and value buffers whose last rows
+    are x's: x's own keys and values are written there, as numbers, and
+    attention runs over the whole views, so ``blocked`` has one column per
+    cached row first. Only the rows of ``x`` from ``keep`` on ask queries, so
+    the output has one row for each of them and ``blocked`` one row for each;
+    every row still gives a key and a value.
     """
     d = params.cfg.d
     names = _block_names(params.cfg)[block]
@@ -325,14 +325,11 @@ def _attention(
         q, k, v = qkv[keep:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
     if prefix is not None:  # cached context rows come first
         keys, values = prefix
-        if isinstance(keys, Tensor):
-            k, v = concat([keys, k]), concat([values, v])
-        else:
-            keys[-len(x) :] = k
-            values[-len(x) :] = v
-            k, v = keys, values
+        keys[len(keys) - x.shape[0] :] = as_array(k)
+        values[len(values) - x.shape[0] :] = as_array(v)
+        k, v = keys, values
     context = attention(q, k, v, blocked, params.cfg.heads)
-    return linear(context, params[names["wo"]], params[names["bo"]]), (k, v)
+    return linear(context, params[names["wo"]], params[names["bo"]])
 
 
 def _blocks(
@@ -341,29 +338,27 @@ def _blocks(
     params: CatParameters,
     cache: ContextCache | None = None,
     keep: int = 0,
-) -> tuple[Operand, list[tuple[Operand, Operand]]]:
+) -> Operand:
     """The transformer blocks, shared by every forward pass.
 
     With ``cache`` each block's attention also sees that block's cached
-    context keys and values, and x's own go right after ``cache.rows``. The
-    last block carries only the rows its caller reads, those from ``keep``
-    on: every row still gives it keys and values, but only those rows ask
-    queries and pass through its feed-forward. Returns those output rows
-    and, per block, the keys and values attended over.
+    context keys and values, and x's own are written right after
+    ``cache.rows``. The last block carries only the rows its caller reads,
+    those from ``keep`` on: every row still gives it keys and values, but
+    only those rows ask queries and pass through its feed-forward. Returns
+    those output rows.
     """
-    attended = []
     last = params.cfg.blocks - 1
     for i, names in enumerate(_block_names(params.cfg)):
         prefix = None if cache is None else cache.block(i, x.shape[0])
         rows = keep if i == last else 0
         h = layer_norm(x, params[names["ln1.g"]], params[names["ln1.b"]])
-        out, kv = _attention(h, blocked[rows:], i, params, prefix, rows)
-        attended.append(kv)
+        out = _attention(h, blocked[rows:], i, params, prefix, rows)
         x = (x[rows:] if rows else x) + out
         h = layer_norm(x, params[names["ln2.g"]], params[names["ln2.b"]])
         hidden = gelu(linear(h, params[names["ff.w1"]], params[names["ff.b1"]]))
         x = x + linear(hidden, params[names["ff.w2"]], params[names["ff.b2"]])
-    return x, attended
+    return x
 
 
 def context_cache(
@@ -374,22 +369,21 @@ def context_cache(
     Context rows carry no time embedding and attend only to context rows
     before them and in their own step, so each appended row attends to every
     cached row and to the other rows of ``x``, and no later row changes its
-    keys and values: a request computes each context row once. Without
-    ``cache`` the rows start a new cache; on arrays its buffers then leave
-    room for ``room`` rows after x's, for every later append and for the
-    rows of a cached step.
+    keys and values: a request computes each context row once. Nothing but
+    those is read, so the last block computes only keys and values. Without
+    ``cache`` the rows start a new cache, whose buffers leave room for
+    ``room`` rows after x's, for every later append and for the rows of a
+    cached step; Tensor parameters fill them with the same numbers as
+    ``detached()`` ones.
     """
     n, d = x.shape
     if d != params.cfg.d:
         raise ShapeMismatchError(f"context rows of width {d} do not fit model width {params.cfg.d}")
-    if cache is None and params.qkv:  # arrays (see detached()): buffers with room after x
+    if cache is None:
         buffers = np.empty((2, params.cfg.blocks, n + room, d))
         cache = ContextCache(tuple(buffers[0]), tuple(buffers[1]))
-    rows = 0 if cache is None else cache.rows
-    _, attended = _blocks(x, np.zeros((n, rows + n), dtype=bool), params, cache)
-    if cache is not None and not isinstance(cache.keys[0], Tensor):
-        return cache._replace(rows=rows + n)
-    return ContextCache(*zip(*attended), rows + n)
+    _blocks(x, np.zeros((n, cache.rows + n), dtype=bool), params, cache, keep=n)
+    return cache._replace(rows=cache.rows + n)
 
 
 @dataclass
@@ -436,8 +430,8 @@ class TokenBatch:
         token and ``cond`` that gene's condition latent, added in to tie the
         noisy slot to its gene. Each token's signal level is looked up from
         ``schedule`` at its 1-based timestep. A cached step passes
-        ``context`` and no prefix rows, and an array cache must have room for
-        its rows; nothing is masked. A caller that already holds the
+        ``context`` and no prefix rows, and the cache must have room for its
+        rows; nothing is masked. A caller that already holds the
         timesteps' sinusoidal features passes them as ``time_features``.
         """
         timesteps = np.asarray(timesteps, dtype=np.int64)
@@ -496,7 +490,7 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
         features = sinusoidal_basis(batch.timesteps, d)
     temb = linear(features, params["time.w"], params["time.b"])
     x = batch.tokens + (concat([np.zeros((ctx, d)), temb]) if ctx else temb)
-    x, _ = _blocks(x, batch.blocked, params, batch.context, keep=ctx)
+    x = _blocks(x, batch.blocked, params, batch.context, keep=ctx)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
     v_hat = linear(x, params["out.w"], params["out.b"])

@@ -81,8 +81,8 @@ class TrainConfig:
             raise ShapeMismatchError(f"unknown gene_order {self.gene_order!r}")
         if self.batch_genes < 1 or self.val_every < 1:
             raise ShapeMismatchError("batch_genes and val_every must be at least 1")
-        if self.T < 1:  # else the specs below would be blamed for it
-            raise ShapeMismatchError(f"T must be >= 1, got {self.T}")
+        # the schedule's own check of T and the betas; T first, else the specs would be blamed
+        linear_schedule(self.T, self.beta_start, self.beta_end)
         for spec in (self.sampling, self.val_sampling):
             parse_strategy(spec).check(self.T)
 

@@ -447,24 +447,30 @@ def test_bad_sampling_spec_fails_before_warmup(trained, monkeypatch, spec):
 
 
 @pytest.mark.parametrize(
-    "override, message",
+    "overrides, message",
     [
-        ("train.lr=nan", "lr, recon_lr and grad_clip must be finite"),
-        ("diffusion.sampling=frac:5000", "fractional n=5000 outside [1, T=2000]"),
-        ("model.heads=3", "d=64 not divisible by heads=3"),
-        ("data.hvg_fraction=0", "top_fraction must be in (0, 1], got 0.0"),
+        (["train.lr=nan"], "lr, recon_lr and grad_clip must be finite"),
+        (["diffusion.sampling=frac:5000"], "fractional n=5000 outside [1, T=2000]"),
+        (["model.heads=3"], "d=64 not divisible by heads=3"),
+        (["data.hvg_fraction=0"], "top_fraction must be in (0, 1], got 0.0"),
+        (["diffusion.beta_start=0.5", "diffusion.beta_end=0.1"], "invalid beta range [0.5, 0.1]"),
+        (["diffusion.beta_end=1.5"], "invalid beta range [0.0001, 1.5]"),
+        (["diffusion.beta_start=nan"], "invalid beta range [nan, 0.02]"),
     ],
-    ids=["lr-nan", "sampling-beyond-T", "heads-3", "hvg-fraction-0"],
+    ids=[
+        "lr-nan", "sampling-beyond-T", "heads-3", "hvg-fraction-0",
+        "betas-reversed", "beta-end-1.5", "beta-start-nan",
+    ],
 )
 def test_a_bad_train_setting_is_a_data_error_before_any_input_is_read(
-    tmp_path, monkeypatch, capsys, override, message
+    tmp_path, monkeypatch, capsys, overrides, message
 ):
     reads = []
     monkeypatch.setattr(data, "load_matrix", lambda *args, **kwargs: reads.append(args))
     argv = [
         "train", "--st", str(tmp_path / "st.csv"), "--sc", str(tmp_path / "sc.csv"),
         "--out", str(tmp_path / "m.catg"), "--save-prepared", str(tmp_path / "prep"),
-        "--set", override,
+        *(arg for override in overrides for arg in ("--set", override)),
     ]
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
@@ -876,8 +882,9 @@ def test_fewer_than_one_seed_per_setting_is_a_usage_error_before_any_fit(
          "fractional n=4 outside [1, T=3]"),
         ("decay", ["model.heads=3"], "a.csv", "d=64 not divisible by heads=3"),
         ("decay", ["data.hvg_fraction=0"], "a.csv", "top_fraction must be in (0, 1], got 0.0"),
+        ("decay", ["diffusion.beta_end=1.5"], "a.csv", "invalid beta range [0.0001, 1.5]"),
     ],
-    ids=["missing-dir", "lr-nan", "sampling-beyond-T", "heads-3", "hvg-fraction-0"],
+    ids=["missing-dir", "lr-nan", "sampling-beyond-T", "heads-3", "hvg-fraction-0", "beta-end-1.5"],
 )
 def test_ablate_fails_before_any_work(tmp_path, monkeypatch, capsys, axis, overrides, out, message):
     reads = []

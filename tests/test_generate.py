@@ -242,10 +242,10 @@ def _formula_reverse_step(xt, t, eps_hat, schedule, rng):
 
 def _stepwise_generate(sc, genes, params, schedule, groups, strategy, seed):
     """Reference group loop on the Tensor parameters, with nothing computed
-    ahead of a step: each step embeds its own timestep, joins its keys and
-    values to the recorded cache with ``concat``, projects q, k and v with
-    three matmuls and takes the reverse step from the scalar formula. The
-    cache starts from the conditions and each finished group is appended."""
+    ahead of a step: each step embeds its own timestep, projects q, k and v
+    with three matmuls, writes its keys and values into the cache's buffers
+    after the cached rows and takes the reverse step from the scalar formula.
+    The cache starts from the conditions and each finished group is appended."""
     d = params.cfg.d
     scale = float(params["latent.scale"].data)
     index = sc.gene_index()
@@ -254,7 +254,7 @@ def _stepwise_generate(sc, genes, params, schedule, groups, strategy, seed):
     grid, chain = respaced_chain(schedule, strategy)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     finalized = []
-    context = context_cache(cond, params)
+    context = context_cache(cond, params, room=len(genes))
     for g, size in enumerate(sizes):
         rng = np.random.default_rng(np.random.SeedSequence((seed, g)))
         lo, hi = int(bounds[g]), int(bounds[g + 1])

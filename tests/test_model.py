@@ -208,7 +208,7 @@ def _full_row_forward(batch, params):
     ctx = seq - batch.plan.S
     temb = linear(sinusoidal_basis(batch.timesteps, d), params["time.w"], params["time.b"])
     x = batch.tokens + (concat([np.zeros((ctx, d)), temb]) if ctx else temb)
-    x, _ = model._blocks(x, batch.blocked, params, keep=0)
+    x = model._blocks(x, batch.blocked, params, keep=0)
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
     v_hat = linear(x, params["out.w"], params["out.b"])[ctx:seq]
     signal = batch.alpha_bars[:, None]
@@ -253,7 +253,8 @@ def test_last_block_on_the_noisy_rows_matches_the_full_row_forward(monkeypatch, 
 
 def test_only_the_last_block_drops_the_rows_nobody_reads(small, monkeypatch):
     """Each block's feed-forward GELU sees every row, but the last block's
-    sees the noisy rows only; a context cache keeps every row in every block."""
+    sees the noisy rows only; an append reads only keys and values, so its
+    last block's feed-forward sees no row."""
     rows = []
 
     def counting(x):
@@ -272,14 +273,14 @@ def test_only_the_last_block_drops_the_rows_nobody_reads(small, monkeypatch):
     frozen = params.detached()
     context = context_cache(cond, frozen, room=plan.S)
     context_cache(clean[:2], frozen, context)
-    assert rows == [5] * 3 + [2] * 3
+    assert rows == [5, 5, 0, 2, 2, 0]
 
 
 def test_cached_step_feeds_noisy_rows_only(small):
     cfg, params = small
     plan = ARStepPlan((2, 2))
     batch, (cond, clean, noisy) = make_batch(params, plan, c=3)
-    context = context_cache(clean, params, context_cache(cond, params))
+    context = context_cache(clean, params, context_cache(cond, params, room=len(clean)))
     with pytest.raises(ShapeMismatchError, match="noisy rows only"):
         TokenBatch.assemble(
             plan, batch.noisy, np.zeros(noisy.shape), batch.timesteps, SCHEDULE,
@@ -302,7 +303,7 @@ def test_appends_and_cached_steps_leave_earlier_context_rows_unchanged(small):
     for p in (params.detached(), params):
         context = context_cache(cond, p, room=7)
         for rows in steps:
-            kept = [as_array(part)[: context.rows].copy() for part in context.keys + context.values]
+            kept = [part[: context.rows].copy() for part in context.keys + context.values]
             context = context_cache(rows, p, context)
             batch = TokenBatch.assemble(
                 ARStepPlan((2,)), noisy, np.zeros(noisy.shape), np.full(2, 9), SCHEDULE,
@@ -310,7 +311,34 @@ def test_appends_and_cached_steps_leave_earlier_context_rows_unchanged(small):
             )
             cat_forward(batch, p)
             for old, part in zip(kept, context.keys + context.values):
-                assert np.array_equal(as_array(part)[: len(old)], old)
+                assert np.array_equal(part[: len(old)], old)
+
+
+def test_a_cache_holds_numbers_whichever_parameters_built_it(small):
+    """Tensor parameters build a cache of plain array buffers, bitwise those
+    of ``detached()`` up to ``rows``; a recorded cached step writes even its
+    own rows' keys into them as numbers, so no gradient reaches ``wk``."""
+    cfg, params = small
+    rng = np.random.default_rng(17)
+    cond, clean, noisy = (rng.standard_normal((n, cfg.d)) for n in (4, 3, 2))
+    recorded, buffered = (
+        context_cache(clean, p, context_cache(cond, p, room=5)) for p in (params, params.detached())
+    )
+    assert recorded.rows == buffered.rows == 7
+    for tensor_built, array_built in zip(
+        recorded.keys + recorded.values, buffered.keys + buffered.values
+    ):
+        assert type(tensor_built) is np.ndarray
+        assert np.array_equal(tensor_built[:7], array_built[:7])
+
+    batch = TokenBatch.assemble(
+        ARStepPlan((2,)), Tensor(noisy), np.zeros(noisy.shape), np.full(2, 9), SCHEDULE,
+        context=recorded,
+    )
+    loss = mse(cat_forward(batch, params), np.zeros(noisy.shape))
+    assert np.abs(gradients(loss, {"blk0.wq": params["blk0.wq"]})["blk0.wq"]).max() > 0
+    with pytest.raises(NotOnTapeError, match="blk0.wk"):
+        gradients(loss, {"blk0.wk": params["blk0.wk"]})
 
 
 def test_all_finite_for_bounded_inputs(small):
@@ -393,16 +421,15 @@ def test_array_forwards_match_tensor_forwards_bitwise():
     plan = ARStepPlan((2, 2, 3))
     context = rng.standard_normal((plan.S + plan.v, cfg.d))  # conditions, then clean rows
     cached = context_cache(context[: plan.S], frozen, room=plan.S)
-    reference = context_cache(context[: plan.S], params)
+    reference = context_cache(context[: plan.S], params, room=plan.S)
     for lo, hi in ((7, 9), (9, 11)):  # the clean rows, one AR step at a time
         cached = context_cache(context[lo:hi], frozen, cached)
         reference = context_cache(context[lo:hi], params, reference)
     assert cached.rows == reference.rows == len(context)
-    for buffer, tensor_kv in zip(cached.keys + cached.values, reference.keys + reference.values):
-        # the array cache leaves room for the last group's 3 rows after the context's
-        assert tensor_kv.shape == (len(context), cfg.d)
-        assert buffer.shape == (len(context) + 3, cfg.d)
-        same(buffer[: len(context)], tensor_kv)
+    for buffer, recorded_kv in zip(cached.keys + cached.values, reference.keys + reference.values):
+        # both caches leave room for the last group's 3 rows after the context's
+        assert buffer.shape == recorded_kv.shape == (len(context) + 3, cfg.d)
+        assert np.array_equal(buffer[: len(context)], recorded_kv[: len(context)])
 
     ts = rng.integers(1, 50, plan.S)
 
@@ -421,11 +448,11 @@ def test_array_forwards_match_tensor_forwards_bitwise():
     # the last group's noisy rows after the cached context, at one timestep as
     # in generation: the array step uses the packed projection, writes its
     # keys and values right after the cached rows and copies its timestep's
-    # row of a feature table; the recorded step joins its own keys and values
-    # after the cache's and computes its features. A second step through the
-    # same buffers overwrites those rows, a step of fewer rows than the room
-    # leaves the rest unread, and a one-row step takes BLAS's matrix-vector
-    # path.
+    # row of a feature table; the recorded step projects with three matmuls,
+    # writes its keys and values after its own cache's rows and computes its
+    # features. A second step through the same buffers overwrites those rows,
+    # a step of fewer rows than the room leaves the rest unread, and a one-row
+    # step takes BLAS's matrix-vector path.
     table = sinusoidal_basis(np.arange(1, 50), cfg.d)
     steps = ((ts[-1], noisy[-3:]), (7, rng.standard_normal((3, cfg.d))), (9, noisy[-2:]))
     for t, rows in steps:
@@ -437,7 +464,7 @@ def test_array_forwards_match_tensor_forwards_bitwise():
             forward(params, ARStepPlan((n,)), rows, cond[-n:], np.full(n, t), kv=reference),
         )
     buffered = context_cache(context[:-2], frozen, room=1)
-    recorded = context_cache(context[:-2], params)
+    recorded = context_cache(context[:-2], params, room=1)
     t = ts[-1]
     same(
         forward(frozen, ARStepPlan((1,)), noisy[-1:], cond[-1:], ts[-1:], kv=buffered,
