@@ -134,10 +134,12 @@ def _resolve_seed(args) -> int:
 
 
 def _require_out_dirs(*paths) -> None:
-    """Fail before any work when the directory of an output path does not exist."""
+    """Fail before any work when an output path is a directory or its directory does not exist."""
     for path in paths:
         if path is not None:
             directory = os.path.dirname(os.path.abspath(path))
+            if os.path.isdir(path):
+                raise DataFormatError(f"cannot write {path}: it is a directory")
             if not os.path.isdir(directory):
                 raise DataFormatError(f"cannot write {path}: no directory {directory}")
 
@@ -203,12 +205,11 @@ def cmd_mask(args) -> int:
 
 def _prepare_from_files(st_path, sc_path, values):
     from .config import data_options
-    from .data import SC, load_matrix, prepare_pair
+    from .data import load_matrix, prepare_pair
 
     opts = data_options(values)
-    st_raw = load_matrix(st_path, modality="ST")
-    sc_raw = load_matrix(sc_path, modality=SC)
-    return prepare_pair(st_raw, sc_raw, **dataclasses.asdict(opts)), opts
+    pair = prepare_pair(load_matrix(st_path), load_matrix(sc_path), **dataclasses.asdict(opts))
+    return pair, opts
 
 
 def cmd_train(args) -> int:
@@ -217,7 +218,8 @@ def cmd_train(args) -> int:
     from .model import save_checkpoint
     from .train import fit
 
-    _require_out_dirs(args.out, args.history)
+    history_path = args.history or os.path.join(os.path.dirname(os.path.abspath(args.out)), "history.csv")
+    _require_out_dirs(args.out, history_path)
     if args.save_prepared and os.path.isfile(args.save_prepared):  # it is made just before fit
         raise DataFormatError(f"cannot write to {args.save_prepared}: not a directory")
     seed = _resolve_seed(args)
@@ -243,7 +245,6 @@ def cmd_train(args) -> int:
         "qc_min_genes_st": opts.min_genes_st,
     }
     save_checkpoint(result.params, args.out, meta)
-    history_path = args.history or os.path.join(os.path.dirname(os.path.abspath(args.out)), "history.csv")
     columns = ["epoch", "train_loss", "val_pcc"]
     write_csv(history_path, columns, ([row[c] for c in columns] for row in result.history))
     if args.save_prepared:
@@ -260,7 +261,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .data import SC, DataOptions, load_matrix, save_matrix, utf8_text, write_csv
+    from .data import DataOptions, load_matrix, save_matrix, utf8_text, write_csv
     from .diffusion import linear_schedule, parse_strategy
     from .generate import generate_genes
     from .model import load_checkpoint
@@ -284,7 +285,7 @@ def cmd_generate(args) -> int:
     if normalize not in (0, 1):  # nor is NaN
         raise DataFormatError(f"{args.ckpt}: meta.data_normalize is {normalize!r}, not 0 or 1")
     opts = DataOptions(min_genes_sc=int(qc), apply_normalize=bool(normalize))
-    sc = opts.qc_normalize(load_matrix(args.sc, modality=SC))
+    sc = opts.qc_normalize(load_matrix(args.sc), opts.min_genes_sc)
     with open(args.genes, "r", encoding="utf-8") as fh, utf8_text(args.genes):
         genes = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
     predicted = generate_genes(

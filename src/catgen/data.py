@@ -8,9 +8,14 @@ they return new matrices and never mutate their inputs.
 This module owns the CSV format of every table catgen writes, float text
 included: ``write_csv`` is the one writer.
 
+A matrix does not record whether it holds spatial spots or single cells: the
+caller that knows a matrix's role chooses its QC threshold. ``prepare_pair``
+takes the spatial matrix first and the single-cell matrix second, and
+filters them at ``min_genes_st`` and ``min_genes_sc``.
+
 The preparation pipeline for a paired dataset is: quality-control filter on
 observations, per-observation library-size normalization, highly-variable
-gene selection per modality, then intersection of the surviving gene sets
+gene selection per matrix, then intersection of the surviving gene sets
 (spatial genes must be covered by the single-cell reference).
 """
 
@@ -30,9 +35,6 @@ from .errors import (
     ShapeMismatchError,
 )
 
-ST = "ST"
-SC = "SC"
-
 
 @dataclass
 class ExpressionMatrix:
@@ -41,12 +43,9 @@ class ExpressionMatrix:
     gene_ids: list[str]
     obs_ids: list[str]
     values: np.ndarray  # (n_genes, n_obs) float64
-    modality: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.modality not in (ST, SC):
-            raise ShapeMismatchError(f"modality must be ST or SC, got {self.modality!r}")
         if self.values.ndim != 2:
             raise ShapeMismatchError(f"values must be 2-D, got shape {self.values.shape}")
         if len(self.gene_ids) != self.values.shape[0]:
@@ -83,7 +82,6 @@ class ExpressionMatrix:
             gene_ids=[self.gene_ids[i] for i in indices],
             obs_ids=list(self.obs_ids),
             values=self.values[indices].copy(),
-            modality=self.modality,
         )
 
     def subset_obs(self, indices) -> "ExpressionMatrix":
@@ -92,7 +90,6 @@ class ExpressionMatrix:
             gene_ids=list(self.gene_ids),
             obs_ids=[self.obs_ids[i] for i in indices],
             values=self.values[:, indices].copy(),
-            modality=self.modality,
         )
 
 
@@ -105,13 +102,13 @@ def utf8_text(path):
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def load_matrix(path, modality: str = ST) -> ExpressionMatrix:
+def load_matrix(path) -> ExpressionMatrix:
     """Read a gene x observation matrix from a CSV file.
 
     The first row holds observation ids (first cell is a label for the gene
     column and is ignored); each following row is a gene id followed by its
-    expression values. Ragged rows, non-numeric cells and duplicate ids are
-    reported with their position.
+    expression values. Ragged rows, duplicate ids and cells that are not
+    finite nonnegative numbers are reported with the path and their position.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -126,9 +123,14 @@ def load_matrix(path, modality: str = ST) -> ExpressionMatrix:
         obs_ids = [h.strip() for h in header[1:]]
         if not obs_ids:
             raise DataFormatError(f"{path}: header has no observation columns")
+        seen: set[str] = set()
+        for j, obs in enumerate(obs_ids, start=2):
+            if obs in seen:
+                raise DataFormatError(f"{path}: duplicate observation id {obs!r} at row 1, column {j}")
+            seen.add(obs)
         gene_ids: list[str] = []
         rows: list[np.ndarray] = []
-        seen: set[str] = set()
+        seen = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -149,13 +151,17 @@ def load_matrix(path, modality: str = ST) -> ExpressionMatrix:
                     raise DataFormatError(
                         f"{path}: non-numeric cell {cell!r} at row {lineno}, column {j + 2}"
                     ) from None
+            bad = np.flatnonzero(~np.isfinite(parsed) | (parsed < 0))
+            if bad.size:
+                raise DataFormatError(
+                    f"{path}: {cells[bad[0]]!r} is not a finite nonnegative value"
+                    f" at row {lineno}, column {bad[0] + 2}"
+                )
             gene_ids.append(gene)
             rows.append(parsed)
     if not rows:
         raise DataFormatError(f"{path}: no gene rows")
-    return ExpressionMatrix(
-        gene_ids=gene_ids, obs_ids=obs_ids, values=np.vstack(rows), modality=modality
-    )
+    return ExpressionMatrix(gene_ids=gene_ids, obs_ids=obs_ids, values=np.vstack(rows))
 
 
 def write_csv(path, header, rows) -> None:
@@ -187,24 +193,20 @@ class DataOptions:
         if not 0.0 < self.top_fraction <= 1.0:
             raise ShapeMismatchError(f"top_fraction must be in (0, 1], got {self.top_fraction}")
 
-    def qc_normalize(self, m: ExpressionMatrix) -> ExpressionMatrix:
-        """Per-matrix steps: QC-filter the observations, then normalize if set."""
-        m = qc_filter(m, self.min_genes_sc, self.min_genes_st)
+    def qc_normalize(self, m: ExpressionMatrix, min_genes: int) -> ExpressionMatrix:
+        """Per-matrix steps: QC-filter the observations at ``min_genes``, then normalize if set."""
+        m = qc_filter(m, min_genes)
         return normalize(m) if self.apply_normalize else m
 
 
-def qc_filter(
-    m: ExpressionMatrix,
-    min_genes_sc: int = DataOptions.min_genes_sc,
-    min_genes_st: int = DataOptions.min_genes_st,
-) -> ExpressionMatrix:
-    """Drop observations detecting too few genes; the gene set is unchanged."""
-    threshold = min_genes_sc if m.modality == SC else min_genes_st
+def qc_filter(m: ExpressionMatrix, min_genes: int) -> ExpressionMatrix:
+    """Drop observations detecting fewer than ``min_genes`` genes; the gene set is unchanged."""
     detected = (m.values > 0).sum(axis=0)
-    keep = np.flatnonzero(detected >= threshold)
+    keep = np.flatnonzero(detected >= min_genes)
     if keep.size == 0:
         raise EmptyResultError(
-            f"qc_filter removed every {m.modality} observation (threshold {threshold})"
+            f"qc_filter removed every observation of {m.obs_ids[0]}..{m.obs_ids[-1]}"
+            f" (threshold {min_genes})"
         )
     return m.subset_obs(keep)
 
@@ -222,12 +224,7 @@ def normalize(m: ExpressionMatrix) -> ExpressionMatrix:
         raise DegenerateInputError(f"observation {bad!r} has zero total count")
     n_median = float(np.median(totals))
     scaled = m.values * (n_median / totals)
-    return ExpressionMatrix(
-        gene_ids=list(m.gene_ids),
-        obs_ids=list(m.obs_ids),
-        values=np.log1p(scaled),
-        modality=m.modality,
-    )
+    return ExpressionMatrix(list(m.gene_ids), list(m.obs_ids), np.log1p(scaled))
 
 
 def select_hvg(m: ExpressionMatrix, top_fraction: float) -> ExpressionMatrix:
@@ -309,8 +306,8 @@ def prepare_pair(st_raw: ExpressionMatrix, sc_raw: ExpressionMatrix, **options) 
     filtering.
     """
     opts = DataOptions(**options)
-    st = select_hvg(opts.qc_normalize(st_raw), opts.top_fraction)
-    sc = select_hvg(opts.qc_normalize(sc_raw), opts.top_fraction)
+    st = select_hvg(opts.qc_normalize(st_raw, opts.min_genes_st), opts.top_fraction)
+    sc = select_hvg(opts.qc_normalize(sc_raw, opts.min_genes_sc), opts.top_fraction)
     sc_idx = sc.gene_index()
     shared = [g for g in st.gene_ids if g in sc_idx]
     if not shared:

@@ -49,7 +49,7 @@ import collections
 import numpy as np
 
 from .arplan import ARStepPlan
-from .data import ST, ExpressionMatrix
+from .data import ExpressionMatrix
 from .diffusion import DiffusionSchedule, Fractional, respaced_chain
 from .errors import DataFormatError, ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
 from .model import (
@@ -160,9 +160,7 @@ def generate_genes(
     latents = np.vstack(finalized) * scale
     values = np.clip(decode(latents, frozen), 0.0, None)
     obs_ids = [f"spot{j}" for j in range(frozen.cfg.p)]
-    return ExpressionMatrix(
-        gene_ids=target_genes, obs_ids=obs_ids, values=values, modality=ST
-    )
+    return ExpressionMatrix(gene_ids=target_genes, obs_ids=obs_ids, values=values)
 
 
 def _predict_noise(

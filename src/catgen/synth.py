@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SC, ST, ExpressionMatrix
+from .data import ExpressionMatrix
 from .errors import ShapeMismatchError
 
 GENE_PREFIX = "G"
@@ -129,14 +129,14 @@ def generate(
 
     genes = [gene_name(i, cfg.n_genes) for i in range(cfg.n_genes)]
 
-    def finish(values: np.ndarray, obs_prefix: str, modality: str) -> ExpressionMatrix:
+    def finish(values: np.ndarray, obs_prefix: str) -> ExpressionMatrix:
         shifted = values - min(values.min(), 0.0)
         if cfg.dropout_rate > 0.0:
             shifted = np.where(rng.random(shifted.shape) < cfg.dropout_rate, 0.0, shifted)
         obs = [f"{obs_prefix}{j}" for j in range(values.shape[1])]
-        return ExpressionMatrix(gene_ids=list(genes), obs_ids=obs, values=shifted, modality=modality)
+        return ExpressionMatrix(gene_ids=list(genes), obs_ids=obs, values=shifted)
 
-    st = finish(series[:, : cfg.n_spots].copy(), "spot", ST)
-    sc = finish(series[:, : cfg.n_cells].copy(), "cell", SC)
+    st = finish(series[:, : cfg.n_spots].copy(), "spot")
+    sc = finish(series[:, : cfg.n_cells].copy(), "cell")
     edges = [(genes[e.driver], genes[e.target], e.coeff, e.lag) for e in cfg.chain_edges]
     return st, sc, edges

@@ -17,7 +17,7 @@ import pytest
 
 from catgen import generate, train
 from catgen.arplan import generate_ar_steps
-from catgen.data import SC, ExpressionMatrix
+from catgen.data import ExpressionMatrix
 from catgen.diffusion import Fractional, linear_schedule, respaced_chain
 from catgen.model import ModelConfig, init_params
 
@@ -60,7 +60,7 @@ def test_traced_runs_count_forward_rows():
     plan = generate_ar_steps(S, tcfg.ar_decay, np.random.default_rng(2))
     sc = ExpressionMatrix(
         [f"G{i}" for i in range(5)], [f"c{j}" for j in range(cfg.q)],
-        np.abs(rng.standard_normal((5, cfg.q))), SC,
+        np.abs(rng.standard_normal((5, cfg.q))),
     )
     steps = len(respaced_chain(schedule, Fractional(5))[0])
 

@@ -13,9 +13,11 @@ import pytest
 
 from catgen import cli, data, granger, train
 from catgen import generate as generate_module
+from catgen import mask as mask_module
+from catgen import model as model_module
 from catgen.arplan import ARStepPlan
 from catgen.config import REGISTRY
-from catgen.data import SC, ST, DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
+from catgen.data import DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError
 from catgen.generate import generate_genes
@@ -125,7 +127,7 @@ def test_embeddings_hold_each_genes_condition_latent(trained):
     opts = DataOptions(
         min_genes_sc=int(meta["qc_min_genes_sc"]), apply_normalize=bool(meta["data_normalize"])
     )
-    sc = opts.qc_normalize(load_matrix(trained / "sc.csv", modality=SC))
+    sc = opts.qc_normalize(load_matrix(trained / "sc.csv"), opts.min_genes_sc)
     expected = encode(sc.values[[sc.gene_index()[g] for g in names]], "sc", params).data
     written = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
     assert np.array_equal(written, expected)
@@ -258,11 +260,11 @@ def _eval_files(tmp_path, pred_genes=("G3", "G0", "G4"), pred_spots=6):
     """A 5-gene, 6-spot truth and a prediction of ``pred_genes`` over ``pred_spots`` spots."""
     rng = np.random.default_rng(0)
     truth = ExpressionMatrix(
-        [f"G{i}" for i in range(5)], [f"s{j}" for j in range(6)], rng.uniform(0.1, 2.0, (5, 6)), ST
+        [f"G{i}" for i in range(5)], [f"s{j}" for j in range(6)], rng.uniform(0.1, 2.0, (5, 6))
     )
     pred = ExpressionMatrix(
         list(pred_genes), [f"s{j}" for j in range(pred_spots)],
-        rng.uniform(0.1, 2.0, (len(pred_genes), pred_spots)), ST,
+        rng.uniform(0.1, 2.0, (len(pred_genes), pred_spots)),
     )
     save_matrix(truth, tmp_path / "truth.csv")
     save_matrix(pred, tmp_path / "pred.csv")
@@ -360,7 +362,7 @@ def test_eval_gene_distances_need_no_genes_by_genes_by_spots_array(tmp_path):
     rng = np.random.default_rng(1)
     genes, spots = [f"G{i}" for i in range(300)], [f"s{j}" for j in range(100)]
     for name in ("truth.csv", "pred.csv"):
-        matrix = ExpressionMatrix(genes, spots, rng.uniform(0.1, 2.0, (300, 100)), ST)
+        matrix = ExpressionMatrix(genes, spots, rng.uniform(0.1, 2.0, (300, 100)))
         save_matrix(matrix, tmp_path / name)
     tracemalloc.start()
     try:
@@ -523,7 +525,7 @@ def test_generate_without_data_meta_prepares_sc_with_the_defaults(tmp_path):
     normalization."""
     values = np.random.default_rng(0).uniform(1.0, 3.0, size=(520, 5))
     values[30:, 4] = 0.0  # the last cell detects 30 genes and fails QC
-    sc = ExpressionMatrix([f"G{i}" for i in range(520)], [f"c{j}" for j in range(5)], values, SC)
+    sc = ExpressionMatrix([f"G{i}" for i in range(520)], [f"c{j}" for j in range(5)], values)
     save_matrix(sc, tmp_path / "sc.csv")
     params = init_params(ModelConfig(p=3, q=4, d=4, heads=1, blocks=1), np.random.default_rng(1))
     meta = {"T": 10, "beta_start": 1e-4, "beta_end": 2e-2, "seed": 0}
@@ -755,6 +757,59 @@ def test_granger_and_mask_into_a_missing_directory_fail_before_any_work(
     captured = capsys.readouterr()
     assert f"catgen: error: cannot write {missing}" in captured.err and captured.out == ""
     assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+_TRAIN = ["train", "--st", "st.csv", "--sc", "sc.csv", "--out", "m.catg"]
+_GENERATE = [
+    "generate", "--ckpt", "m.catg", "--sc", "sc.csv", "--genes", "genes.txt",
+    "--out", "p.csv", "--embeddings", "e.csv",
+]
+_EVAL = ["eval", "--pred", "p.csv", "--truth", "t.csv", "--out", "e.csv", "--gene-distances", "d.csv"]
+_MASK = ["mask", "--s", "7", "--c", "2", "--sz", "2,2,3", "--out", "m.csv", "--pbm", "m.pbm"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ([*_TRAIN, "--history", "h.csv"], "--out"),
+        ([*_TRAIN, "--history", "h.csv"], "--history"),
+        (_TRAIN, None),  # the default history.csv next to --out
+        (_GENERATE, "--out"),
+        (_GENERATE, "--embeddings"),
+        (_EVAL, "--out"),
+        (_EVAL, "--gene-distances"),
+        (["granger", "--matrix", "st.csv", "--out", "g.csv"], "--out"),
+        (_MASK, "--out"),
+        (_MASK, "--pbm"),
+        (["ablate", "--axis", "decay", "--st", "st.csv", "--sc", "sc.csv", "--out", "a.csv"], "--out"),
+    ],
+    ids=[
+        "train-out", "train-history", "train-default-history", "generate-out", "generate-embeddings",
+        "eval-out", "eval-gene-distances", "granger-out", "mask-out", "mask-pbm", "ablate-out",
+    ],
+)
+def test_an_output_path_that_is_a_directory_fails_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys, argv, flag
+):
+    reads = []
+
+    def reading(*args, **kwargs):
+        reads.append(args)
+        raise DataFormatError("no input is read in this test")
+
+    monkeypatch.setattr(data, "load_matrix", reading)
+    monkeypatch.setattr(model_module, "load_checkpoint", reading)
+    monkeypatch.setattr(mask_module, "build_mask", reading)
+    monkeypatch.chdir(tmp_path)
+    argv = list(argv)
+    if flag is None:  # train names the default as an absolute path
+        taken, shown = "history.csv", tmp_path / "history.csv"
+    else:
+        taken = shown = argv[argv.index(flag) + 1] = "taken"
+    (tmp_path / taken).mkdir()
+    assert cli.main(argv) == 2
+    assert f"catgen: error: cannot write {shown}: it is a directory" in capsys.readouterr().err
+    assert reads == [] and [p.name for p in tmp_path.iterdir()] == [taken]
 
 
 def _mask(tmp_path, name, s="7", sz="2,2,3"):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catgen.data import (
-    SC,
-    ST,
+    DataOptions,
     ExpressionMatrix,
     load_matrix,
     normalize,
@@ -65,6 +64,23 @@ def test_load_ragged_row(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("gene_id,o1,o2\nG1,1,2\nG2,3,-1\n", "'-1' is not a finite nonnegative value at row 3, column 3"),
+        ("gene_id,o1,o2\nG1,nan,2\n", "'nan' is not a finite nonnegative value at row 2, column 2"),
+        ("gene_id,o1,o2\nG1,1,inf\n", "'inf' is not a finite nonnegative value at row 2, column 3"),
+        ("gene_id,o1,o2,o1\nG1,1,2,3\n", "duplicate observation id 'o1' at row 1, column 4"),
+    ],
+    ids=["negative", "nan", "inf", "duplicate-observation"],
+)
+def test_load_names_the_file_and_position_of_a_bad_value_or_id(tmp_path, text, position):
+    path = write(tmp_path, text)
+    with pytest.raises(DataFormatError) as info:
+        load_matrix(path)
+    assert str(info.value) == f"{path}: {position}"
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(DataFormatError):
         load_matrix(tmp_path / "absent.csv")
@@ -72,11 +88,11 @@ def test_load_missing_file(tmp_path):
 
 def test_matrix_invariants():
     with pytest.raises(DataFormatError):
-        ExpressionMatrix(["G1"], ["o1"], np.array([[np.nan]]), ST)
+        ExpressionMatrix(["G1"], ["o1"], np.array([[np.nan]]))
     with pytest.raises(DataFormatError):
-        ExpressionMatrix(["G1"], ["o1"], np.array([[-1.0]]), ST)
+        ExpressionMatrix(["G1"], ["o1"], np.array([[-1.0]]))
     with pytest.raises(ShapeMismatchError):
-        ExpressionMatrix(["G1", "G2"], ["o1"], np.array([[1.0]]), ST)
+        ExpressionMatrix(["G1", "G2"], ["o1"], np.array([[1.0]]))
 
 
 def sc_matrix(values):
@@ -85,7 +101,6 @@ def sc_matrix(values):
         [f"G{i}" for i in range(values.shape[0])],
         [f"c{j}" for j in range(values.shape[1])],
         values,
-        SC,
     )
 
 
@@ -96,33 +111,33 @@ def test_qc_removes_cells_below_500_detected_genes():
     values[499:, 1] = 0.0  # second now detects 499
     values[:, 1], values[:, 0] = values[:, 0].copy(), values[:, 1].copy()
     m = sc_matrix(values)
-    kept = qc_filter(m)
+    kept = qc_filter(m, DataOptions().min_genes_sc)
     assert kept.obs_ids == ["c1"]
     assert kept.gene_ids == m.gene_ids
 
 
 def test_qc_removes_all_zero_spot():
-    m = ExpressionMatrix(["G0", "G1"], ["s0", "s1"], np.array([[0.0, 1.0], [0.0, 2.0]]), ST)
-    kept = qc_filter(m)
+    m = ExpressionMatrix(["G0", "G1"], ["s0", "s1"], np.array([[0.0, 1.0], [0.0, 2.0]]))
+    kept = qc_filter(m, DataOptions().min_genes_st)
     assert kept.obs_ids == ["s1"]
 
 
 def test_qc_noop_and_idempotent():
     m = sc_matrix(np.ones((600, 3)))
-    once = qc_filter(m)
-    twice = qc_filter(once)
+    once = qc_filter(m, DataOptions().min_genes_sc)
+    twice = qc_filter(once, DataOptions().min_genes_sc)
     assert once.obs_ids == m.obs_ids
     np.testing.assert_array_equal(once.values, twice.values)
 
 
 def test_qc_all_removed():
-    m = ExpressionMatrix(["G0"], ["s0"], np.array([[0.0]]), ST)
-    with pytest.raises(EmptyResultError):
-        qc_filter(m)
+    m = ExpressionMatrix(["G0"], ["s0", "s1"], np.array([[0.0, 0.0]]))
+    with pytest.raises(EmptyResultError, match=r"s0\.\.s1 \(threshold 1\)"):
+        qc_filter(m, 1)
 
 
 def test_normalize_hand_example_single_observation():
-    m = ExpressionMatrix(["G0", "G1", "G2"], ["s0"], np.array([[1.0], [1.0], [2.0]]), ST)
+    m = ExpressionMatrix(["G0", "G1", "G2"], ["s0"], np.array([[1.0], [1.0], [2.0]]))
     normd = normalize(m)
     np.testing.assert_allclose(
         normd.values[:, 0], [math.log(2), math.log(2), math.log(3)], rtol=1e-12
@@ -131,7 +146,7 @@ def test_normalize_hand_example_single_observation():
 
 def test_normalize_median_of_two_totals_is_midpoint():
     m = ExpressionMatrix(
-        ["G0", "G1"], ["s0", "s1"], np.array([[1.0, 2.0], [1.0, 4.0]]), ST
+        ["G0", "G1"], ["s0", "s1"], np.array([[1.0, 2.0], [1.0, 4.0]])
     )  # totals 2 and 6, N = 4
     normd = normalize(m)
     np.testing.assert_allclose(normd.values[0, 0], math.log(4 * 1 / 2 + 1), rtol=1e-12)
@@ -139,12 +154,12 @@ def test_normalize_median_of_two_totals_is_midpoint():
 
 
 def test_normalize_keeps_zeros_zero():
-    m = ExpressionMatrix(["G0", "G1"], ["s0"], np.array([[0.0], [3.0]]), ST)
+    m = ExpressionMatrix(["G0", "G1"], ["s0"], np.array([[0.0], [3.0]]))
     assert normalize(m).values[0, 0] == 0.0
 
 
 def test_normalize_rejects_zero_total():
-    m = ExpressionMatrix(["G0"], ["s0", "s1"], np.array([[1.0, 0.0]]), ST)
+    m = ExpressionMatrix(["G0"], ["s0", "s1"], np.array([[1.0, 0.0]]))
     with pytest.raises(DegenerateInputError, match="s1"):
         normalize(m)
 
@@ -236,8 +251,8 @@ def test_prepare_pair_intersects_after_hvg():
     rng = np.random.default_rng(2)
     st_vals = rng.uniform(0.1, 4.0, size=(8, 5))
     sc_vals = rng.uniform(0.1, 4.0, size=(8, 9))
-    st_m = ExpressionMatrix([f"G{i}" for i in range(8)], [f"s{j}" for j in range(5)], st_vals, ST)
-    sc_m = ExpressionMatrix([f"G{i}" for i in range(8)], [f"c{j}" for j in range(9)], sc_vals, SC)
+    st_m = ExpressionMatrix([f"G{i}" for i in range(8)], [f"s{j}" for j in range(5)], st_vals)
+    sc_m = ExpressionMatrix([f"G{i}" for i in range(8)], [f"c{j}" for j in range(9)], sc_vals)
     pair = prepare_pair(st_m, sc_m, top_fraction=1.0, min_genes_sc=1, min_genes_st=1)
     assert pair.st.gene_ids == pair.sc.gene_ids == pair.genes
 
@@ -249,8 +264,41 @@ def test_prepare_pair_intersects_after_hvg():
 def test_prepare_pair_empty_intersection():
     st_vals = np.array([[1.0, 5.0], [2.0, 2.0]])
     sc_vals = np.array([[3.0, 3.0], [1.0, 9.0]])
-    st_m = ExpressionMatrix(["A", "B"], ["s0", "s1"], st_vals, ST)
-    sc_m = ExpressionMatrix(["A", "B"], ["c0", "c1"], sc_vals, SC)
+    st_m = ExpressionMatrix(["A", "B"], ["s0", "s1"], st_vals)
+    sc_m = ExpressionMatrix(["A", "B"], ["c0", "c1"], sc_vals)
     # HVG keeps gene A for ST (var) and gene B for SC -> empty intersection
     with pytest.raises(EmptyResultError):
         prepare_pair(st_m, sc_m, top_fraction=0.5, min_genes_sc=1, min_genes_st=1, apply_normalize=False)
+
+
+def _csv_text(prefix, values):
+    """A matrix file over genes G0.. and observations ``prefix``0.., written by hand."""
+    header = ",".join(["gene_id", *(f"{prefix}{j}" for j in range(values.shape[1]))])
+    rows = (",".join([f"G{i}", *(str(v) for v in row)]) for i, row in enumerate(values))
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _weak_pair(tmp_path):
+    """ST and SC files over 4 genes; spot s1 and cell c1 detect 2 genes, the others 4."""
+    values = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 1.0], [3.0, 0.0, 2.0], [1.0, 0.0, 4.0]])
+    paths = tmp_path / "st.csv", tmp_path / "sc.csv"
+    paths[0].write_text(_csv_text("s", values))
+    paths[1].write_text(_csv_text("c", 2.0 * values))
+    return paths
+
+
+def test_each_qc_threshold_drops_only_its_own_argument(tmp_path):
+    st_m, sc_m = (load_matrix(path) for path in _weak_pair(tmp_path))
+    kept = prepare_pair(st_m, sc_m, top_fraction=1.0, min_genes_st=2, min_genes_sc=2)
+    assert (kept.st.obs_ids, kept.sc.obs_ids) == (["s0", "s1", "s2"], ["c0", "c1", "c2"])
+    st_strict = prepare_pair(st_m, sc_m, top_fraction=1.0, min_genes_st=3, min_genes_sc=1)
+    assert (st_strict.st.obs_ids, st_strict.sc.obs_ids) == (["s0", "s2"], ["c0", "c1", "c2"])
+    sc_strict = prepare_pair(st_m, sc_m, top_fraction=1.0, min_genes_st=1, min_genes_sc=3)
+    assert (sc_strict.st.obs_ids, sc_strict.sc.obs_ids) == (["s0", "s1", "s2"], ["c0", "c2"])
+
+
+def test_an_sc_file_loaded_with_no_role_is_filtered_at_the_sc_threshold(tmp_path):
+    st_path, sc_path = _weak_pair(tmp_path)
+    pair = prepare_pair(load_matrix(st_path), load_matrix(sc_path), top_fraction=1.0, min_genes_sc=3)
+    assert pair.st.obs_ids == ["s0", "s1", "s2"]  # min_genes_st keeps its default of 1
+    assert pair.sc.obs_ids == ["c0", "c2"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from catgen.data import SC, ExpressionMatrix
+from catgen.data import ExpressionMatrix
 from catgen.errors import DegenerateInputError, ShapeMismatchError
 from catgen.granger import (
     GrangerResult,
@@ -161,7 +161,7 @@ def test_screen_skips_degenerate_pairs(caplog):
     values = np.vstack([np.random.default_rng(0).standard_normal(50) + 2.0,
                         np.full(50, 3.0),
                         np.random.default_rng(1).standard_normal(50) + 2.0])
-    m = ExpressionMatrix(["A", "B", "C"], [f"c{i}" for i in range(50)], np.abs(values), SC)
+    m = ExpressionMatrix(["A", "B", "C"], [f"c{i}" for i in range(50)], np.abs(values))
     m.values[1] = 3.0  # constant gene
     with caplog.at_level("WARNING"):
         results = screen(m, lag=1, top_k=10)
@@ -170,6 +170,6 @@ def test_screen_skips_degenerate_pairs(caplog):
 
 
 def test_screen_needs_two_genes():
-    m = ExpressionMatrix(["A"], ["c0", "c1"], np.ones((1, 2)), SC)
+    m = ExpressionMatrix(["A"], ["c0", "c1"], np.ones((1, 2)))
     with pytest.raises(ShapeMismatchError):
         screen(m, lag=1, top_k=1)

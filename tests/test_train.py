@@ -12,7 +12,7 @@ from catgen import granger, train
 from catgen.arplan import ARStepPlan, generate_ar_steps
 from catgen.autodiff import Gradients, Tensor, collect_tape, concat, gradients, mse
 from catgen.cli import THREAD_ENV
-from catgen.data import SC, ST, ExpressionMatrix, split_genes
+from catgen.data import ExpressionMatrix, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
     candidate_grid,
@@ -551,7 +551,7 @@ def test_granger_gene_order_ranks_drivers_by_their_strongest_f():
 def test_fit_requires_aligned_matrices():
     pair, split = prepared_dataset()
     other = ExpressionMatrix(
-        [g + "_x" for g in pair.sc.gene_ids], pair.sc.obs_ids, pair.sc.values, SC
+        [g + "_x" for g in pair.sc.gene_ids], pair.sc.obs_ids, pair.sc.values
     )
     mcfg = ModelConfig(p=pair.st.n_obs, q=pair.sc.n_obs, d=8, heads=2, blocks=1)
     with pytest.raises(ShapeMismatchError):
@@ -563,7 +563,7 @@ def test_validation_scores_a_constant_prediction_zero(monkeypatch):
     rng = np.random.default_rng(4)
     st = ExpressionMatrix(
         gene_ids=["a", "b", "c", "d"], obs_ids=["s0", "s1", "s2", "s3", "s4"],
-        values=rng.uniform(0.0, 3.0, (4, 5)), modality=ST,
+        values=rng.uniform(0.0, 3.0, (4, 5)),
     )
     predicted = rng.uniform(0.0, 3.0, (3, 5))
     predicted[1] = 1.5
@@ -571,7 +571,7 @@ def test_validation_scores_a_constant_prediction_zero(monkeypatch):
 
     def fake_generate(sc, gene_ids, *args, **kwargs):
         assert gene_ids == ["d", "a", "c"]
-        return ExpressionMatrix(gene_ids, list(st.obs_ids), predicted, ST)
+        return ExpressionMatrix(gene_ids, list(st.obs_ids), predicted)
 
     monkeypatch.setattr(train, "generate_genes", fake_generate)
     got = train._validation_pcc(st, st, val_genes, None, None, TrainConfig(), 0)
