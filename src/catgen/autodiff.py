@@ -40,14 +40,16 @@ arithmetic commutes (``a * b`` for ``b * a``), never regrouped.
 ``gradients`` is the one walk, and the one place that decides where a
 gradient flows. It is given a scalar loss and the leaves whose gradients are
 wanted, and it visits only the nodes that lead to one of them, so the
-branches that feed only other leaves are skipped. A wanted leaf accumulates
-into its view of one flat array. An inner node's gradient is dropped as
-soon as its rule has passed it on, so a rule may hand that array itself to
-one parent; every other parent gets a view of it or an array computed for
-it alone. An inner node's gradient array is made by its first
-contribution: an array that owns its memory and is C-contiguous is adopted
-as it is, a view is copied, so no two nodes share an array and each
-gradient has the memory layout of its node's data.
+branches that feed only other leaves are skipped. It returns one flat float64
+array with the wanted leaves' gradients back to back, in the order they were
+asked for; each wanted leaf accumulates into its view of that array and keeps
+the view as its ``.grad``. An inner node's gradient is dropped as soon as its
+rule has passed it on, so a rule may hand that gradient itself to one parent;
+every other parent gets a view of it or an array computed for it alone. An
+inner node's gradient array is made by its first contribution: an array that
+owns its memory and is C-contiguous is adopted as it is, a view is copied, so
+no two nodes share an array and each gradient has the memory layout of its
+node's data.
 
 Only the operations the model actually needs are implemented. Each backward
 rule is exercised against central finite differences in the test suite.
@@ -429,28 +431,16 @@ def collect_tape(loss: Tensor) -> dict[int, Tensor]:
     return tape
 
 
-class Gradients(dict):
-    """Gradients by parameter name, each a view into the one array ``flat``.
+def gradients(loss: Tensor, params: dict[str, Tensor]) -> np.ndarray:
+    """Exact reverse-mode gradients of the scalar ``loss`` as one flat float64 array.
 
-    The views lie in ``flat`` back to back, in the order the parameters were
-    requested.
-    """
-
-    def __init__(self, flat: np.ndarray, views: dict[str, np.ndarray]):
-        super().__init__(views)
-        self.flat = flat
-
-
-def gradients(loss: Tensor, params: dict[str, Tensor]) -> Gradients:
-    """Exact reverse-mode gradients of the scalar ``loss`` for each named parameter.
-
-    Each parameter's gradient accumulates straight into its view of one
-    zeroed flat array, laid out in the order of ``params``. A node is visited
-    only if a requested parameter lies behind it, and an inner node's
-    gradient is dropped once its rule has run, so afterwards only the
-    requested parameters hold one. Raises ShapeMismatchError for a loss that
-    is not a scalar, and NotOnTapeError for any parameter the recorded
-    forward computation never consumed.
+    The array holds each parameter's gradient back to back, in the order of
+    ``params``; each parameter accumulates into its view of it and keeps the
+    view as its ``.grad``. A node is visited only if a requested parameter
+    lies behind it, and an inner node's gradient is dropped once its rule
+    has run, so afterwards only the requested parameters hold one. Raises
+    ShapeMismatchError for a loss that is not a scalar, and NotOnTapeError
+    for any parameter the recorded forward computation never consumed.
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"gradients need a scalar loss, got shape {loss.shape}")
@@ -459,12 +449,11 @@ def gradients(loss: Tensor, params: dict[str, Tensor]) -> Gradients:
     if missing:
         raise NotOnTapeError(f"parameters not on tape: {', '.join(sorted(missing))}")
     flat = np.zeros(sum(p.data.size for p in params.values()))
-    views: dict[str, np.ndarray] = {}
+    into: dict[int, np.ndarray] = {}
     offset = 0
-    for name, p in params.items():
-        views[name] = flat[offset : offset + p.data.size].reshape(p.shape)
+    for p in params.values():
+        into[id(p)] = flat[offset : offset + p.data.size].reshape(p.shape)
         offset += p.data.size
-    into = {id(params[name]): view for name, view in views.items()}
     for node in tape.values():  # parents first, so their marks are set
         node.grad = into.get(id(node))
         node._needed = id(node) in into or any(p._needed for p in node._parents)
@@ -476,4 +465,4 @@ def gradients(loss: Tensor, params: dict[str, Tensor]) -> Gradients:
         if node._needed and node._backward is not None:
             node._backward(node.grad)
             node.grad = None
-    return Gradients(flat, views)
+    return flat

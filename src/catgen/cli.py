@@ -1,11 +1,14 @@
 """Command-line entry point: synth, granger, mask, train, generate, eval, ablate.
 
-Exit codes: 0 success, 1 usage error, 2 data, file or numeric error; granger,
-mask, train, generate, eval and ablate check their output directories before
-any work. All randomness flows from --seed (default: CATGEN_SEED environment
-variable, then 42; a CATGEN_SEED that is not an integer is an error), and
-every subcommand is reproducible byte-for-byte given identical arguments,
-seed and inputs.
+Exit codes: 0 success, 1 usage error, 2 data, file or numeric error. Before
+any work, granger, mask, train (its default history.csv included), generate,
+eval and ablate check each output path: it is not a directory, its directory
+exists, and it names a file no other output or input of the command names (the
+files that train --save-prepared writes into its directory are not checked).
+All randomness flows from --seed (default: CATGEN_SEED environment variable,
+then 42; a CATGEN_SEED that is not an integer is an error), and every
+subcommand is reproducible byte-for-byte given identical arguments, seed and
+inputs.
 Commands parse their arguments, call the library and write every table
 through ``data.write_csv``; only ``mask`` writes its own header-less CSV.
 """
@@ -133,8 +136,10 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _require_out_dirs(*paths) -> None:
-    """Fail before any work when an output path is a directory or its directory does not exist."""
+def _require_out_dirs(*paths, inputs=()) -> None:
+    """Fail before any work when an output path is a directory, its directory
+    does not exist, or it names the same file as another output or an input."""
+    seen = {os.path.realpath(path): path for path in inputs if path is not None}
     for path in paths:
         if path is not None:
             directory = os.path.dirname(os.path.abspath(path))
@@ -142,6 +147,10 @@ def _require_out_dirs(*paths) -> None:
                 raise DataFormatError(f"cannot write {path}: it is a directory")
             if not os.path.isdir(directory):
                 raise DataFormatError(f"cannot write {path}: no directory {directory}")
+            real = os.path.realpath(path)
+            if real in seen:
+                raise DataFormatError(f"cannot write {path}: it is the same file as {seen[real]}")
+            seen[real] = path
 
 
 def _load_values(args) -> dict:
@@ -173,7 +182,7 @@ def cmd_granger(args) -> int:
     from .data import load_matrix, write_csv
     from .granger import screen
 
-    _require_out_dirs(args.out)
+    _require_out_dirs(args.out, inputs=(args.matrix,))
     results = screen(load_matrix(args.matrix), lag=args.lag, top_k=args.top_k)
     rows = ([r.driver, r.target, r.lag, r.f_stat, r.p_value] for r in results)
     write_csv(args.out, ["driver", "target", "lag", "f_stat", "p_value"], rows)
@@ -219,7 +228,7 @@ def cmd_train(args) -> int:
     from .train import fit
 
     history_path = args.history or os.path.join(os.path.dirname(os.path.abspath(args.out)), "history.csv")
-    _require_out_dirs(args.out, history_path)
+    _require_out_dirs(args.out, history_path, inputs=(args.st, args.sc, args.config))
     if args.save_prepared and os.path.isfile(args.save_prepared):  # it is made just before fit
         raise DataFormatError(f"cannot write to {args.save_prepared}: not a directory")
     seed = _resolve_seed(args)
@@ -266,7 +275,7 @@ def cmd_generate(args) -> int:
     from .generate import generate_genes
     from .model import load_checkpoint
 
-    _require_out_dirs(args.out, args.embeddings)
+    _require_out_dirs(args.out, args.embeddings, inputs=(args.ckpt, args.sc, args.genes))
     seed = _resolve_seed(args)
     params, meta = load_checkpoint(args.ckpt)
     missing = [f"meta.{key}" for key in ("T", "beta_start", "beta_end") if key not in meta]
@@ -315,7 +324,7 @@ def cmd_eval(args) -> int:
     from .errors import ShapeMismatchError, UnknownGeneError
     from .metrics import aggregate, js_divergence, pcc, rmse_z, score_rows, ssim
 
-    _require_out_dirs(args.out, args.gene_distances)
+    _require_out_dirs(args.out, args.gene_distances, inputs=(args.pred, args.truth))
     pred = load_matrix(args.pred)
     truth = load_matrix(args.truth)
     truth_index = truth.gene_index()
@@ -360,7 +369,7 @@ def cmd_ablate(args) -> int:
     from .data import split_genes, write_csv
     from .train import fit
 
-    _require_out_dirs(args.out)
+    _require_out_dirs(args.out, inputs=(args.st, args.sc, args.config))
     base_seed = _resolve_seed(args)
     values = _load_values(args)
     key, settings = _ABLATION_AXES[args.axis]

@@ -271,10 +271,6 @@ def split_genes(shared_genes, seed: int) -> SplitAssignment:
         raise EmptyResultError(f"need at least 10 shared genes to split, got {n}")
     n_train = round(0.7 * n)
     n_val = round(0.2 * n)
-    n_test = n - n_train - n_val
-    if n_test == 0:
-        n_train -= 1
-        n_test = 1
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     shuffled = [indices[i] for i in order]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arplan import ARStepPlan, generate_ar_steps
-from .autodiff import Gradients, Tensor, gradients, mse
+from .autodiff import Tensor, gradients, mse
 from .data import ExpressionMatrix, SplitAssignment
 from .diffusion import (
     DiffusionSchedule,
@@ -150,17 +150,17 @@ class Adam:
             x -= np.divide(a, b, out=a)
 
 
-def clip_global_norm(grads: Gradients, max_norm: float) -> None:
-    """Scale ``grads.flat`` in place so that its norm is at most ``max_norm``.
+def clip_global_norm(grads: np.ndarray, max_norm: float) -> None:
+    """Scale the flat gradient array ``grads`` in place to a norm of at most ``max_norm``.
 
-    The squared norm is one reduction over ``grads.flat``. It is ``einsum``'s
+    The squared norm is one reduction over ``grads``. It is ``einsum``'s
     own loop, not ``np.dot``: OpenBLAS splits a long dot product across its
     threads, so its last bits, and with them training, would depend on the
     BLAS thread count.
     """
-    total = math.sqrt(np.einsum("i,i->", grads.flat, grads.flat))
+    total = math.sqrt(np.einsum("i,i->", grads, grads))
     if total > max_norm > 0:
-        grads.flat *= max_norm / total
+        grads *= max_norm / total
 
 
 def _update(
@@ -169,7 +169,7 @@ def _update(
     """Backward walk, clipping and one Adam step on the buffer slice holding ``names``."""
     grads = gradients(loss, {n: params[n] for n in names})
     clip_global_norm(grads, max_norm)
-    opt.step(params.flat[params.span(names)], grads.flat)
+    opt.step(params.flat[params.span(names)], grads)
 
 
 def diffusion_trainable(params: CatParameters, cfg: TrainConfig) -> list[str]:

@@ -64,10 +64,10 @@ def check_grads(build, shapes, h=1e-6, atol=1e-7, rtol=1e-5):
     def value(arrs):
         return mse(build([Tensor(a) for a in arrs]), target).item()
 
-    grads = gradients(mse(out, target), {str(k): t for k, t in enumerate(tensors)})
-    for k in range(len(tensors)):
+    gradients(mse(out, target), {str(k): t for k, t in enumerate(tensors)})
+    for k, t in enumerate(tensors):
         fd = finite_diff(value, arrays, k, h=h)
-        np.testing.assert_allclose(grads[str(k)], fd, atol=atol, rtol=rtol)
+        np.testing.assert_allclose(t.grad, fd, atol=atol, rtol=rtol)
 
 
 def test_add_mul_broadcast():
@@ -178,7 +178,7 @@ def test_gelu_layer_norm_and_softmax_match_their_plain_expressions_bitwise():
     gelu_out = 0.5 * x * (1.0 + t)
     leaf = Tensor(x)
     out = gelu(leaf)
-    grad = gradients(mse(out, target), {"x": leaf})["x"]
+    grad = gradients(mse(out, target), {"x": leaf}).reshape(x.shape)
     g = (np.ones(()) * (1.0 / x.size) * 2.0) * (out.data - target)  # mse's rule
     slope = c * (1.0 + 3.0 * 0.044715 * (x * x))
     assert np.array_equal(gelu(x), gelu_out) and np.array_equal(out.data, gelu_out)
@@ -287,13 +287,13 @@ def test_attention_matches_the_old_chain_bitwise():
         target = RNG.standard_normal((rows, 12))
         leaves = {"q": Tensor(q), "k": Tensor(k), "v": Tensor(v)}
         out = attention(leaves["q"], leaves["k"], leaves["v"], blocked, heads)
-        grads = gradients(mse(out, target), leaves)
+        gradients(mse(out, target), leaves)
         g = (np.ones(()) * (1.0 / out.data.size) * 2.0) * (out.data - target)  # mse's rule
         old_out, old_grads = old_attention_chain(q, k, v, blocked, heads, g)
         assert np.array_equal(out.data, old_out)
         assert np.array_equal(attention(q, k, v, blocked, heads), old_out)
         for name, old in zip("qkv", old_grads):
-            assert np.array_equal(grads[name], old), name
+            assert np.array_equal(leaves[name].grad, old), name
 
 
 def test_a_key_blocked_for_every_query_gets_exactly_zero_gradient():
@@ -301,9 +301,9 @@ def test_a_key_blocked_for_every_query_gets_exactly_zero_gradient():
     blocked[:, 2] = True
     q, k, v = (Tensor(RNG.standard_normal((n, 6))) for n in (4, 5, 5))
     out = attention(q, k, v, blocked, 2)
-    grads = gradients(mse(out, RNG.standard_normal((4, 6))), {"q": q, "k": k, "v": v})
-    for name in "kv":
-        assert (grads[name][2] == 0.0).all() and (grads[name][[0, 1, 3, 4]] != 0.0).all(), name
+    gradients(mse(out, RNG.standard_normal((4, 6))), {"q": q, "k": k, "v": v})
+    for name, leaf in (("k", k), ("v", v)):
+        assert (leaf.grad[2] == 0.0).all() and (leaf.grad[[0, 1, 3, 4]] != 0.0).all(), name
 
 
 def test_attention_takes_rows_of_one_width():
@@ -321,8 +321,8 @@ def test_hand_derivative_linear_map():
     w = Tensor(RNG.standard_normal((3, 3)))
     x = np.array([[1.0], [-2.0], [0.5]])
     y = RNG.standard_normal((3, 1))
-    grad = gradients(mse(linear(w, x), y), {"w": w})["w"]  # W x, with W's rows as the inputs
-    np.testing.assert_allclose(grad, (2.0 / 3.0) * np.outer(w.data @ x - y, x), rtol=1e-12)
+    gradients(mse(linear(w, x), y), {"w": w})  # W x, with W's rows as the inputs
+    np.testing.assert_allclose(w.grad, (2.0 / 3.0) * np.outer(w.data @ x - y, x), rtol=1e-12)
 
 
 def test_mse_gradient():
@@ -359,8 +359,8 @@ def test_gradients_reports_missing_parameter():
 
 def test_gradients_accumulate_per_invocation():
     a = Tensor(2.0)
-    first = gradients((a * a), {"a": a})["a"]
-    second = gradients((a * a), {"a": a})["a"]
+    first = gradients((a * a), {"a": a})
+    second = gradients((a * a), {"a": a})
     np.testing.assert_allclose(first, second)  # fresh tape per forward, no leakage
 
 
@@ -400,8 +400,11 @@ def test_walk_skips_branches_that_reach_no_requested_parameter():
     assert len(visited) < len(behind) == len(tape)
     # after the walk only the requested leaves hold a gradient
     assert {id(t) for t in tape.values() if t.grad is not None} == {id(params[n]) for n in names}
-    assert all(grads[n] is params[n].grad and grads[n].flags.c_contiguous for n in names)
-    assert all(np.shares_memory(grads[n], grads.flat) for n in names)
+    # each requested leaf holds its view of the returned array, in request order
+    assert all(params[n].grad.flags.c_contiguous for n in names)
+    assert all(np.shares_memory(params[n].grad, grads) for n in names)
+    assert grads.dtype == np.float64
+    assert np.array_equal(np.concatenate([params[n].grad.ravel() for n in names]), grads)
 
 
 def test_walk_over_every_parameter_on_the_tape_fills_each_one():
@@ -410,13 +413,15 @@ def test_walk_over_every_parameter_on_the_tape_fills_each_one():
     tape = collect_tape(loss)
     leaves = {n: t for n, t in params.tensors.items() if id(t) in tape}
     assert {"e1.w1", "blk0.wq"} <= set(leaves)
-    full = gradients(loss, leaves)
+    gradients(loss, leaves)
     for name, leaf in leaves.items():
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape, name
         assert leaf.grad.flags.c_contiguous, name
-    pruned = gradients(loss, {"e1.w1": params["e1.w1"], "blk0.wq": params["blk0.wq"]})
-    for name, grad in pruned.items():
-        np.testing.assert_array_equal(grad, full[name])
+    full = {name: leaf.grad for name, leaf in leaves.items()}
+    pruned = {"e1.w1": params["e1.w1"], "blk0.wq": params["blk0.wq"]}
+    gradients(loss, pruned)
+    for name, leaf in pruned.items():
+        np.testing.assert_array_equal(leaf.grad, full[name])
 
 
 def test_a_second_walk_of_one_tape_gives_the_same_gradients(monkeypatch):
@@ -433,8 +438,8 @@ def test_a_second_walk_of_one_tape_gives_the_same_gradients(monkeypatch):
     for loss in (loss, *warmup):
         tape = collect_tape(loss)
         leaves = {n: t for n, t in params.tensors.items() if id(t) in tape}
-        first = gradients(loss, leaves).flat.copy()
-        assert np.array_equal(gradients(loss, leaves).flat, first)
+        first = gradients(loss, leaves)
+        assert np.array_equal(gradients(loss, leaves), first)
 
 
 def test_first_contribution_never_aliases_another_gradient():

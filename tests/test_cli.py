@@ -812,6 +812,60 @@ def test_an_output_path_that_is_a_directory_fails_before_any_input_is_read(
     assert reads == [] and [p.name for p in tmp_path.iterdir()] == [taken]
 
 
+_COLLISIONS = {  # argv, the path refused, the path it collides with
+    "train-out-history": (
+        "train --st st.csv --sc sc.csv --out m.catg --history ./m.catg", "./m.catg", "m.catg"
+    ),
+    "train-default-history": ("train --st st.csv --sc sc.csv --out history.csv", None, "history.csv"),
+    "train-out-st": ("train --st x.csv --sc sc.csv --out ./x.csv", "./x.csv", "x.csv"),
+    "train-history-sc": (
+        "train --st st.csv --sc x.csv --out m.catg --history ./x.csv", "./x.csv", "x.csv"
+    ),
+    "train-out-config": (
+        "train --config c.toml --st st.csv --sc sc.csv --out ./c.toml", "./c.toml", "c.toml"
+    ),
+    "generate-out-embeddings": (
+        "generate --ckpt m.catg --sc sc.csv --genes g.txt --out p.csv --embeddings ./p.csv",
+        "./p.csv", "p.csv",
+    ),
+    "generate-out-ckpt": (
+        "generate --ckpt m.catg --sc sc.csv --genes g.txt --out ./m.catg", "./m.catg", "m.catg"
+    ),
+    "generate-embeddings-genes": (
+        "generate --ckpt m.catg --sc sc.csv --genes g.txt --out p.csv --embeddings ./g.txt",
+        "./g.txt", "g.txt",
+    ),
+    "eval-out-gene-distances": (
+        "eval --pred p.csv --truth t.csv --out e.csv --gene-distances ./e.csv", "./e.csv", "e.csv"
+    ),
+    "eval-out-truth": ("eval --pred p.csv --truth t.csv --out ./t.csv", "./t.csv", "t.csv"),
+    "granger-out-matrix": ("granger --matrix st.csv --out ./st.csv", "./st.csv", "st.csv"),
+    "mask-out-pbm": ("mask --s 7 --c 2 --sz 2,2,3 --out m.csv --pbm ./m.csv", "./m.csv", "m.csv"),
+    "ablate-out-sc": ("ablate --axis decay --st st.csv --sc sc.csv --out ./sc.csv", "./sc.csv", "sc.csv"),
+}
+
+
+@pytest.mark.parametrize("argv, refused, other", _COLLISIONS.values(), ids=_COLLISIONS)
+def test_an_output_that_names_another_output_or_an_input_fails_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys, argv, refused, other
+):
+    reads = []
+
+    def reading(*args, **kwargs):
+        reads.append(args)
+        raise DataFormatError("no input is read in this test")
+
+    for target in (data, "load_matrix"), (model_module, "load_checkpoint"), (mask_module, "build_mask"):
+        monkeypatch.setattr(*target, reading)
+    monkeypatch.setattr("catgen.config.load_config", reading)
+    monkeypatch.chdir(tmp_path)
+    refused = refused or os.path.join(os.getcwd(), "history.csv")  # train's default, made absolute
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert f"catgen: error: cannot write {refused}: it is the same file as {other}\n" in captured.err
+    assert captured.out == "" and reads == [] and list(tmp_path.iterdir()) == []
+
+
 def _mask(tmp_path, name, s="7", sz="2,2,3"):
     csv_path, pbm_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.pbm"
     code = cli.main([

@@ -242,6 +242,7 @@ def test_split_proportions_property(n, seed):
     split = split_genes(range(n), seed=seed)
     sizes = (len(split.train_genes), len(split.val_genes), len(split.test_genes))
     assert sum(sizes) == n
+    assert len(split.test_genes) >= 1
     for size, frac in zip(sizes, (0.7, 0.2, 0.1)):
         assert abs(size - frac * n) <= 1.0 + 1e-9
     assert not (set(split.train_genes) & set(split.test_genes))
