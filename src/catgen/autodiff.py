@@ -192,18 +192,18 @@ def concat(tensors: list[Operand]) -> Operand:
     return Tensor._make(data, _recorded(*parts), backward)
 
 
-def masked_softmax(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+def masked_softmax(logits: np.ndarray, blocked: np.ndarray | None) -> np.ndarray:
     """Softmax over the last axis with ``blocked`` entries forced to weight 0.
 
-    ``blocked`` is broadcast against ``logits`` (1/True = no attention). Every
-    row must keep at least one allowed entry. Blocked positions receive exactly
-    zero weight, and through ``attention``'s backward exactly zero gradient,
-    which is what makes the causality guarantees of the attention mask bitwise
-    rather than approximate. A mask that blocks nothing is not applied at all.
+    ``blocked`` is broadcast against ``logits`` (1/True = no attention), and
+    None blocks nothing: that is the plain softmax. Every row must keep at
+    least one allowed entry. Blocked positions receive exactly zero weight,
+    and through ``attention``'s backward exactly zero gradient, which is what
+    makes the causality guarantees of the attention mask bitwise rather than
+    approximate.
     """
-    blocked = np.asarray(blocked, dtype=bool)
-    if blocked.any():
-        blocked = np.broadcast_to(blocked, logits.shape)
+    if blocked is not None:
+        blocked = np.broadcast_to(np.asarray(blocked, dtype=bool), logits.shape)
         if bool(blocked.all(axis=-1).any()):
             raise ShapeMismatchError("masked_softmax: some row has every key blocked")
         logits = np.where(blocked, -np.inf, logits)
@@ -337,11 +337,14 @@ def gelu(x: Operand) -> Operand:
     return Tensor._make(out, (x,), backward)
 
 
-def attention(q: Operand, k: Operand, v: Operand, blocked: np.ndarray, heads: int) -> Operand:
+def attention(
+    q: Operand, k: Operand, v: Operand, blocked: np.ndarray | None, heads: int
+) -> Operand:
     """Masked softmax attention of (rows, d) queries over (keys, d) keys and
     values, each head on its own d/heads columns, as one node; arrays give an
     array. ``blocked`` is (rows, keys), True where a query may not see a key:
-    that key gets exactly zero weight from it, and so exactly zero gradient."""
+    that key gets exactly zero weight from it, and so exactly zero gradient.
+    ``blocked=None`` lets every query see every key."""
     qd, kd, vd = as_array(q), as_array(k), as_array(v)
     d = qd.shape[-1]
     recording = isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)

@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 usage error, 2 data, file or numeric error. Before
 any work, granger, mask, train (its default history.csv included), generate,
 eval and ablate check each output path: it is not a directory, its directory
-exists, and it names a file no other output or input of the command names (the
-files that train --save-prepared writes into its directory are not checked).
+exists, and it names a file no other output or input of the command names.
 All randomness flows from --seed (default: CATGEN_SEED environment variable,
 then 42; a CATGEN_SEED that is not an integer is an error), and every
 subcommand is reproducible byte-for-byte given identical arguments, seed and
@@ -72,7 +71,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("granger", help="pairwise Granger causality screen")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--lag", type=int, default=1)
+    p.add_argument("--lag", type=positive_int, default=1)
     p.add_argument("--top-k", type=positive_int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_granger)
@@ -101,7 +100,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sc", required=True)
     p.add_argument("--genes", required=True, help="file with one target gene id per line")
     p.add_argument("--out", required=True)
-    p.add_argument("--ar-groups", type=int, default=1)
+    p.add_argument("--ar-groups", type=positive_int, default=1)
     p.add_argument("--sampling", default="full", help="full (= frac:1) or frac:n")
     p.add_argument("--embeddings", default=None, help="write each gene's encode(sc) as CSV; "
                    "generation conditions on it times 1/latent.scale")
@@ -136,9 +135,11 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _require_out_dirs(*paths, inputs=()) -> None:
+def _require_out_dirs(*paths, inputs=(), unmade=()) -> None:
     """Fail before any work when an output path is a directory, its directory
-    does not exist, or it names the same file as another output or an input."""
+    does not exist, or it names the same file as another output or an input.
+    The outputs in ``unmade`` go into a directory the command makes later, so
+    only their names are compared."""
     seen = {os.path.realpath(path): path for path in inputs if path is not None}
     for path in paths:
         if path is not None:
@@ -147,6 +148,8 @@ def _require_out_dirs(*paths, inputs=()) -> None:
                 raise DataFormatError(f"cannot write {path}: it is a directory")
             if not os.path.isdir(directory):
                 raise DataFormatError(f"cannot write {path}: no directory {directory}")
+    for path in (*paths, *unmade):
+        if path is not None:
             real = os.path.realpath(path)
             if real in seen:
                 raise DataFormatError(f"cannot write {path}: it is the same file as {seen[real]}")
@@ -228,9 +231,15 @@ def cmd_train(args) -> int:
     from .train import fit
 
     history_path = args.history or os.path.join(os.path.dirname(os.path.abspath(args.out)), "history.csv")
-    _require_out_dirs(args.out, history_path, inputs=(args.st, args.sc, args.config))
-    if args.save_prepared and os.path.isfile(args.save_prepared):  # it is made just before fit
-        raise DataFormatError(f"cannot write to {args.save_prepared}: not a directory")
+    out_dir = args.save_prepared
+    gene_sets = ("train", "val", "test")
+    names = ("st_prepared.csv", "sc_prepared.csv", *(f"genes_{s}.txt" for s in gene_sets))
+    prepared = {name: os.path.join(out_dir, name) for name in names} if out_dir else {}
+    _require_out_dirs(
+        args.out, history_path, inputs=(args.st, args.sc, args.config), unmade=prepared.values()
+    )
+    if out_dir and os.path.isfile(out_dir):  # it is made just before fit
+        raise DataFormatError(f"cannot write to {out_dir}: not a directory")
     seed = _resolve_seed(args)
     values = _load_values(args)
     cfg = train_config(values, seed)
@@ -240,8 +249,8 @@ def cmd_train(args) -> int:
     pair, opts = _prepare_from_files(args.st, args.sc, values)
     split = split_genes(range(len(pair.genes)), seed)
     mcfg = dataclasses.replace(mcfg, p=pair.st.n_obs, q=pair.sc.n_obs)
-    if args.save_prepared:  # not earlier, so that a run that fails before fit leaves none
-        os.makedirs(args.save_prepared, exist_ok=True)
+    if out_dir:  # not earlier, so that a run that fails before fit leaves none
+        os.makedirs(out_dir, exist_ok=True)
 
     result = fit(pair.st, pair.sc, split, mcfg, cfg)
     meta = {
@@ -256,14 +265,11 @@ def cmd_train(args) -> int:
     save_checkpoint(result.params, args.out, meta)
     columns = ["epoch", "train_loss", "val_pcc"]
     write_csv(history_path, columns, ([row[c] for c in columns] for row in result.history))
-    if args.save_prepared:
-        save_matrix(pair.st, os.path.join(args.save_prepared, "st_prepared.csv"))
-        save_matrix(pair.sc, os.path.join(args.save_prepared, "sc_prepared.csv"))
-        for name, indices in (
-            ("train", split.train_genes), ("val", split.val_genes), ("test", split.test_genes)
-        ):
-            path = os.path.join(args.save_prepared, f"genes_{name}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
+    if out_dir:
+        save_matrix(pair.st, prepared["st_prepared.csv"])
+        save_matrix(pair.sc, prepared["sc_prepared.csv"])
+        for name, indices in zip(gene_sets, (split.train_genes, split.val_genes, split.test_genes)):
+            with open(prepared[f"genes_{name}.txt"], "w", encoding="utf-8") as fh:
                 fh.write("\n".join(pair.genes[i] for i in indices) + "\n")
     log.info("best validation PCC %.4f at epoch %d", result.best_val_pcc, result.best_epoch)
     return 0

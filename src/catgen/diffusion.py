@@ -149,7 +149,7 @@ def respaced_chain(
     Returns the ascending grid of raw timesteps the model is queried at and a
     derived schedule whose step k jumps between consecutive grid points, so
     the cumulative signal level at grid point k matches the base schedule
-    exactly. ``full`` (= ``frac:1``) keeps the base chain, whose grid is every step.
+    to rounding. ``full`` (= ``frac:1``) keeps the base chain, whose grid is every step.
     """
     grid = candidate_grid(schedule, strategy)
     if strategy.n == 1:

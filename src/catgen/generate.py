@@ -15,14 +15,13 @@ never change once computed. The noisy rows of finished groups are invisible
 to later groups under the mask, so they are not fed at all. Work is done at
 the outermost level it depends on:
 
-- per request: ``params.detached()`` (plain arrays over the model's
-  parameter buffer, plus each block's packed q/k/v projection), the
-  condition latents, the AR plan, the sinusoidal features of every
-  timestep of the reverse chain, the chain's step coefficients, which its
-  schedule computes once (``reverse_coefficients``), and one context cache
-  (``model.context_cache``) of the conditions, whose key and value buffers
-  leave room for the latents of every group but the last and for one
-  group's noisy rows;
+- per request: ``params.detached()`` (plain array views of the model's
+  parameter buffer), the condition latents, the AR plan, the sinusoidal
+  features of every timestep of the reverse chain, the chain's step
+  coefficients, which its schedule computes once (``reverse_coefficients``),
+  and one context cache (``model.context_cache``) of the conditions, whose
+  key and value buffers leave room for the latents of every group but the
+  last and for one group's noisy rows;
 - per group: its random stream and its one-step plan; a finished group but
   the last is appended to the cache, once, its last block computing keys
   and values only;
@@ -39,7 +38,7 @@ graph; training runs the same model functions on Tensors.
 
 Fractional sampling strategies denoise along their anchored timestep grid
 using a respaced schedule whose cumulative signal levels match the base
-schedule at every grid point.
+schedule at every grid point, to rounding.
 """
 
 from __future__ import annotations

@@ -23,22 +23,14 @@ mask; ``context_cache`` appends one AR step of context rows [condition |
 clean] to a request's ``ContextCache``; and a cached step runs only noisy
 rows against that cache (KV caching, Pope et al. 2022). Context rows carry no
 time embedding and see no later AR step, so the cache only grows, a request
-computes each context row once, and neither an append nor a cached step
-masks anything. The last block carries only the rows its caller reads: in
-training every row still gives it keys and values, but only the noisy rows
-ask queries and pass through its feed-forward and the noise head; an append
+computes each context row once, and an append or a cached step passes no
+mask (``blocked=None``): where training uses a mask, generation uses the
+cache. A cache keeps each block's keys and values as numbers in array
+buffers, whichever parameters built it, so no gradient flows through cached
+rows. The last block carries only the rows its caller reads: in training
+every row still gives it keys and values, but only the noisy rows ask
+queries and pass through its feed-forward and the noise head; an append
 reads nothing but keys and values, so its last block computes only those.
-
-Array forwards differ from recorded ones in layout only, never in
-arithmetic. ``detached()`` packs each block's query, key and value
-projections into one (d, 3d) matrix ``[wq|wk|wv]`` with bias ``[bq|0|bv]``,
-so a block computes q, k and v with one matmul and takes them as column
-views. A cache, whichever parameters built it, keeps each block's keys and
-values as numbers in array buffers with room after the cached rows, and an
-append or a cached step writes its own right after them. It holds no
-recorded graph, so no gradient flows through cached rows.
-A batch may also bring its timesteps' sinusoidal features, which a
-generation request computes once for its whole chain.
 
 Checkpoints are a small binary container: magic ``CATG``, a format version,
 then length-prefixed named float64 tensors (little-endian); model shape and
@@ -166,8 +158,6 @@ class CatParameters:
     cfg: ModelConfig
     flat: np.ndarray
     tensors: dict[str, Operand]
-    # per block, the packed [wq|wk|wv] and [bq|0|bv] of array forwards; see detached()
-    qkv: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     @classmethod
     def from_flat(cls, cfg: ModelConfig, flat: np.ndarray) -> "CatParameters":
@@ -202,17 +192,10 @@ class CatParameters:
 
         Every forward function given these computes on arrays and returns
         arrays, the same numbers a call on the Tensor parameters holds in
-        its ``.data``, and records no graph. ``qkv`` holds each block's
-        packed query, key and value projection, copied from the buffer now:
-        a later write to the buffer does not reach it.
+        its ``.data``, and records no graph. They are views only, so a later
+        write to the buffer reaches them.
         """
-        tensors = _views(self.cfg, self.flat)
-        qkv = []
-        for names in _block_names(self.cfg):
-            w = [tensors[names[part]] for part in ("wq", "wk", "wv")]
-            b = [tensors[names["bq"]], np.zeros(self.cfg.d), tensors[names["bv"]]]
-            qkv.append((np.concatenate(w, axis=1), np.concatenate(b)))
-        return CatParameters(cfg=self.cfg, flat=self.flat, tensors=tensors, qkv=tuple(qkv))
+        return CatParameters(cfg=self.cfg, flat=self.flat, tensors=_views(self.cfg, self.flat))
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> CatParameters:
@@ -298,7 +281,7 @@ class ContextCache(NamedTuple):
 
 def _attention(
     x: Operand,
-    blocked: np.ndarray,
+    blocked: np.ndarray | None,
     block: int,
     params: CatParameters,
     prefix: tuple[np.ndarray, np.ndarray] | None = None,
@@ -308,21 +291,16 @@ def _attention(
 
     ``prefix`` holds views of a cache's key and value buffers whose last rows
     are x's: x's own keys and values are written there, as numbers, and
-    attention runs over the whole views, so ``blocked`` has one column per
-    cached row first. Only the rows of ``x`` from ``keep`` on ask queries, so
-    the output has one row for each of them and ``blocked`` one row for each;
-    every row still gives a key and a value.
+    attention runs over the whole views. Only the rows of ``x`` from ``keep``
+    on ask queries, so the output has one row for each of them and
+    ``blocked`` one row for each and one column per key; every row still
+    gives a key and a value. ``blocked=None`` blocks nothing.
     """
-    d = params.cfg.d
     names = _block_names(params.cfg)[block]
-    if isinstance(x, Tensor):  # recorded: one node per projection
-        q = linear(x[keep:] if keep else x, params[names["wq"]], params[names["bq"]])
-        # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
-        k = linear(x, params[names["wk"]])
-        v = linear(x, params[names["wv"]], params[names["bv"]])
-    else:  # arrays: one matmul, whose column thirds are q, k and v
-        qkv = linear(x, *params.qkv[block])
-        q, k, v = qkv[keep:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
+    q = linear(x[keep:] if keep else x, params[names["wq"]], params[names["bq"]])
+    # keys take no bias: it would shift a query's whole row of logits, which softmax ignores
+    k = linear(x, params[names["wk"]])
+    v = linear(x, params[names["wv"]], params[names["bv"]])
     if prefix is not None:  # cached context rows come first
         keys, values = prefix
         keys[len(keys) - x.shape[0] :] = as_array(k)
@@ -334,15 +312,16 @@ def _attention(
 
 def _blocks(
     x: Operand,
-    blocked: np.ndarray,
+    blocked: np.ndarray | None,
     params: CatParameters,
     cache: ContextCache | None = None,
     keep: int = 0,
 ) -> Operand:
     """The transformer blocks, shared by every forward pass.
 
-    With ``cache`` each block's attention also sees that block's cached
-    context keys and values, and x's own are written right after
+    ``blocked`` is the attention mask over the rows of ``x``, or None with a
+    ``cache``: then each block's attention also sees that block's cached
+    context keys and values, unmasked, and x's own are written right after
     ``cache.rows``. The last block carries only the rows its caller reads,
     those from ``keep`` on: every row still gives it keys and values, but
     only those rows ask queries and pass through its feed-forward. Returns
@@ -353,7 +332,7 @@ def _blocks(
         prefix = None if cache is None else cache.block(i, x.shape[0])
         rows = keep if i == last else 0
         h = layer_norm(x, params[names["ln1.g"]], params[names["ln1.b"]])
-        out = _attention(h, blocked[rows:], i, params, prefix, rows)
+        out = _attention(h, None if blocked is None else blocked[rows:], i, params, prefix, rows)
         x = (x[rows:] if rows else x) + out
         h = layer_norm(x, params[names["ln2.g"]], params[names["ln2.b"]])
         hidden = gelu(linear(h, params[names["ff.w1"]], params[names["ff.b1"]]))
@@ -382,7 +361,7 @@ def context_cache(
     if cache is None:
         buffers = np.empty((2, params.cfg.blocks, n + room, d))
         cache = ContextCache(tuple(buffers[0]), tuple(buffers[1]))
-    _blocks(x, np.zeros((n, cache.rows + n), dtype=bool), params, cache, keep=n)
+    _blocks(x, None, params, cache, keep=n)
     return cache._replace(rows=cache.rows + n)
 
 
@@ -398,7 +377,8 @@ class TokenBatch:
 
     A cached step carries ``context``: the keys and values of context rows
     that precede the sequence. Its tokens are then noisy rows only (a one-step
-    plan), which attend to every cached row and to each other.
+    plan), which attend to every cached row and to each other, so its
+    ``blocked`` is None: nothing is masked.
     """
 
     tokens: Operand  # (seq, d), time embedding not yet applied
@@ -406,7 +386,7 @@ class TokenBatch:
     timesteps: np.ndarray  # (S,) 1-based diffusion step per noisy token
     noisy: Operand  # (S, d) raw x_t per noisy token
     alpha_bars: np.ndarray  # (S,) cumulative signal level at each token's timestep
-    blocked: np.ndarray  # (seq, context rows + seq), True = no attention
+    blocked: np.ndarray | None  # (seq, seq), True = no attention; None in a cached step
     context: ContextCache | None = None
     # (S, d) sinusoidal_basis of each token's timestep, if the caller holds it already
     time_features: np.ndarray | None = None
@@ -431,7 +411,7 @@ class TokenBatch:
         noisy slot to its gene. Each token's signal level is looked up from
         ``schedule`` at its 1-based timestep. A cached step passes
         ``context`` and no prefix rows, and the cache must have room for its
-        rows; nothing is masked. A caller that already holds the
+        rows; it gets no mask. A caller that already holds the
         timesteps' sinusoidal features passes them as ``time_features``.
         """
         timesteps = np.asarray(timesteps, dtype=np.int64)
@@ -449,17 +429,13 @@ class TokenBatch:
             raise ShapeMismatchError("a cached step feeds noisy rows only")
         if ctx < plan.v:
             raise ShapeMismatchError("token batch layout does not match the plan")
-        if context is None:
-            blocked = build_mask(ctx - plan.v, plan)
-        else:  # one step of noisy rows: each sees every cached row and every other row
-            blocked = np.zeros((s, context.rows + s), dtype=bool)
         return cls(
             tokens=concat([*prefix, x_t + cond]) if prefix else x_t + cond,
             plan=plan,
             timesteps=timesteps,
             noisy=x_t,
             alpha_bars=schedule.alpha_bars[timesteps - 1],
-            blocked=blocked,
+            blocked=build_mask(ctx - plan.v, plan) if context is None else None,
             context=context,
             time_features=time_features,
         )

@@ -171,6 +171,7 @@ def test_gelu_layer_norm_and_softmax_match_their_plain_expressions_bitwise():
     e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     softmax = e / np.add.reduce(e, axis=-1, keepdims=True)
     assert np.array_equal(masked_softmax(x, np.zeros(12, bool)), softmax)
+    assert np.array_equal(masked_softmax(x, None), softmax)
     layer_out = centered * (var + 1e-5) ** -0.5 * gain + bias
     assert np.array_equal(layer_norm(x, gain, bias), layer_out)
     assert np.array_equal(layer_norm(Tensor(x), gain, bias).data, layer_out)

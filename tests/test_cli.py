@@ -84,10 +84,15 @@ def test_absent_gene_is_a_data_error(trained):
 
 
 @pytest.mark.parametrize("groups", ["0", "-3"])
-def test_fewer_than_one_ar_group_is_a_data_error(trained, groups):
+def test_fewer_than_one_ar_group_is_a_usage_error_before_any_input_is_read(
+    trained, monkeypatch, capsys, groups
+):
+    reads = []
+    monkeypatch.setattr(model_module, "load_checkpoint", lambda *args: reads.append(args))
     out = trained / f"groups_{groups}.csv"
-    assert _generate(trained, trained / "prep" / "genes_test.txt", out, groups) == 2
-    assert not out.exists()
+    assert _generate(trained, trained / "prep" / "genes_test.txt", out, groups) == 1
+    assert "argument --ar-groups" in capsys.readouterr().err
+    assert reads == [] and not out.exists()
 
 
 def test_repeated_gene_fails_before_any_forward(trained, monkeypatch, capsys):
@@ -824,6 +829,10 @@ _COLLISIONS = {  # argv, the path refused, the path it collides with
     "train-out-config": (
         "train --config c.toml --st st.csv --sc sc.csv --out ./c.toml", "./c.toml", "c.toml"
     ),
+    "train-prepared-st": (
+        "train --st prep/st_prepared.csv --sc sc.csv --out m.catg --save-prepared ./prep",
+        "./prep/st_prepared.csv", "prep/st_prepared.csv",
+    ),
     "generate-out-embeddings": (
         "generate --ckpt m.catg --sc sc.csv --genes g.txt --out p.csv --embeddings ./p.csv",
         "./p.csv", "p.csv",
@@ -910,7 +919,7 @@ def test_granger_reruns_identically_and_rejects_lag_zero(trained):
     assert lines[0] == "driver,target,lag,f_stat,p_value" and len(lines) == 5
     assert _granger(trained, second) == 0
     assert second.read_bytes() == first.read_bytes()
-    assert _granger(trained, bad, lag="0") == 2
+    assert _granger(trained, bad, lag="0") == 1
     assert not bad.exists()
 
 

@@ -158,9 +158,12 @@ def test_strategy_parsing_round_trip():
 
 
 def test_respaced_chain_matches_signal_levels():
+    """A respaced chain's signal levels are the base schedule's at its grid
+    points to rounding: each is a product of ratios, not the stored value."""
     sched = linear_schedule(2000)
-    grid, chain = respaced_chain(sched, Fractional(20))
-    assert chain.T == grid.size == 100
-    np.testing.assert_allclose(chain.alpha_bars, sched.alpha_bars[grid - 1], rtol=1e-10)
+    for n in (2, 3, 5, 20, 100):
+        grid, chain = respaced_chain(sched, Fractional(n))
+        assert chain.T == grid.size == 2000 // n
+        np.testing.assert_allclose(chain.alpha_bars, sched.alpha_bars[grid - 1], rtol=4e-15)
     full_grid, full_chain = respaced_chain(sched, Fractional(1))
     assert full_chain is sched and full_grid.size == 2000

@@ -297,7 +297,7 @@ def test_reverse_coefficients_match_the_scalar_formula(strategy):
 
 def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
     """Each step feeds the group's rows after the cached context rows, every
-    step of a group shares one plan, and no step masks anything."""
+    step of a group shares one plan, and no step carries a mask."""
     pair, params, schedule = trained
     fed, shared = [], []
 
@@ -316,10 +316,8 @@ def test_each_step_feeds_only_the_current_group(trained, monkeypatch):
     for first in range(0, len(shared), steps):
         plan = shared[first][0]
         assert all(p is plan for p, _ in shared[first : first + steps])
-        rows, context_rows = fed[first]
-        assert plan.sz == (rows,)
-        for _, blocked in shared[first : first + steps]:
-            assert blocked.shape == (rows, context_rows + rows) and not blocked.any()
+        assert plan.sz == (fed[first][0],)
+        assert all(blocked is None for _, blocked in shared[first : first + steps])
 
 
 def test_each_context_row_is_fed_once_per_request(trained, monkeypatch):

@@ -447,13 +447,12 @@ def test_array_forwards_match_tensor_forwards_bitwise():
         forward(params, plan, noisy, cond, ts, (context,)),
     )
     # the last group's noisy rows after the cached context, at one timestep as
-    # in generation: the array step uses the packed projection, writes its
-    # keys and values right after the cached rows and copies its timestep's
-    # row of a feature table; the recorded step projects with three matmuls,
-    # writes its keys and values after its own cache's rows and computes its
-    # features. A second step through the same buffers overwrites those rows,
-    # a step of fewer rows than the room leaves the rest unread, and a one-row
-    # step takes BLAS's matrix-vector path.
+    # in generation: the array step writes its keys and values right after
+    # the cached rows and copies its timestep's row of a feature table; the
+    # recorded step writes its keys and values after its own cache's rows and
+    # computes its features. A second step through the same buffers
+    # overwrites those rows, a step of fewer rows than the room leaves the
+    # rest unread, and a one-row step takes BLAS's matrix-vector path.
     table = sinusoidal_basis(np.arange(1, 50), cfg.d)
     steps = ((ts[-1], noisy[-3:]), (7, rng.standard_normal((3, cfg.d))), (9, noisy[-2:]))
     for t, rows in steps:
@@ -601,6 +600,21 @@ def test_parameters_are_views_into_one_buffer(small):
     assert detached.flat is params.flat and type(detached["e2.w1"]) is np.ndarray
     detached["e2.w1"][0, 0] = 7.0
     assert params["e2.w1"].data[0, 0] == 7.0
+
+
+def test_a_detached_form_sees_later_writes_to_the_buffer(small):
+    """``detached()`` holds views only: one taken before a write to a query
+    projection computes the same context keys and values as a fresh one."""
+    cfg, source = small
+    params = source.copy()
+    early = params.detached()
+    cond = np.random.default_rng(19).standard_normal((4, cfg.d))
+    before = context_cache(cond, early)
+    params["blk0.wq"].data[...] *= 2.0  # block 0's queries feed block 1's keys
+    stale, fresh = (context_cache(cond, p) for p in (early, params.detached()))
+    assert not np.array_equal(before.keys[1], fresh.keys[1])
+    for kept, written in zip(stale.keys + stale.values, fresh.keys + fresh.values):
+        assert np.array_equal(kept, written)
 
 
 def test_trainable_sets_are_slices_of_the_buffer(small):
