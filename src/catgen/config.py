@@ -6,9 +6,9 @@ Files are INI-style::
     epochs = 120
     lr = 0.002
 
-which flattens to ``train.epochs`` etc. Unknown keys and untypable values are
-rejected. CLI ``--set section.key=value`` overrides go through the same
-registry.
+which flattens to ``train.epochs`` etc. Every key sits under a named section:
+a ``[DEFAULT]`` section is rejected, as are unknown keys and untypable values.
+CLI ``--set section.key=value`` overrides go through the same registry.
 
 Each setting has one owner, and the registry is derived from the owners'
 typed fields, so a new field is a new key without an edit here:
@@ -106,6 +106,8 @@ def load_config(path=None) -> dict[str, object]:
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
+        if parser.defaults():  # a [DEFAULT] section, which configparser copies into every other
+            raise ConfigError(f"malformed config file {path}: keys outside a named section")
         for section in parser.sections():
             for key, raw in parser.items(section):
                 values[f"{section}.{key}"] = _convert(f"{section}.{key}", raw)

@@ -184,7 +184,7 @@ def _predict_noise(
     """
     size = x.shape[0]
     batch = TokenBatch.assemble(
-        step, x, cond, np.full(size, t_raw), schedule, context=context,
+        step, x, cond, np.full(size, t_raw), schedule, frozen, context=context,
         time_features=np.repeat(features[None], size, axis=0),
     )
     return cat_forward(batch, frozen)

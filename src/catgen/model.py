@@ -3,12 +3,12 @@ masked-attention blocks, sinusoidal time embedding, noise-prediction head and
 decoder.
 
 Tokens are d-dimensional gene latents. A training forward pass consumes a
-TokenBatch laid out as [condition | clean | noisy], and
-``TokenBatch.assemble`` is the one code that writes that layout. It looks up
-each token's signal level and derives the attention mask from the AR plan and
-the condition count, so no caller builds either. The time embedding is added
-to noisy tokens only, conditions and clean tokens carry no positional
-identity, and the output rows are the predicted noise for the noisy tokens.
+TokenBatch laid out as [condition | clean | noisy]. ``TokenBatch.assemble``
+is the one code that writes its rows, one condition row per noisy token and
+the time embedding added to the noisy rows only, and it derives each token's
+signal level and the attention mask from the AR plan, so no caller builds
+any of them. Conditions and clean tokens carry no positional identity, and
+the output rows are the predicted noise for the noisy tokens.
 
 Each forward function is written once and runs on either kind of parameter.
 Its layers are the fused nodes of ``autodiff``: ``linear``, ``layer_norm``,
@@ -369,8 +369,9 @@ def context_cache(
 class TokenBatch:
     """Assembled token sequence: conditions, clean latents, then noisy latents.
 
-    ``assemble`` is the one constructor. ``tokens`` is every row fed to the
-    transformer (noisy slots carry their gene's condition added in);
+    ``assemble`` is the one constructor and writes every row: ``tokens`` is
+    every row fed to the transformer, one condition row per noisy token and
+    noisy slots with their gene's condition and time embedding added in;
     ``noisy`` keeps the raw diffused latents x_t and ``alpha_bars`` their
     cumulative signal levels, which the noise head needs for its analytic
     skip connection; ``blocked`` is the attention mask over ``tokens``.
@@ -381,15 +382,12 @@ class TokenBatch:
     ``blocked`` is None: nothing is masked.
     """
 
-    tokens: Operand  # (seq, d), time embedding not yet applied
+    tokens: Operand  # (seq, d), time embedding added to the noisy rows
     plan: ARStepPlan
-    timesteps: np.ndarray  # (S,) 1-based diffusion step per noisy token
     noisy: Operand  # (S, d) raw x_t per noisy token
     alpha_bars: np.ndarray  # (S,) cumulative signal level at each token's timestep
     blocked: np.ndarray | None  # (seq, seq), True = no attention; None in a cached step
     context: ContextCache | None = None
-    # (S, d) sinusoidal_basis of each token's timestep, if the caller holds it already
-    time_features: np.ndarray | None = None
 
     @classmethod
     def assemble(
@@ -399,45 +397,47 @@ class TokenBatch:
         cond: Operand,
         timesteps,
         schedule: DiffusionSchedule,
-        prefix=(),
+        params: CatParameters,
+        clean: Operand | None = None,
         context: ContextCache | None = None,
         time_features: np.ndarray | None = None,
     ) -> "TokenBatch":
-        """Lay out [*prefix | x_t + cond] for ``plan``.
+        """Lay out [cond | clean | x_t + cond + temb] for ``plan``.
 
-        ``prefix`` holds the condition rows, then the plan's ``v`` clean
-        rows, in any number of parts; ``x_t`` is one noisy latent per gene
-        token and ``cond`` that gene's condition latent, added in to tie the
-        noisy slot to its gene. Each token's signal level is looked up from
-        ``schedule`` at its 1-based timestep. A cached step passes
-        ``context`` and no prefix rows, and the cache must have room for its
-        rows; it gets no mask. A caller that already holds the
-        timesteps' sinusoidal features passes them as ``time_features``.
+        ``x_t`` is one noisy latent per gene token and ``cond`` that gene's
+        condition latent: its condition row, also added into its noisy slot
+        to tie the slot to its gene. ``clean`` holds the plan's ``v`` clean
+        rows, and ``temb`` projects each token's sinusoidal timestep features
+        (``time_features``, if the caller holds them) through ``params``.
+        Signal levels are looked up from ``schedule`` at the 1-based
+        timesteps. A cached step passes ``context`` and no clean rows; the
+        cache must have room for its rows, its tokens are the noisy rows
+        only, and it gets no mask.
         """
         timesteps = np.asarray(timesteps, dtype=np.int64)
-        s = plan.S
+        s, d = plan.S, params.cfg.d
         if timesteps.shape != (s,):
             raise ShapeMismatchError(f"need one timestep per noisy token, got {timesteps.shape}")
         if timesteps.min() < 1:
             raise ShapeMismatchError("timesteps are 1-based")
-        if x_t.shape != (s, x_t.shape[-1]) or cond.shape != x_t.shape:
+        if x_t.shape != (s, d) or cond.shape != x_t.shape:
             raise ShapeMismatchError(
-                f"need ({s}, d) noisy and condition latents, got {x_t.shape} and {cond.shape}"
+                f"need ({s}, {d}) noisy and condition latents, got {x_t.shape} and {cond.shape}"
             )
-        ctx = sum(part.shape[0] for part in prefix)
-        if context is not None and ctx:
+        if context is not None and (clean is not None or plan.v):
             raise ShapeMismatchError("a cached step feeds noisy rows only")
-        if ctx < plan.v:
-            raise ShapeMismatchError("token batch layout does not match the plan")
+        if context is None and getattr(clean, "shape", None) != (plan.v, d):
+            raise ShapeMismatchError(f"the plan needs ({plan.v}, {d}) clean latents")
+        if time_features is None:
+            time_features = sinusoidal_basis(timesteps, d)
+        noisy = x_t + cond + linear(time_features, params["time.w"], params["time.b"])
         return cls(
-            tokens=concat([*prefix, x_t + cond]) if prefix else x_t + cond,
+            tokens=noisy if context is not None else concat([cond, clean, noisy]),
             plan=plan,
-            timesteps=timesteps,
             noisy=x_t,
             alpha_bars=schedule.alpha_bars[timesteps - 1],
-            blocked=build_mask(ctx - plan.v, plan) if context is None else None,
+            blocked=build_mask(s, plan) if context is None else None,
             context=context,
-            time_features=time_features,
         )
 
 
@@ -450,8 +450,9 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
         eps_hat = sqrt(1 - abar_t) * x_t + sqrt(abar_t) * v_hat,
 
     so at high noise the reverse process contracts regardless of how far the
-    chain state drifts, while v_hat carries the conditional signal. With
-    ``batch.context`` the noisy rows also attend to the cached context rows.
+    chain state drifts, while v_hat carries the conditional signal. The
+    blocks run on ``batch.tokens`` as assembled; with ``batch.context`` the
+    noisy rows also attend to the cached context rows.
     """
     seq, d = batch.tokens.shape
     if d != params.cfg.d:
@@ -460,13 +461,7 @@ def cat_forward(batch: TokenBatch, params: CatParameters) -> Operand:
         raise ShapeMismatchError(
             f"cache holds {len(batch.context.keys)} blocks, model has {params.cfg.blocks}"
         )
-    ctx = seq - batch.plan.S
-    features = batch.time_features
-    if features is None:
-        features = sinusoidal_basis(batch.timesteps, d)
-    temb = linear(features, params["time.w"], params["time.b"])
-    x = batch.tokens + (concat([np.zeros((ctx, d)), temb]) if ctx else temb)
-    x = _blocks(x, batch.blocked, params, batch.context, keep=ctx)
+    x = _blocks(batch.tokens, batch.blocked, params, batch.context, keep=seq - batch.plan.S)
 
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
     v_hat = linear(x, params["out.w"], params["out.b"])
@@ -521,20 +516,16 @@ def save_checkpoint(params: CatParameters, path, extra_meta: dict[str, float] | 
         raise
 
 
-def _read_exact(fh, count: int, path) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise DataFormatError(f"{path}: truncated checkpoint")
-    return buf
-
-
 def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
     """Read a checkpoint; rejects unknown format versions.
 
     The headers are read first, skipping each tensor's data; then every
-    parameter's bytes are read straight into its view of a new buffer. A
-    name that is not UTF-8, a model field that is not a whole number and a
-    missing or misshapen tensor raise DataFormatError before the buffer exists. A
+    parameter's bytes are read straight into its view of a new buffer. Each
+    length a header gives is checked against the bytes left in the file
+    before anything is read or skipped, and ``meta.blocks`` against the
+    file's tensor count before the model's shapes are listed. A name that
+    is not UTF-8, a model field that is not a whole number and a missing or
+    misshapen tensor raise DataFormatError before the buffer exists. A
     tensor the model does not have is skipped, such as the attention key
     biases ``blk*.bk`` of files written before keys lost their bias and the
     variational head ``enc_var.*`` of files written before the encoder
@@ -542,32 +533,37 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
     as their ``meta.variational``.
     """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:
+        end = os.fstat(fh.fileno()).st_size
+
+        def room(count: int) -> int:  # count, if that many bytes are left in the file
+            if count > end - fh.tell():
+                raise DataFormatError(f"{path}: truncated checkpoint")
+            return count
+
+        if fh.read(room(4)) != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a CATG checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        (version,) = struct.unpack("<I", fh.read(room(4)))
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        (count,) = struct.unpack("<I", fh.read(room(4)))
         meta: dict[str, float] = {}
         found: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, data offset)
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
+            (name_len,) = struct.unpack("<I", fh.read(room(4)))
             try:
-                name = _read_exact(fh, name_len, path).decode("utf-8")
+                name = fh.read(room(name_len)).decode("utf-8")
             except UnicodeDecodeError:
                 raise DataFormatError(f"{path}: a tensor name is not UTF-8") from None
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, path)) if ndim else ()
-            size = int(np.prod(shape)) if shape else 1
+            (ndim,) = struct.unpack("<I", fh.read(room(4)))
+            shape = struct.unpack(f"<{ndim}Q", fh.read(room(8 * ndim)))
+            size = math.prod(shape)
             if name.startswith("meta."):
                 if size != 1:
                     raise DataFormatError(f"{path}: {name} is not a scalar")
-                (meta[name[len("meta."):]],) = struct.unpack("<d", _read_exact(fh, 8, path))
+                (meta[name[len("meta."):]],) = struct.unpack("<d", fh.read(room(8)))
             else:
                 found[name] = (shape, fh.tell())
-                fh.seek(8 * size, os.SEEK_CUR)
-        if fh.tell() > os.fstat(fh.fileno()).st_size:
-            raise DataFormatError(f"{path}: truncated checkpoint")
+                fh.seek(room(8 * size), os.SEEK_CUR)
 
         for name in _CONFIG_FIELDS:
             if name not in meta:
@@ -575,6 +571,10 @@ def load_checkpoint(path) -> tuple[CatParameters, dict[str, float]]:
             if not meta[name].is_integer():  # nor are NaN and the infinities
                 raise DataFormatError(f"{path}: meta.{name} is {meta[name]!r}, not a whole number")
         cfg = ModelConfig(**{name: kind(meta[name]) for name, kind in _CONFIG_FIELDS.items()})
+        if cfg.blocks > len(found):  # every block holds a tensor
+            raise DataFormatError(
+                f"{path}: meta.blocks is {cfg.blocks}, but the file holds {len(found)} tensors"
+            )
         shapes = parameter_shapes(cfg)
         for name, shape in shapes.items():  # before allocating what the file may not hold
             if name not in found:

@@ -2,15 +2,15 @@
 autoregressive-diffusion objective.
 
 Each diffusion step draws a fresh AR plan, noises every gene token at its own
-sampled timestep, hands the conditions, clean latents and noisy latents to
-``TokenBatch.assemble``, which lays out [condition | clean | noisy] under the
-causal mask, and minimizes noise-prediction MSE. Clean tokens are never
-noised; conditions are never noised either. The encoder is deterministic, so
-a gene's latent is a function of its profile alone. The warmup phase trains
-the two encoder heads and the decoder so the latent space is fixed before
-diffusion training starts; the spatial head and decoder stay frozen
-afterwards so generation always decodes from the space the model was
-trained in.
+sampled timestep, hands the noisy latents, their conditions and the clean
+latents, once each, to ``TokenBatch.assemble``, which writes every row of
+[condition | clean | noisy] under the causal mask, and minimizes
+noise-prediction MSE. Clean tokens are never noised; conditions are never
+noised either. The encoder is deterministic, so a gene's latent is a function
+of its profile alone. The warmup phase trains the two encoder heads and the
+decoder so the latent space is fixed before diffusion training starts; the
+spatial head and decoder stay frozen afterwards so generation always decodes
+from the space the model was trained in.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def training_loss(
     sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
     noised = z_st * sqrt_ab[:, None] + eps * sqrt_om[:, None]
     batch = TokenBatch.assemble(
-        plan, noised, z_sc, token_ts, schedule, prefix=(z_sc, z_st[: plan.v])
+        plan, noised, z_sc, token_ts, schedule, params, clean=z_st[: plan.v]
     )
     pred = cat_forward(batch, params)
     return mse(pred, eps)

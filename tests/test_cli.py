@@ -209,8 +209,9 @@ def test_a_malformed_chain_edge_is_a_data_error(tmp_path, capsys, edge):
         b"[synth]\nn_genes\n",  # not key = value
         b"[synth]\nchain_edges = 0->1:0.5%\n",  # % starts an interpolation
         b"[synth]\nn_genes = 1\xe9\n",  # Latin-1, not UTF-8
+        b"[DEFAULT]\nn_genes = 12\n",  # keys outside a named section
     ],
-    ids=["duplicate", "no-section", "no-value", "percent", "latin1"],
+    ids=["duplicate", "no-section", "no-value", "percent", "latin1", "default"],
 )
 def test_a_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
     config = tmp_path / "bad.ini"

@@ -6,7 +6,7 @@ import pytest
 from catgen import autodiff, model
 from catgen import generate as generate_module
 from catgen.arplan import ARStepPlan
-from catgen.autodiff import Tensor
+from catgen.autodiff import Tensor, concat, linear
 from catgen.data import prepare_pair, split_genes
 from catgen.diffusion import (
     DiffusionSchedule,
@@ -17,7 +17,16 @@ from catgen.diffusion import (
 )
 from catgen.errors import ScheduleMismatchError, ShapeMismatchError, UnknownGeneError
 from catgen.generate import equal_width_groups, generate_genes, reverse_step
-from catgen.model import ModelConfig, TokenBatch, cat_forward, context_cache, decode, encode
+from catgen.mask import build_mask
+from catgen.model import (
+    ModelConfig,
+    TokenBatch,
+    cat_forward,
+    context_cache,
+    decode,
+    encode,
+    sinusoidal_basis,
+)
 from catgen.synth import chain_config, generate
 from catgen.train import TrainConfig, fit, training_loss
 
@@ -188,10 +197,12 @@ def test_generation_constructs_no_tensor(trained, monkeypatch):
 
 def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed):
     """Reference sampler without a context cache: every reverse step feeds the
-    whole [c | v | S] layout of the accumulated plan, with zeros in the noisy
-    slots of finished groups, and keeps only the current group's rows. It runs
-    on the Tensor parameters, so it also checks the array forwards against
-    the recorded ones."""
+    whole [c | v | S] layout of the accumulated plan, with the conditions of
+    every requested gene and zeros in the noisy slots of finished groups, and
+    keeps only the current group's rows. Its condition rows outnumber its
+    noisy rows, so it builds the batch by hand. It runs on the Tensor
+    parameters, so it also checks the array forwards against the recorded
+    ones."""
     d = params.cfg.d
     scale = float(params["latent.scale"].data)
     index = sc.gene_index()
@@ -207,12 +218,17 @@ def _full_sequence_generate(sc, genes, params, schedule, groups, strategy, seed)
         clean = np.vstack(finalized) if finalized else np.zeros((0, d))
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
-            t = int(grid[k - 1])
+            ts = np.full(hi, int(grid[k - 1]))
             raw = np.zeros((hi, d))
             raw[lo:hi] = x
-            batch = TokenBatch.assemble(
-                plan, Tensor(raw), cond[:hi], np.full(hi, t), schedule,
-                prefix=(Tensor(cond), Tensor(clean)),
+            raw = Tensor(raw)
+            temb = linear(sinusoidal_basis(ts, d), params["time.w"], params["time.b"])
+            batch = TokenBatch(
+                tokens=concat([Tensor(cond), Tensor(clean), raw + cond[:hi] + temb]),
+                plan=plan,
+                noisy=raw,
+                alpha_bars=schedule.alpha_bars[ts - 1],
+                blocked=build_mask(len(cond), plan),
             )
             eps_hat = cat_forward(batch, params).data[lo:hi]
             x = reverse_step(x, k, eps_hat, chain, rng)
@@ -263,7 +279,7 @@ def _stepwise_generate(sc, genes, params, schedule, groups, strategy, seed):
         x = rng.standard_normal((size, d))
         for k in range(len(grid), 0, -1):
             batch = TokenBatch.assemble(
-                ARStepPlan((size,)), x, cond[lo:hi], np.full(size, grid[k - 1]), schedule,
+                ARStepPlan((size,)), x, cond[lo:hi], np.full(size, grid[k - 1]), schedule, params,
                 context=context,
             )
             x = _formula_reverse_step(x, k, cat_forward(batch, params).data, chain, rng)

@@ -14,6 +14,7 @@ from catgen.arplan import ARStepPlan
 from catgen.autodiff import Tensor, as_array, concat, gradients, layer_norm, linear, mse
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError, NotOnTapeError, ShapeMismatchError
+from catgen.mask import build_mask
 from catgen.model import (
     ModelConfig,
     TokenBatch,
@@ -38,15 +39,24 @@ def small():
     return cfg, init_params(cfg, np.random.default_rng(0))
 
 
-def assemble(plan, cond, clean, noisy, timesteps):
-    """[cond | clean | noisy] with nothing added to the noisy slots."""
-    return TokenBatch.assemble(
-        plan, Tensor(noisy), np.zeros(noisy.shape), timesteps, SCHEDULE,
-        prefix=(Tensor(cond), Tensor(clean)),
+def assemble(params, plan, cond, clean, noisy, timesteps):
+    """[cond | clean | noisy + temb] for any number of condition rows: the
+    layout of ``TokenBatch.assemble`` with only the time embedding added to
+    the noisy slots."""
+    temb = linear(sinusoidal_basis(timesteps, params.cfg.d), params["time.w"], params["time.b"])
+    noisy = Tensor(noisy)
+    return TokenBatch(
+        tokens=concat([Tensor(cond), Tensor(clean), noisy + temb]),
+        plan=plan,
+        noisy=noisy,
+        alpha_bars=SCHEDULE.alpha_bars[np.asarray(timesteps) - 1],
+        blocked=build_mask(len(cond), plan),
     )
 
 
 def make_batch(params, plan, c=None, rng=None, timesteps=None):
+    """A batch of ``c`` condition rows (S by default) and random latents,
+    with the parts it was built from: (cond, clean, noisy, timesteps)."""
     rng = rng or np.random.default_rng(7)
     d = params.cfg.d
     S = plan.S
@@ -56,7 +66,7 @@ def make_batch(params, plan, c=None, rng=None, timesteps=None):
     clean = rng.standard_normal((v, d))
     noisy = rng.standard_normal((S, d))
     ts = np.full(S, 3) if timesteps is None else timesteps
-    return assemble(plan, cond, clean, noisy, ts), (cond, clean, noisy)
+    return assemble(params, plan, cond, clean, noisy, ts), (cond, clean, noisy, ts)
 
 
 def test_encode_deterministic_and_shapes(small):
@@ -119,11 +129,11 @@ def test_condition_permutation_invariance(small):
     cfg, params = small
     plan = ARStepPlan((4,))
     rng = np.random.default_rng(3)
-    batch, (cond, clean, noisy) = make_batch(params, plan, c=4, rng=rng)
+    batch, (cond, clean, noisy, ts) = make_batch(params, plan, c=4, rng=rng)
     out = cat_forward(batch, params).data
 
     perm = np.array([2, 0, 3, 1])
-    batch_p = assemble(plan, cond[perm], clean, noisy, batch.timesteps)
+    batch_p = assemble(params, plan, cond[perm], clean, noisy, ts)
     out_p = cat_forward(batch_p, params).data
     np.testing.assert_allclose(out, out_p, atol=1e-6)
 
@@ -140,7 +150,7 @@ def test_mask_causality_bitwise(small):
         plan = generate_ar_steps(S, 0.8, rng)
         if plan.N == 1:
             continue
-        batch, (cond, clean, noisy) = make_batch(params, plan, rng=rng)
+        batch, (cond, clean, noisy, ts) = make_batch(params, plan, rng=rng)
         base = cat_forward(batch, params).data
 
         i = int(rng.integers(0, plan.N))
@@ -154,7 +164,7 @@ def test_mask_causality_bitwise(small):
         other[lo:hi] = False
         noisy2[other] += rng.standard_normal((other.sum(), cfg.d))
 
-        batch2 = assemble(plan, cond, clean2, noisy2, batch.timesteps)
+        batch2 = assemble(params, plan, cond, clean2, noisy2, ts)
         out2 = cat_forward(batch2, params).data
         assert np.array_equal(base[lo:hi], out2[lo:hi])
 
@@ -174,7 +184,8 @@ def _cached_last_step(params, plan, cond, clean, noisy, timesteps):
         context = context_cache(clean[lo:hi], params, context)
     step = ARStepPlan((plan.S - v,))
     batch = TokenBatch.assemble(
-        step, noisy[v:], np.zeros(noisy[v:].shape), timesteps[v:], SCHEDULE, context=context
+        step, noisy[v:], np.zeros(noisy[v:].shape), timesteps[v:], SCHEDULE, params,
+        context=context,
     )
     return as_array(cat_forward(batch, params))
 
@@ -192,7 +203,7 @@ def test_cached_step_matches_full_layout(small):
             S, v = plan.S, plan.S - plan.sz[-1]
             c = int(rng.choice([k for k in range(1, S + 4) if k != S]))
             ts = rng.integers(1, 50, S)
-            batch, (cond, clean, noisy) = make_batch(params, plan, c=c, rng=rng, timesteps=ts)
+            batch, (cond, clean, noisy, _) = make_batch(params, plan, c=c, rng=rng, timesteps=ts)
             full = cat_forward(batch, params).data[v:]
             cached = _cached_last_step(frozen, plan, cond, clean, noisy, ts)
             assert cached.shape == full.shape
@@ -204,13 +215,10 @@ def _full_row_forward(batch, params):
     """``cat_forward`` with every row through every block and the head, and
     the noisy rows sliced off the end: the reference for the last block's
     pruned rows."""
-    seq, d = batch.tokens.shape
-    ctx = seq - batch.plan.S
-    temb = linear(sinusoidal_basis(batch.timesteps, d), params["time.w"], params["time.b"])
-    x = batch.tokens + (concat([np.zeros((ctx, d)), temb]) if ctx else temb)
-    x = model._blocks(x, batch.blocked, params, keep=0)
+    seq = batch.tokens.shape[0]
+    x = model._blocks(batch.tokens, batch.blocked, params, keep=0)
     x = layer_norm(x, params["out.ln.g"], params["out.ln.b"])
-    v_hat = linear(x, params["out.w"], params["out.b"])[ctx:seq]
+    v_hat = linear(x, params["out.w"], params["out.b"])[seq - batch.plan.S :]
     signal = batch.alpha_bars[:, None]
     return batch.noisy * np.sqrt(1.0 - signal) + v_hat * np.sqrt(signal)
 
@@ -267,7 +275,7 @@ def test_only_the_last_block_drops_the_rows_nobody_reads(small, monkeypatch):
     cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=3)
     params = init_params(cfg, np.random.default_rng(4))
     plan = ARStepPlan((2, 3, 2))
-    batch, (cond, clean, _) = make_batch(params, plan, c=5)
+    batch, (cond, clean, _, _) = make_batch(params, plan, c=5)
     cat_forward(batch, params)
     assert rows == [5 + 5 + 7, 5 + 5 + 7, 7]
     rows.clear()
@@ -280,13 +288,18 @@ def test_only_the_last_block_drops_the_rows_nobody_reads(small, monkeypatch):
 def test_cached_step_feeds_noisy_rows_only(small):
     cfg, params = small
     plan = ARStepPlan((2, 2))
-    batch, (cond, clean, noisy) = make_batch(params, plan, c=3)
+    batch, (cond, clean, noisy, ts) = make_batch(params, plan, c=3)
     context = context_cache(clean, params, context_cache(cond, params, room=len(clean)))
     with pytest.raises(ShapeMismatchError, match="noisy rows only"):
         TokenBatch.assemble(
-            plan, batch.noisy, np.zeros(noisy.shape), batch.timesteps, SCHEDULE,
-            prefix=(cond, clean), context=context,
+            plan, batch.noisy, np.zeros(noisy.shape), ts, SCHEDULE, params,
+            clean=clean, context=context,
         )
+    with pytest.raises(ShapeMismatchError, match=r"needs \(2, 8\) clean latents"):
+        TokenBatch.assemble(plan, noisy, noisy, ts, SCHEDULE, params, clean=clean[:1])
+    # a wrong latent width is caught before the noisy slots add the time embedding
+    with pytest.raises(ShapeMismatchError, match=r"need \(4, 8\) noisy and condition latents"):
+        TokenBatch.assemble(plan, noisy[:, 1:], noisy[:, 1:], ts, SCHEDULE, params, clean=clean)
     with pytest.raises(ShapeMismatchError, match="do not fit model width"):
         context_cache(cond[:, 1:], params)
     full = context_cache(cond, params.detached(), room=2)
@@ -307,7 +320,7 @@ def test_appends_and_cached_steps_leave_earlier_context_rows_unchanged(small):
             kept = [part[: context.rows].copy() for part in context.keys + context.values]
             context = context_cache(rows, p, context)
             batch = TokenBatch.assemble(
-                ARStepPlan((2,)), noisy, np.zeros(noisy.shape), np.full(2, 9), SCHEDULE,
+                ARStepPlan((2,)), noisy, np.zeros(noisy.shape), np.full(2, 9), SCHEDULE, p,
                 context=context,
             )
             cat_forward(batch, p)
@@ -333,7 +346,7 @@ def test_a_cache_holds_numbers_whichever_parameters_built_it(small):
         assert np.array_equal(tensor_built[:7], array_built[:7])
 
     batch = TokenBatch.assemble(
-        ARStepPlan((2,)), Tensor(noisy), np.zeros(noisy.shape), np.full(2, 9), SCHEDULE,
+        ARStepPlan((2,)), Tensor(noisy), np.zeros(noisy.shape), np.full(2, 9), SCHEDULE, params,
         context=recorded,
     )
     loss = mse(cat_forward(batch, params), np.zeros(noisy.shape))
@@ -348,7 +361,8 @@ def test_all_finite_for_bounded_inputs(small):
     rng = np.random.default_rng(5)
     d = cfg.d
     big = 1e3 * rng.standard_normal((3, d))
-    batch = assemble(plan, 1e3 * rng.standard_normal((3, d)), np.zeros((0, d)), big, np.full(3, 7))
+    cond = 1e3 * rng.standard_normal((3, d))
+    batch = assemble(params, plan, cond, np.zeros((0, d)), big, np.full(3, 7))
     out = cat_forward(batch, params)
     assert np.isfinite(out.data).all()
 
@@ -434,17 +448,17 @@ def test_array_forwards_match_tensor_forwards_bitwise():
 
     ts = rng.integers(1, 50, plan.S)
 
-    def forward(p, step_plan, noisy, cond, timesteps, prefix=(), kv=None, features=None):
+    def forward(p, step_plan, noisy, cond, timesteps, clean=None, kv=None, features=None):
         batch = TokenBatch.assemble(
-            step_plan, noisy, cond, timesteps, SCHEDULE, prefix, kv, time_features=features
+            step_plan, noisy, cond, timesteps, SCHEDULE, p, clean, kv, time_features=features
         )
         return cat_forward(batch, p)
 
     noisy = rng.standard_normal((plan.S, cfg.d))
     cond = context[: plan.S]  # full mask, three AR steps
     same(
-        forward(frozen, plan, noisy, cond, ts, (context,)),
-        forward(params, plan, noisy, cond, ts, (context,)),
+        forward(frozen, plan, noisy, cond, ts, context[plan.S :]),
+        forward(params, plan, noisy, cond, ts, context[plan.S :]),
     )
     # the last group's noisy rows after the cached context, at one timestep as
     # in generation: the array step writes its keys and values right after
@@ -479,13 +493,13 @@ def test_gradient_of_blocked_attention_path_is_zero(small):
     """Perturbing a key the mask blocks leaves the loss untouched."""
     cfg, params = small
     plan = ARStepPlan((2, 2))
-    batch, (cond, clean, noisy) = make_batch(params, plan)
+    batch, (cond, clean, noisy, ts) = make_batch(params, plan)
     target = np.random.default_rng(6).standard_normal((2, cfg.d))
     base = mse(cat_forward(batch, params)[0:2], target).item()
     # noisy tokens of step 2 are blocked for step-1 rows; perturb them hugely
     noisy2 = noisy.copy()
     noisy2[2:] += 1e3
-    batch2 = assemble(plan, cond, clean, noisy2, batch.timesteps)
+    batch2 = assemble(params, plan, cond, clean, noisy2, ts)
     perturbed = mse(cat_forward(batch2, params)[0:2], target).item()
     assert base == perturbed
 
@@ -645,6 +659,42 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path, small):
     truncated.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataFormatError, match="truncated"):
         load_checkpoint(truncated)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("ndim", 2**32 - 1, "truncated"),
+        ("name", 2**32 - 1, "truncated"),
+        ("shape", 2**40, "truncated"),
+        ("blocks", 10**5, "meta.blocks is 100000, but the file holds"),
+    ],
+    ids=["ndim", "name", "shape", "blocks"],
+)
+def test_checkpoint_rejects_header_lengths_the_file_cannot_hold(
+    tmp_path, small, field, value, match
+):
+    """A name length, a dimension count or a shape that the rest of the file
+    cannot hold is refused before anything is read or skipped, and a block
+    count above the file's tensor count before the model's shapes are listed."""
+    cfg, params = small
+    path = tmp_path / "model.catg"
+    save_checkpoint(params, path, {})
+    raw = bytearray(path.read_bytes())
+    (name_len,) = struct.unpack_from("<I", raw, 12)  # the first entry's header starts at 12
+    blocks = raw.index(b"meta.blocks") + len(b"meta.blocks") + 4  # after its name and ndim 0
+    at = {
+        "name": (12, "<I"),
+        "ndim": (16 + name_len, "<I"),
+        "shape": (20 + name_len, "<Q"),
+        "blocks": (blocks, "<d"),
+    }
+    offset, fmt = at[field]
+    struct.pack_into(fmt, raw, offset, value)
+    bad = tmp_path / "bad.catg"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match=match):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_rejects_non_scalar_meta(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from catgen import granger, train
 from catgen.arplan import ARStepPlan, generate_ar_steps
-from catgen.autodiff import Tensor, collect_tape, concat, gradients, mse
+from catgen.autodiff import Tensor, collect_tape, concat, gradients, linear, mse
 from catgen.cli import THREAD_ENV
 from catgen.data import ExpressionMatrix, split_genes
 from catgen.diffusion import (
@@ -24,7 +24,14 @@ from catgen.diffusion import (
 from catgen.errors import ConfigError, ShapeMismatchError
 from catgen.mask import build_mask
 from catgen.metrics import pcc
-from catgen.model import ModelConfig, TokenBatch, cat_forward, encode, init_params
+from catgen.model import (
+    ModelConfig,
+    TokenBatch,
+    cat_forward,
+    encode,
+    init_params,
+    sinusoidal_basis,
+)
 from catgen.synth import chain_config, generate
 from catgen.train import (
     Adam,
@@ -181,15 +188,16 @@ def test_loss_invariant_to_within_group_permutation(tiny_setup):
     assert abs(base - permuted) < 1e-12
 
 
-def reference_assemble_training_batch(z_st, z_sc, plan, token_ts, eps, schedule):
-    """The training layout as the trainer once wrote it by hand: [z_sc | clean | noisy]."""
+def reference_assemble_training_batch(z_st, z_sc, plan, token_ts, eps, schedule, params):
+    """The training layout as the trainer once wrote it by hand: [z_sc | clean | noisy],
+    with the time embedding added to the noisy rows."""
     sqrt_ab, sqrt_om = noising_coefficients(schedule, token_ts)
     noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
-    tokens = concat([z_sc, z_st[: plan.v], noised + z_sc])
+    temb = linear(sinusoidal_basis(token_ts, params.cfg.d), params["time.w"], params["time.b"])
+    tokens = concat([z_sc, z_st[: plan.v], noised + z_sc + temb])
     return TokenBatch(
         tokens=tokens,
         plan=plan,
-        timesteps=np.asarray(token_ts, dtype=np.int64),
         noisy=noised,
         alpha_bars=schedule.alpha_bars[token_ts - 1],
         blocked=build_mask(tokens.shape[0] - plan.v - plan.S, plan),
@@ -202,7 +210,7 @@ def reference_training_loss(st_values, sc_values, plan, token_ts, eps, params, s
     batch = reference_assemble_training_batch(
         encode(st_values, "st", params) * inv_scale,
         encode(sc_values, "sc", params) * inv_scale,
-        plan, token_ts, eps, schedule,
+        plan, token_ts, eps, schedule, params,
     )
     return mse(cat_forward(batch, params), eps)
 
@@ -225,10 +233,10 @@ def test_assembled_layout_matches_the_hand_written_reference():
         eps = rng.standard_normal((S, mcfg.d))
         z_st = Tensor(rng.standard_normal((S, mcfg.d)))
         z_sc = Tensor(rng.standard_normal((S, mcfg.d)))
-        ref = reference_assemble_training_batch(z_st, z_sc, plan, ts, eps, schedule)
+        ref = reference_assemble_training_batch(z_st, z_sc, plan, ts, eps, schedule, params)
         sqrt_ab, sqrt_om = noising_coefficients(schedule, ts)
         noised = z_st * sqrt_ab[:, None] + Tensor(eps * sqrt_om[:, None])
-        got = TokenBatch.assemble(plan, noised, z_sc, ts, schedule, prefix=(z_sc, z_st[: plan.v]))
+        got = TokenBatch.assemble(plan, noised, z_sc, ts, schedule, params, clean=z_st[: plan.v])
         for a, b in ((got.tokens, ref.tokens), (got.noisy, ref.noisy)):
             assert a.data.tobytes() == b.data.tobytes()
         assert got.alpha_bars.tobytes() == ref.alpha_bars.tobytes()
