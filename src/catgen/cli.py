@@ -9,7 +9,8 @@ then 42; a CATGEN_SEED that is not an integer is an error), and every
 subcommand is reproducible byte-for-byte given identical arguments, seed and
 inputs.
 Commands parse their arguments, call the library and write every table
-through ``data.write_csv``; only ``mask`` writes its own header-less CSV.
+through ``data.write_csv``; only ``mask`` writes its own header-less CSV, and
+takes the noisy-token count S as the sum of its --sz split sizes.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_granger)
 
-    p = sub.add_parser("mask", help="emit a causal attention mask")
-    p.add_argument("--s", type=int, required=True)
+    p = sub.add_parser("mask", help="emit a causal attention mask; S is the sum of --sz")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--sz", required=True, help="comma-separated split sizes")
     p.add_argument("--out", default=None, help="CSV output path (stdout if omitted)")
@@ -194,13 +194,10 @@ def cmd_granger(args) -> int:
 
 def cmd_mask(args) -> int:
     from .arplan import ARStepPlan
-    from .errors import ShapeMismatchError
     from .mask import build_mask
 
     _require_out_dirs(args.out, args.pbm)
     plan = ARStepPlan.from_text(args.sz)
-    if plan.S != args.s:
-        raise ShapeMismatchError(f"split sizes {args.sz} cover {plan.S} tokens, not --s {args.s}")
     rows = build_mask(args.c, plan).astype(int).tolist()
     if args.out:
         out = open(args.out, "w", encoding="utf-8", newline="")
@@ -414,7 +411,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (CatgenError, OSError) as exc:  # OSError: a file that cannot be opened or written
+    # OSError: a file that cannot be opened or written; MemoryError: a size no machine can hold
+    except (CatgenError, OSError, MemoryError) as exc:
         print(f"catgen: error: {exc}", file=sys.stderr)
         return 2
 

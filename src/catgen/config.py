@@ -21,8 +21,9 @@ typed fields, so a new field is a new key without an edit here:
   ``chain_config``'s ``chain_length``, ``coeff`` and ``lag``.
 
 Written by hand are only the key names that differ from their field names
-and ``synth.chain_edges``, a text list of edges. Keys left unset keep their
-owner's defaults.
+and ``synth.chain_edges``, a text list of edges. The edges replace the planted
+chain, so they cannot be set with ``synth.chain_length``, ``synth.coeff`` or
+``synth.lag``. Keys left unset keep their owner's defaults.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ _DATA_KEYS = _keys(DataOptions, "data", renamed={
     "apply_normalize": "data.normalize",
     "top_fraction": "data.hvg_fraction",
 })
-_SYNTH_KEYS = _keys(SynthConfig, "synth", skip=("chain_edges", "seed"))
-_SYNTH_KEYS |= _keys(chain_config, "synth")
+_CHAIN_KEYS = _keys(chain_config, "synth")  # the planted chain, which synth.chain_edges replaces
+_SYNTH_KEYS = _keys(SynthConfig, "synth", skip=("chain_edges", "seed")) | _CHAIN_KEYS
 
 REGISTRY: dict[str, type] = {
     key: kind
@@ -147,5 +148,7 @@ def synth_config(values: dict[str, object], seed: int) -> SynthConfig:
     edges_text = str(values.get("synth.chain_edges", "")).strip()
     if not edges_text:
         return base
+    if dropped := [key for key in _CHAIN_KEYS if key in values]:
+        raise ConfigError(f"synth.chain_edges replaces the chain that {', '.join(dropped)} would plant")
     edges = [ChainEdge.from_text(tok) for tok in edges_text.split(",") if tok.strip()]
     return dataclasses.replace(base, chain_edges=edges)

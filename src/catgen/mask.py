@@ -2,12 +2,13 @@
 
 Token layout along both axes: ``c`` condition tokens, then ``v`` clean
 (visible) tokens covering every AR step except the last, then ``S`` noisy
-tokens covering all steps. ``True`` blocks attention, ``False`` allows it;
-condition columns are never blocked.
+tokens covering all steps. ``True`` blocks attention, ``False`` allows it.
+Attention from row r to column q is allowed iff one of:
 
-``build_mask`` writes the block partitions directly (visible-to-visible,
-sample-to-visible, sample-to-sample). The tests re-derive every entry from
-four attendance rules and check that the result agrees entrywise.
+1. q is a condition token;
+2. r and q are clean tokens and q's AR step <= r's;
+3. r is noisy, q is clean, and q's AR step < r's;
+4. r and q are noisy tokens of the same AR step.
 """
 
 from __future__ import annotations
@@ -19,26 +20,16 @@ from .errors import ShapeMismatchError
 
 
 def build_mask(c: int, plan: ARStepPlan) -> np.ndarray:
-    """Block-write construction of the (seq, seq) causal mask, ``True`` = blocked."""
+    """The (seq, seq) causal mask, ``True`` = blocked: each rule compares the
+    AR steps of the gene tokens, and the pairs no rule allows stay blocked."""
     if c < 0:
         raise ShapeMismatchError(f"condition length must be nonnegative, got {c}")
-    s, cs, v = plan.S, plan.cs, plan.v
-    ctx = c + v
-    seq = ctx + s
-
-    m = np.ones((seq, seq), dtype=bool)
-    m[:, :c] = False
-
-    vtv = np.ones((v, v), dtype=bool)
-    stv = np.ones((s, v), dtype=bool)
-    sts = np.ones((s, s), dtype=bool)
-    for i in range(plan.N - 1):
-        vtv[cs[i] : cs[i + 1], 0 : cs[i + 1]] = False
-        stv[cs[i + 1] : cs[i + 2], 0 : cs[i + 1]] = False
-    for i in range(plan.N):
-        sts[cs[i] : cs[i + 1], cs[i] : cs[i + 1]] = False
-
-    m[c:ctx, c:ctx] = vtv
-    m[ctx:, c:ctx] = stv
-    m[ctx:, ctx:] = sts
+    step = np.repeat(np.arange(plan.N), plan.sz)
+    clean = step[: plan.v]
+    ctx = c + plan.v
+    m = np.ones((ctx + plan.S, ctx + plan.S), dtype=bool)
+    m[:, :c] = False  # 1. conditions
+    m[c:ctx, c:ctx] = clean[:, None] < clean[None, :]  # 2. clean -> clean
+    m[ctx:, c:ctx] = step[:, None] <= clean[None, :]  # 3. noisy -> clean
+    m[ctx:, ctx:] = step[:, None] != step[None, :]  # 4. noisy -> noisy
     return m

@@ -23,7 +23,14 @@ from catgen.errors import DataFormatError
 from catgen.generate import generate_genes
 from catgen.mask import build_mask
 from catgen.metrics import js_divergence, pcc, rmse_z, ssim
-from catgen.model import ModelConfig, encode, init_params, load_checkpoint, save_checkpoint
+from catgen.model import (
+    ModelConfig,
+    TokenBatch,
+    encode,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 SEED = ["--seed", "3"]
 TINY_TRAIN = [
@@ -198,6 +205,17 @@ def test_synth_rerun_is_byte_identical(tmp_path):
 def test_a_malformed_chain_edge_is_a_data_error(tmp_path, capsys, edge):
     assert _synth(tmp_path / "out", *SEED, "--set", f"synth.chain_edges={edge}") == 2
     assert f"catgen: error: bad edge spec {edge!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["synth.chain_length=4", "synth.coeff=0.1", "synth.lag=2"])
+def test_chain_edges_with_a_chain_setting_is_a_config_error(tmp_path, capsys, key):
+    edges = "synth.chain_edges=0->1:0.5"
+    assert _synth(tmp_path / "out", *SEED, "--set", edges, "--set", key) == 2
+    name = key.partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"catgen: error: synth.chain_edges replaces the chain that {name} would plant\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -485,6 +503,27 @@ def test_a_bad_train_setting_is_a_data_error_before_any_input_is_read(
     assert reads == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--st", "st.csv", "--sc", "sc.csv", "--out", "m.catg", "--set",
+         "diffusion.T=100000000000000000"],  # a 711 PiB schedule
+        ["mask", "--c", "1000000000", "--sz", "1,1", "--out", "m.csv"],  # an 888 PiB mask
+    ],
+    ids=["train-T", "mask-c"],
+)
+def test_a_size_beyond_the_address_space_is_an_error_writing_nothing(
+    tmp_path, monkeypatch, capsys, argv
+):
+    reads = []
+    monkeypatch.setattr(data, "load_matrix", lambda *args, **kwargs: reads.append(args))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("catgen: error: Unable to allocate")
+    assert captured.out == "" and reads == [] and list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def latin1(tmp_path_factory):
     """A one-gene matrix, and a gene list, that is Latin-1 text, not UTF-8."""
@@ -498,7 +537,7 @@ def latin1(tmp_path_factory):
     [
         (["train", "--st", "{st}", "--out", "{out}"], 1),  # no --sc
         (["eval", "--pred", "{st}", "--out", "{out}"], 1),  # no --truth
-        (["mask", "--s", "7", "--sz", "2,2,3", "--out", "{out}"], 1),  # no --c
+        (["mask", "--sz", "2,2,3", "--out", "{out}"], 1),  # no --c
         (["ablate", "--axis", "decay", "--st", "{absent}", "--sc", "{sc}", "--out", "{out}"], 2),
         ([
             "train", "--st", "{latin1}", "--sc", "{sc}", "--out", "{out}",
@@ -753,7 +792,7 @@ def test_granger_and_mask_into_a_missing_directory_fail_before_any_work(
     test_pair = granger.test_pair
     monkeypatch.setattr(granger, "test_pair", lambda *a, **k: calls.append(1) or test_pair(*a, **k))
     missing = tmp_path / "nodir" / "out"
-    mask = ["mask", "--s", "7", "--c", "2", "--sz", "2,2,3", "--pbm", str(missing)]
+    mask = ["mask", "--c", "2", "--sz", "2,2,3", "--pbm", str(missing)]
     argv = {
         "granger": ["granger", "--matrix", str(trained / "sc.csv"), "--out", str(missing)],
         "mask": [*mask, "--out", str(tmp_path / "m.csv")],
@@ -771,7 +810,7 @@ _GENERATE = [
     "--out", "p.csv", "--embeddings", "e.csv",
 ]
 _EVAL = ["eval", "--pred", "p.csv", "--truth", "t.csv", "--out", "e.csv", "--gene-distances", "d.csv"]
-_MASK = ["mask", "--s", "7", "--c", "2", "--sz", "2,2,3", "--out", "m.csv", "--pbm", "m.pbm"]
+_MASK = ["mask", "--c", "2", "--sz", "2,2,3", "--out", "m.csv", "--pbm", "m.pbm"]
 
 
 @pytest.mark.parametrize(
@@ -850,7 +889,7 @@ _COLLISIONS = {  # argv, the path refused, the path it collides with
     ),
     "eval-out-truth": ("eval --pred p.csv --truth t.csv --out ./t.csv", "./t.csv", "t.csv"),
     "granger-out-matrix": ("granger --matrix st.csv --out ./st.csv", "./st.csv", "st.csv"),
-    "mask-out-pbm": ("mask --s 7 --c 2 --sz 2,2,3 --out m.csv --pbm ./m.csv", "./m.csv", "m.csv"),
+    "mask-out-pbm": ("mask --c 2 --sz 2,2,3 --out m.csv --pbm ./m.csv", "./m.csv", "m.csv"),
     "ablate-out-sc": ("ablate --axis decay --st st.csv --sc sc.csv --out ./sc.csv", "./sc.csv", "sc.csv"),
 }
 
@@ -876,10 +915,10 @@ def test_an_output_that_names_another_output_or_an_input_fails_before_any_input_
     assert captured.out == "" and reads == [] and list(tmp_path.iterdir()) == []
 
 
-def _mask(tmp_path, name, s="7", sz="2,2,3"):
+def _mask(tmp_path, name, sz="2,2,3", c="2"):
     csv_path, pbm_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.pbm"
     code = cli.main([
-        "mask", "--s", s, "--c", "2", "--sz", sz, "--out", str(csv_path), "--pbm", str(pbm_path),
+        "mask", "--c", c, "--sz", sz, "--out", str(csv_path), "--pbm", str(pbm_path),
     ])
     return code, csv_path, pbm_path
 
@@ -895,15 +934,29 @@ def test_mask_matches_build_mask_and_reruns_identically(tmp_path, capsys):
     assert csv_again.read_bytes() == csv_path.read_bytes()
     assert pbm_again.read_bytes() == pbm_path.read_bytes()
     capsys.readouterr()
-    assert cli.main(["mask", "--s", "7", "--c", "2", "--sz", "2,2,3"]) == 0
+    assert cli.main(["mask", "--c", "2", "--sz", "2,2,3"]) == 0
     assert capsys.readouterr().out == csv_path.read_text()
 
 
-@pytest.mark.parametrize("s, sz", [("7", "2,x"), ("7", "2,2")])
-def test_mask_bad_sizes_are_data_errors(tmp_path, s, sz):
-    code, csv_path, _ = _mask(tmp_path, "bad", s=s, sz=sz)
+def test_mask_bad_sizes_are_data_errors(tmp_path):
+    code, csv_path, _ = _mask(tmp_path, "bad", sz="2,x")
     assert code == 2
     assert not csv_path.exists()
+
+
+def test_mask_writes_the_mask_the_model_attends_under(tmp_path):
+    """With one condition row per gene token, ``mask`` writes the mask that
+    ``TokenBatch.assemble`` lays out for the same plan."""
+    code, csv_path, _ = _mask(tmp_path, "model", c="7")
+    assert code == 0
+    params = init_params(ModelConfig(p=3, q=4, d=4, heads=1, blocks=1), np.random.default_rng(1))
+    plan, zeros = ARStepPlan((2, 2, 3)), np.zeros((7, 4))
+    batch = TokenBatch.assemble(
+        plan, zeros, zeros, np.ones(7, dtype=int), linear_schedule(10), params, clean=zeros[: plan.v]
+    )
+    written = np.loadtxt(csv_path, delimiter=",", dtype=np.uint8)
+    assert written.shape == batch.blocked.shape == (18, 18)
+    np.testing.assert_array_equal(written, batch.blocked)
 
 
 def _granger(root, out, lag="1"):

@@ -30,7 +30,7 @@ def token_roles(s, c, plan):
 
 
 def mask_oracle(s, c, plan):
-    """Entrywise rule-based reference, independent of build_mask's block writes.
+    """Entrywise rule-based reference, independent of build_mask's array comparisons.
 
     Attention from row r to column q is allowed iff one of:
       1. q is a condition token;
@@ -107,7 +107,7 @@ def test_oracle_equivalence_exhaustive_small():
     for s in range(1, 7):
         for sz in compositions(s):
             plan = ARStepPlan(sz)
-            for c in range(3):
+            for c in (0, 1, 2, s):  # c = s is the count TokenBatch.assemble uses
                 built = build_mask(c, plan)
                 oracle = mask_oracle(s, c, plan)
                 np.testing.assert_array_equal(built, oracle)
@@ -174,7 +174,7 @@ def test_oracle_equivalence_random_plans(s, c, seed):
 def test_csv_and_pbm_emission(tmp_path):
     csv_path = tmp_path / "mask.csv"
     pbm_path = tmp_path / "mask.pbm"
-    argv = ["mask", "--s", "7", "--c", "2", "--sz", "2,2,3", "--out", str(csv_path), "--pbm", str(pbm_path)]
+    argv = ["mask", "--c", "2", "--sz", "2,2,3", "--out", str(csv_path), "--pbm", str(pbm_path)]
     assert cli.main(argv) == 0
     rows = csv_path.read_text().strip().split("\n")
     assert len(rows) == 13 and rows[0] == "0,0,1,1,1,1,1,1,1,1,1,1,1"
