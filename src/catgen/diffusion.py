@@ -100,6 +100,8 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 2e-2) ->
     """Linearly interpolated betas inclusive of both endpoints."""
     if T < 1:
         raise ShapeMismatchError(f"T must be >= 1, got {T}")
+    if T * 8 > np.iinfo(np.intp).max:  # float64 steps beyond numpy's index range
+        raise ShapeMismatchError(f"a schedule of T={T} steps is beyond the largest array numpy can index")
     if not 0.0 < beta_start <= beta_end < 1.0 or (T > 1 and beta_start == beta_end):
         raise ShapeMismatchError(f"invalid beta range [{beta_start}, {beta_end}]")
     betas = np.linspace(beta_start, beta_end, T)

@@ -10,13 +10,18 @@ the L lags of x. The statistic
 follows F(L, n_eff - 2L - 1) under the null, and the p-value comes from our
 own regularized incomplete beta function (continued-fraction evaluation); the
 test suite checks it against direct quadrature of the F density.
+
+A screen over many genes ranks with a batched matrix and reports with
+``test_pair``. ``f_statistics`` computes every ordered pair's F at once, with
+a bound on its rounding gap from ``test_pair``'s F. It only chooses the pairs
+that could rank; ``test_pair`` re-tests each of them, so every F and p-value a
+screen returns, and every order built from them, is the per-pair test's.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,7 @@ from .errors import DegenerateInputError, ShapeMismatchError
 log = logging.getLogger(__name__)
 
 _RIDGE = 1e-10  # jitter on the normal equations, guards near-collinear designs
+_SLACK = 1e-9  # batched-vs-per-pair rounding bound, per unit of cancelled magnitude
 
 
 # -- special functions ------------------------------------------------------------
@@ -160,29 +166,87 @@ def rank_results(results: list[GrangerResult], top_k: int) -> list[GrangerResult
     return ordered[: max(top_k, 0)]
 
 
-def all_pairs(m: ExpressionMatrix, lag: int = 1) -> Iterator[GrangerResult]:
-    """Test every ordered gene pair, drivers in row order, each against every other row.
+def _normal_rss(gram: np.ndarray, rhs: np.ndarray, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RSS of stacked least-squares fits from their normal equations (``gram``
+    jittered by ``_RIDGE`` as ``_rss`` does), ss - beta . (2 rhs - gram beta),
+    and the sum of the magnitudes of the terms that difference cancels."""
+    beta = np.linalg.solve(gram + _RIDGE * np.eye(gram.shape[-1]), rhs[..., None])[..., 0]
+    fitted = np.einsum("...pq,...q->...p", gram, beta)
+    rss = ss - np.einsum("...p,...p->...", beta, 2.0 * rhs - fitted)
+    terms = 2.0 * np.abs(rhs) + np.einsum("...pq,...q->...p", np.abs(gram), np.abs(beta))
+    return rss, ss + np.einsum("...p,...p->...", np.abs(beta), terms)
 
-    Pairs that fail with degenerate input (constant profiles) are skipped and
-    counted in a single warning once every pair is tested.
+
+def f_statistics(values: np.ndarray, lag: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """F of every driver row against every target row (``f[i, j]``: driver i,
+    target j), and ``slack[i, j]``, a bound on its rounding gap from
+    ``test_pair``'s F for the same pair.
+
+    Each target's restricted fit is solved once, and the unrestricted fits of
+    all drivers against it in one stacked solve of ``test_pair``'s jittered
+    normal equations. The residual sums of squares come from those equations,
+    so the slack grows with the magnitude m that their sums cancel:
+    _SLACK * (F + df2 / lag) * m / RSS_u, which covers any F once a residual
+    nears rounding level. A target whose stack is singular at this rounding
+    gets F 0 and an infinite slack, which leaves its pairs to ``test_pair``.
+    The diagonal and every pair with a constant row, which ``test_pair``
+    rejects as degenerate, are NaN and counted in a single warning.
     """
-    skipped = 0
-    for i, driver in enumerate(m.gene_ids):
-        for j, target in enumerate(m.gene_ids):
-            if i == j:
-                continue
-            try:
-                result = test_pair(m.values[i], m.values[j], lag=lag, driver=driver, target=target)
-            except DegenerateInputError:
-                skipped += 1
-                continue
-            yield result
+    values = np.asarray(values, dtype=np.float64)
+    if lag < 1:
+        raise ShapeMismatchError(f"lag must be >= 1, got {lag}")
+    genes, n = values.shape
+    if n < 3 * lag + 3:
+        raise ShapeMismatchError(f"series of length {n} too short for lag {lag}")
+    live = np.flatnonzero(np.ptp(values, axis=1) > 0.0)
+    df2 = n - 3 * lag - 1
+    response = values[live, lag:]
+    lags = np.stack([values[live, lag - k - 1 : n - k - 1] for k in range(lag)], axis=1)
+    own = np.concatenate([np.ones((live.size, 1, n - lag)), lags], axis=1)  # restricted designs, transposed
+    f = np.full((genes, genes), np.nan)
+    slack = np.full((genes, genes), np.nan)
+    for t, target in enumerate(live):
+        y, design = response[t], own[t]
+        ss = y @ y
+        full = np.concatenate([np.broadcast_to(design, (live.size, *design.shape)), lags], axis=1)
+        gram = full @ full.transpose(0, 2, 1)  # [own(target) | lags(driver)] for every driver
+        gram[t] = np.eye(2 * lag + 1)  # the target against itself, NaN below
+        try:
+            rss_r, mag_r = _normal_rss(design @ design.T, design @ y, ss)
+            rss_u, mag_u = _normal_rss(gram, full @ y, ss)
+        except np.linalg.LinAlgError:
+            f[live, target], slack[live, target] = 0.0, np.inf
+            continue
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rss_u = np.maximum(rss_u, 1e-300)
+            f[live, target] = (np.maximum(rss_r - rss_u, 0.0) / lag) / (rss_u / df2)
+            slack[live, target] = _SLACK * (f[live, target] + df2 / lag) * (mag_r + mag_u) / rss_u
+    np.fill_diagonal(f, np.nan)
+    skipped = int(np.isnan(f).sum()) - genes
     if skipped:
         log.warning("granger screen skipped %d degenerate gene pairs", skipped)
+    return f, slack
 
 
 def screen(m: ExpressionMatrix, lag: int = 1, top_k: int = 5) -> list[GrangerResult]:
-    """Evaluate every ordered gene pair and keep the strongest ``top_k``."""
+    """The strongest ``top_k`` ordered gene pairs, each reported by ``test_pair``.
+
+    The batched ``f_statistics`` only choose which pairs to test: every pair
+    whose F, within its slack, could reach the ``top_k``-th largest is
+    re-tested by ``test_pair``, and ``rank_results`` ranks those. So the
+    result is the exhaustive per-pair screen's. Pairs with a constant profile
+    are skipped and counted in a single warning.
+    """
     if m.n_genes < 2:
         raise ShapeMismatchError("screen needs at least 2 genes")
-    return rank_results(list(all_pairs(m, lag)), top_k)
+    f, slack = f_statistics(m.values, lag)
+    with np.errstate(invalid="ignore"):
+        lowest = np.sort(np.fmax(f - slack, 0.0)[~np.isnan(f)])
+    if top_k < 1 or lowest.size == 0:
+        return []
+    floor = lowest[-min(top_k, lowest.size)]
+    results = [
+        test_pair(m.values[i], m.values[j], lag, m.gene_ids[i], m.gene_ids[j])
+        for i, j in zip(*np.nonzero(f + slack >= floor))
+    ]
+    return rank_results(results, top_k)

@@ -24,10 +24,13 @@ def build_mask(c: int, plan: ARStepPlan) -> np.ndarray:
     AR steps of the gene tokens, and the pairs no rule allows stay blocked."""
     if c < 0:
         raise ShapeMismatchError(f"condition length must be nonnegative, got {c}")
+    side = c + plan.v + plan.S
+    if side * side > np.iinfo(np.intp).max:  # bool entries beyond numpy's index range
+        raise ShapeMismatchError(f"a mask of side {side} is beyond the largest array numpy can index")
     step = np.repeat(np.arange(plan.N), plan.sz)
     clean = step[: plan.v]
     ctx = c + plan.v
-    m = np.ones((ctx + plan.S, ctx + plan.S), dtype=bool)
+    m = np.ones((side, side), dtype=bool)
     m[:, :c] = False  # 1. conditions
     m[c:ctx, c:ctx] = clean[:, None] < clean[None, :]  # 2. clean -> clean
     m[ctx:, c:ctx] = step[:, None] <= clean[None, :]  # 3. noisy -> clean

@@ -504,23 +504,30 @@ def test_a_bad_train_setting_is_a_data_error_before_any_input_is_read(
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["train", "--st", "st.csv", "--sc", "sc.csv", "--out", "m.catg", "--set",
-         "diffusion.T=100000000000000000"],  # a 711 PiB schedule
-        ["mask", "--c", "1000000000", "--sz", "1,1", "--out", "m.csv"],  # an 888 PiB mask
+        (["train", "--st", "st.csv", "--sc", "sc.csv", "--out", "m.catg", "--set",
+          "diffusion.T=100000000000000000"], "Unable to allocate"),  # a 711 PiB schedule
+        (["mask", "--c", "1000000000", "--sz", "1,1", "--out", "m.csv"],
+         "Unable to allocate"),  # an 888 PiB mask
+        # beyond numpy's index range, where it raises ValueError rather than MemoryError
+        (["train", "--st", "st.csv", "--sc", "sc.csv", "--out", "m.catg", "--set",
+          "diffusion.T=100000000000000000000"],
+         "a schedule of T=100000000000000000000 steps is beyond the largest array numpy can index"),
+        (["mask", "--c", "10000000000", "--sz", "1,1", "--out", "m.csv"],
+         "a mask of side 10000000003 is beyond the largest array numpy can index"),
     ],
-    ids=["train-T", "mask-c"],
+    ids=["train-T", "mask-c", "train-T-index-range", "mask-c-index-range"],
 )
 def test_a_size_beyond_the_address_space_is_an_error_writing_nothing(
-    tmp_path, monkeypatch, capsys, argv
+    tmp_path, monkeypatch, capsys, argv, message
 ):
     reads = []
     monkeypatch.setattr(data, "load_matrix", lambda *args, **kwargs: reads.append(args))
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("catgen: error: Unable to allocate")
+    assert captured.err.startswith(f"catgen: error: {message}")
     assert captured.out == "" and reads == [] and list(tmp_path.iterdir()) == []
 
 
@@ -789,8 +796,9 @@ def test_granger_and_mask_into_a_missing_directory_fail_before_any_work(
     trained, tmp_path, monkeypatch, capsys, command
 ):
     calls = []
-    test_pair = granger.test_pair
-    monkeypatch.setattr(granger, "test_pair", lambda *a, **k: calls.append(1) or test_pair(*a, **k))
+    for name in ("f_statistics", "test_pair"):  # the screen's first work, and its reports
+        work = getattr(granger, name)
+        monkeypatch.setattr(granger, name, lambda *a, work=work, **k: calls.append(1) or work(*a, **k))
     missing = tmp_path / "nodir" / "out"
     mask = ["mask", "--c", "2", "--sz", "2,2,3", "--pbm", str(missing)]
     argv = {

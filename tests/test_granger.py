@@ -1,15 +1,20 @@
 """Granger F-tests: statistic identities, special-function accuracy, screening."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from catgen import granger
 from catgen.data import ExpressionMatrix
 from catgen.errors import DegenerateInputError, ShapeMismatchError
 from catgen.granger import (
     GrangerResult,
+    f_statistics,
     f_survival,
     rank_results,
     reg_inc_beta,
@@ -17,6 +22,7 @@ from catgen.granger import (
 )
 from catgen.granger import test_pair as granger_test_pair
 from catgen.synth import ChainEdge, SynthConfig, generate
+from catgen.train import _granger_gene_order
 
 
 def ar_pair(n=200, coeff=0.9, noise=0.01, seed=0):
@@ -173,3 +179,112 @@ def test_screen_needs_two_genes():
     m = ExpressionMatrix(["A"], ["c0", "c1"], np.ones((1, 2)))
     with pytest.raises(ShapeMismatchError):
         screen(m, lag=1, top_k=1)
+
+
+# -- the batched F matrix chooses, test_pair reports -----------------------------------
+
+
+@st.composite
+def expression(draw):
+    """A matrix and a lag. Each row is pure noise, driven at lag 1 by the row
+    before it, constant, or an exact copy of an earlier row (ties in F)."""
+    lag = draw(st.integers(1, 2))
+    n_spots = draw(st.integers(3 * lag + 3, 20))
+    kinds = draw(st.lists(st.sampled_from(["noise", "driven", "constant", "copy"]), min_size=2, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rows = []
+    for kind in kinds:
+        row = rng.uniform(0.0, 5.0, n_spots)
+        if kind == "driven" and rows:
+            row[1:] = 0.8 * rows[-1][:-1] + 0.2 * row[1:]
+        elif kind == "constant":
+            row[:] = row[0]
+        elif kind == "copy" and rows:
+            row = rows[rng.integers(len(rows))].copy()
+        rows.append(row)
+    genes = [f"g{i}" for i in range(len(rows))]
+    return ExpressionMatrix(genes, [f"s{j}" for j in range(n_spots)], np.array(rows)), lag
+
+
+def exhaustive(m, lag):
+    """Every ordered pair through ``test_pair``, degenerate pairs skipped."""
+    results = []
+    for i, driver in enumerate(m.gene_ids):
+        for j, target in enumerate(m.gene_ids):
+            if i != j:
+                try:
+                    results.append(granger_test_pair(m.values[i], m.values[j], lag, driver, target))
+                except DegenerateInputError:
+                    pass
+    return results
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=expression(), top_k=st.integers(0, 45))
+def test_screen_is_the_exhaustive_screen(case, top_k):
+    m, lag = case
+    assert screen(m, lag, top_k) == rank_results(exhaustive(m, lag), top_k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=expression(), data=st.data())
+def test_granger_gene_order_is_the_exhaustive_order(case, data):
+    m, _ = case
+    genes = data.draw(st.permutations(range(m.n_genes)))[: data.draw(st.integers(1, m.n_genes))]
+    strength = dict.fromkeys(genes, 0.0)  # reference: the pairwise loop, written out
+    for gi in genes:
+        for gj in genes:
+            if gi != gj and np.ptp(m.values[gi]) > 0 and np.ptp(m.values[gj]) > 0:
+                f_stat = granger_test_pair(m.values[gi], m.values[gj], lag=1).f_stat
+                strength[gi] = max(strength[gi], f_stat)
+    assert _granger_gene_order(m, genes) == sorted(genes, key=lambda g: (-strength[g], g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=expression())
+def test_f_statistics_lie_within_their_slack_of_test_pair(case):
+    m, lag = case
+    f, slack = f_statistics(m.values, lag)
+    tested = {(r.driver, r.target) for r in exhaustive(m, lag)}
+    for i, driver in enumerate(m.gene_ids):
+        for j, target in enumerate(m.gene_ids):
+            assert np.isnan(f[i, j]) == ((driver, target) not in tested)
+            if not np.isnan(f[i, j]):
+                exact = granger_test_pair(m.values[i], m.values[j], lag).f_stat
+                assert abs(f[i, j] - exact) <= slack[i, j]
+
+
+@settings(max_examples=50, deadline=None)
+@given(lag=st.integers(-2, 3), n_spots=st.integers(1, 12))
+def test_f_statistics_reject_what_test_pair_rejects(lag, n_spots):
+    values = np.random.default_rng(n_spots).uniform(0.0, 5.0, (3, n_spots))
+    try:
+        granger_test_pair(values[0], values[1], lag)
+    except ShapeMismatchError as exc:
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(str(exc))}$"):
+            f_statistics(values, lag)
+    else:
+        assert f_statistics(values, lag)[0].shape == (3, 3)
+
+
+def test_a_target_whose_stacked_solve_is_singular_is_left_to_test_pair(monkeypatch):
+    values = np.random.default_rng(5).uniform(0.0, 5.0, (4, 16))
+    m = ExpressionMatrix(["a", "b", "c", "d"], [f"s{j}" for j in range(16)], values)
+    normal_rss, stacks = granger._normal_rss, []
+
+    def singular_first_stack(gram, rhs, ss):
+        if gram.ndim == 3:
+            stacks.append(1)
+            if len(stacks) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return normal_rss(gram, rhs, ss)
+
+    monkeypatch.setattr(granger, "_normal_rss", singular_first_stack)
+    f, slack = f_statistics(values, 1)
+    assert (f[1:, 0] == 0.0).all() and (slack[1:, 0] == np.inf).all()
+    calls = []
+    test_pair = granger.test_pair
+    monkeypatch.setattr(granger, "test_pair", lambda *a, **k: calls.append(a[3:]) or test_pair(*a, **k))
+    stacks.clear()
+    assert screen(m, 1, 1) == rank_results(exhaustive(m, 1), 1)
+    assert {("b", "a"), ("c", "a"), ("d", "a")} <= set(calls)
