@@ -376,22 +376,22 @@ def cmd_ablate(args) -> int:
     base_seed = _resolve_seed(args)
     values = _load_values(args)
     key, settings = _ABLATION_AXES[args.axis]
-    trials = []  # every trial's settings are checked before any input is read
+    trials = []  # every setting is checked once, before any input is read
     for setting in settings:
         trial = {**values, key: setting}
-        mcfg = model_config(trial, p=1, q=1)  # p and q come from the data
-        for seed in range(base_seed, base_seed + args.seeds):
-            trials.append((setting, seed, mcfg, train_config(trial, seed)))
+        # p and q come from the data; rows() replaces the seed
+        trials.append((setting, model_config(trial, p=1, q=1), train_config(trial, base_seed)))
     pair, _ = _prepare_from_files(args.st, args.sc, values)
 
     def rows():  # each row is written as soon as its fit ends
-        for setting, seed, mcfg, cfg in trials:
+        for setting, mcfg, cfg in trials:
             mcfg = dataclasses.replace(mcfg, p=pair.st.n_obs, q=pair.sc.n_obs)
-            split = split_genes(range(len(pair.genes)), seed)
-            result = fit(pair.st, pair.sc, split, mcfg, cfg)
-            log.info("ablate %s=%s seed=%d -> %.4f", args.axis, setting, seed,
-                     result.best_val_pcc)
-            yield [args.axis, setting, seed, result.best_val_pcc, result.best_epoch]
+            for seed in range(base_seed, base_seed + args.seeds):
+                split = split_genes(range(len(pair.genes)), seed)
+                result = fit(pair.st, pair.sc, split, mcfg, dataclasses.replace(cfg, seed=seed))
+                log.info("ablate %s=%s seed=%d -> %.4f", args.axis, setting, seed,
+                         result.best_val_pcc)
+                yield [args.axis, setting, seed, result.best_val_pcc, result.best_epoch]
 
     write_csv(args.out, ["axis", "setting", "seed", "best_val_pcc", "best_epoch"], rows())
     return 0

@@ -122,7 +122,10 @@ def _lagged_columns(series: np.ndarray, lag: int) -> np.ndarray:
 
 def _rss(design: np.ndarray, response: np.ndarray) -> float:
     gram = design.T @ design + _RIDGE * np.eye(design.shape[1])
-    beta = np.linalg.solve(gram, design.T @ response)
+    try:
+        beta = np.linalg.solve(gram, design.T @ response)
+    except np.linalg.LinAlgError:  # the jitter is absolute: a copied row near 1e3 stays collinear
+        raise DegenerateInputError("singular normal equations: the series are collinear") from None
     resid = response - design @ beta
     return float(resid @ resid)
 
@@ -228,25 +231,46 @@ def f_statistics(values: np.ndarray, lag: int = 1) -> tuple[np.ndarray, np.ndarr
     return f, slack
 
 
+def tested_pairs(m: ExpressionMatrix, choose, lag: int = 1) -> dict[tuple[int, int], GrangerResult]:
+    """``test_pair`` on every (driver row i, target row j) pair that
+    ``choose(f, slack)`` marks, given ``f_statistics(m.values, lag)``, keyed
+    by (i, j). A pair whose normal equations ``test_pair`` finds singular is
+    skipped as a degenerate pair: its F becomes NaN and the choice is redone,
+    until every chosen pair has been tested. Such skips are counted in a
+    single warning."""
+    f, slack = f_statistics(m.values, lag)
+    results, singular = {}, 0
+    values, names = m.values, m.gene_ids
+    with np.errstate(invalid="ignore"):  # an F that overflowed has bounds inf - inf
+        while chosen := [pair for pair in zip(*np.nonzero(choose(f, slack))) if pair not in results]:
+            for i, j in chosen:
+                try:
+                    results[i, j] = test_pair(values[i], values[j], lag, names[i], names[j])
+                except DegenerateInputError:
+                    f[i, j] = np.nan
+                    singular += 1
+    if singular:
+        log.warning("granger screen skipped %d gene pairs with singular normal equations", singular)
+    return results
+
+
 def screen(m: ExpressionMatrix, lag: int = 1, top_k: int = 5) -> list[GrangerResult]:
     """The strongest ``top_k`` ordered gene pairs, each reported by ``test_pair``.
 
     The batched ``f_statistics`` only choose which pairs to test: every pair
     whose F, within its slack, could reach the ``top_k``-th largest is
     re-tested by ``test_pair``, and ``rank_results`` ranks those. So the
-    result is the exhaustive per-pair screen's. Pairs with a constant profile
-    are skipped and counted in a single warning.
+    result is the exhaustive per-pair screen's. Pairs with a constant profile,
+    or whose normal equations are singular, are skipped and counted in a
+    warning.
     """
     if m.n_genes < 2:
         raise ShapeMismatchError("screen needs at least 2 genes")
-    f, slack = f_statistics(m.values, lag)
-    with np.errstate(invalid="ignore"):
+
+    def top(f: np.ndarray, slack: np.ndarray) -> np.ndarray:
         lowest = np.sort(np.fmax(f - slack, 0.0)[~np.isnan(f)])
-    if top_k < 1 or lowest.size == 0:
-        return []
-    floor = lowest[-min(top_k, lowest.size)]
-    results = [
-        test_pair(m.values[i], m.values[j], lag, m.gene_ids[i], m.gene_ids[j])
-        for i, j in zip(*np.nonzero(f + slack >= floor))
-    ]
-    return rank_results(results, top_k)
+        if top_k < 1 or lowest.size == 0:
+            return np.zeros(f.shape, dtype=bool)
+        return f + slack >= lowest[-min(top_k, lowest.size)]
+
+    return rank_results(list(tested_pairs(m, top, lag).values()), top_k)

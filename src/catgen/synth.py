@@ -1,11 +1,13 @@
 """Paired synthetic ST / SC matrices with planted Granger-causal gene chains.
 
 The observation index plays the role of pseudo-time. Genes without incoming
-edges are unit-norm mixtures of a small number of shared white-noise factors
-plus idiosyncratic noise, which gives the matrix the low-rank co-expression
-structure real data has and makes held-out genes predictable from the genes
-seen in training. Edge targets are coefficient-weighted lagged copies of
-their drivers plus noise. The SC matrix takes the first n_cells pseudo-time
+edges (roots) are unit-norm mixtures of a small number of shared white-noise
+factors plus idiosyncratic noise, which gives the matrix the low-rank
+co-expression structure real data has and makes held-out genes predictable
+from the genes seen in training. Edge targets are coefficient-weighted lagged
+copies of their drivers plus noise. ``generate`` reads the planted graph once,
+as a map from each edge target to its edges: it fills every root, then each
+target after its drivers. The SC matrix takes the first n_cells pseudo-time
 points of every series and the ST matrix the first n_spots, so a gene's
 spatial profile is a prefix of its single-cell profile and cross-modal
 prediction is learnable by construction. Values are shifted nonnegative per
@@ -72,6 +74,13 @@ class SynthConfig:
             raise ShapeMismatchError("dropout_rate must be in [0, 1)")
         if self.n_factors < 1:
             raise ShapeMismatchError("need at least one shared factor")
+        length = max(self.n_spots, self.n_cells)
+        shapes = ((self.n_genes, length), (self.n_factors, length), (self.n_genes, self.n_factors))
+        for rows, cols in shapes:
+            if rows * cols * 8 > np.iinfo(np.intp).max:  # float64 bytes beyond numpy's index range
+                raise ShapeMismatchError(
+                    f"a {rows} x {cols} matrix is beyond the largest array numpy can index"
+                )
         for edge in self.chain_edges:
             for g in (edge.driver, edge.target):
                 if not 0 <= g < self.n_genes:
@@ -85,17 +94,6 @@ def chain_config(chain_length: int = 6, coeff: float = 0.9, lag: int = 1, **fiel
     return SynthConfig(chain_edges=edges, **fields)
 
 
-def _topological_order(n_genes: int, edges: list[ChainEdge]) -> list[int]:
-    # every gene after its drivers; generate's output does not depend on which such order
-    drivers: dict[int, list[int]] = {g: [] for g in range(n_genes)}
-    for e in edges:
-        drivers[e.target].append(e.driver)
-    try:
-        return list(graphlib.TopologicalSorter(drivers).static_order())
-    except graphlib.CycleError:
-        raise ShapeMismatchError("chain_edges contain a cycle") from None
-
-
 def gene_name(i: int, n_genes: int) -> str:
     width = max(3, len(str(n_genes - 1)))
     return f"{GENE_PREFIX}{i:0{width}d}"
@@ -105,27 +103,27 @@ def generate(
     cfg: SynthConfig,
 ) -> tuple[ExpressionMatrix, ExpressionMatrix, list[tuple[str, str, float, int]]]:
     """Generate (ST matrix, SC matrix, planted edges with gene names)."""
-    order = _topological_order(cfg.n_genes, cfg.chain_edges)
+    incoming: dict[int, list[ChainEdge]] = {}  # each edge target's edges, in config order
+    sorter = graphlib.TopologicalSorter()
+    for e in cfg.chain_edges:
+        incoming.setdefault(e.target, []).append(e)
+        sorter.add(e.target, e.driver)
+    try:
+        targets = [g for g in sorter.static_order() if g in incoming]
+    except graphlib.CycleError:
+        raise ShapeMismatchError("chain_edges contain a cycle") from None
     rng = np.random.default_rng(cfg.seed)
     length = max(cfg.n_spots, cfg.n_cells)
     factors = rng.standard_normal((cfg.n_factors, length))
     loadings = rng.standard_normal((cfg.n_genes, cfg.n_factors))
     loadings /= np.linalg.norm(loadings, axis=1, keepdims=True)
-    base = rng.standard_normal((cfg.n_genes, length))
-
-    incoming: dict[int, list[ChainEdge]] = {g: [] for g in range(cfg.n_genes)}
-    for e in cfg.chain_edges:
-        incoming[e.target].append(e)
-
-    series = np.zeros((cfg.n_genes, length))
-    for g in order:
-        if not incoming[g]:
-            series[g] = loadings[g] @ factors + cfg.noise_sd * base[g]
-            continue
-        signal = cfg.noise_sd * base[g]
+    series = cfg.noise_sd * rng.standard_normal((cfg.n_genes, length))
+    for g in range(cfg.n_genes):
+        if g not in incoming:  # row by row: one batched loadings @ factors differs in the last bit
+            series[g] += loadings[g] @ factors
+    for g in targets:  # each after its drivers
         for e in incoming[g]:
-            signal[e.lag :] += e.coeff * series[e.driver][: length - e.lag]
-        series[g] = signal
+            series[g, e.lag :] += e.coeff * series[e.driver, : length - e.lag]
 
     genes = [gene_name(i, cfg.n_genes) for i in range(cfg.n_genes)]
 

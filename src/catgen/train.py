@@ -33,7 +33,7 @@ from .diffusion import (
 )
 from .errors import NumericFailureError, ShapeMismatchError
 from .generate import generate_genes
-from .granger import f_statistics, test_pair
+from .granger import tested_pairs
 from .metrics import pcc, score_rows
 from .model import (
     CatParameters,
@@ -292,16 +292,17 @@ class FitResult:
 
 def _granger_gene_order(st: ExpressionMatrix, genes: list[int]) -> list[int]:
     """Order genes by descending outgoing causal strength: each driver's
-    largest ``test_pair`` F over its targets. The batched ``f_statistics``
-    only choose which targets to test, those whose F, within its slack, could
-    be the driver's largest, so the order is the exhaustive loop's."""
-    values = st.values[genes]
-    f, slack = f_statistics(values, lag=1)
-    with np.errstate(invalid="ignore"):
-        best = np.fmax(f - slack, 0.0).max(axis=1)  # a degenerate pair's bound is 0
+    largest ``test_pair`` F over its targets, degenerate pairs skipped. The
+    batched ``f_statistics`` only choose which targets to test, those whose F,
+    within its slack, could be the driver's largest, so the order is the
+    exhaustive loop's."""
+
+    def best(f: np.ndarray, slack: np.ndarray) -> np.ndarray:  # a degenerate pair's bound is 0
+        return f + slack >= np.fmax(f - slack, 0.0).max(axis=1)[:, None]
+
     strength = dict.fromkeys(genes, 0.0)
-    for i, j in zip(*np.nonzero(f + slack >= best[:, None])):
-        strength[genes[i]] = max(strength[genes[i]], test_pair(values[i], values[j], lag=1).f_stat)
+    for (i, _), result in tested_pairs(st.subset_genes(genes), best, lag=1).items():
+        strength[genes[i]] = max(strength[genes[i]], result.f_stat)
     return sorted(genes, key=lambda g: (-strength[g], g))
 
 

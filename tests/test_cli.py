@@ -11,12 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catgen import cli, data, granger, train
+from catgen import cli, config, data, granger, train
 from catgen import generate as generate_module
 from catgen import mask as mask_module
 from catgen import model as model_module
 from catgen.arplan import ARStepPlan
-from catgen.config import REGISTRY
+from catgen.config import REGISTRY, train_config
 from catgen.data import DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError
@@ -516,8 +516,10 @@ def test_a_bad_train_setting_is_a_data_error_before_any_input_is_read(
          "a schedule of T=100000000000000000000 steps is beyond the largest array numpy can index"),
         (["mask", "--c", "10000000000", "--sz", "1,1", "--out", "m.csv"],
          "a mask of side 10000000003 is beyond the largest array numpy can index"),
+        (["synth", "--out-dir", "out", "--set", "synth.n_genes=100000000000000000000"],
+         "a 100000000000000000000 x 64 matrix is beyond the largest array numpy can index"),
     ],
-    ids=["train-T", "mask-c", "train-T-index-range", "mask-c-index-range"],
+    ids=["train-T", "mask-c", "train-T-index-range", "mask-c-index-range", "synth-genes-index-range"],
 )
 def test_a_size_beyond_the_address_space_is_an_error_writing_nothing(
     tmp_path, monkeypatch, capsys, argv, message
@@ -999,6 +1001,23 @@ def test_fewer_than_one_top_pair_is_a_usage_error_before_any_screen(
     assert calls == [] and not out.exists()
 
 
+def test_granger_skips_a_pair_whose_normal_equations_are_singular(tmp_path, caplog):
+    """Two rows that are the same series near 1e3 leave ``test_pair``'s
+    normal equations singular: the screen skips that pair both ways."""
+    large = 1e3 + np.random.default_rng(0).uniform(0.0, 5.0, 20)
+    values = np.vstack([large, large, np.random.default_rng(1).uniform(0.0, 5.0, 20)])
+    save_matrix(ExpressionMatrix(["A", "B", "C"], [f"s{j}" for j in range(20)], values),
+                tmp_path / "m.csv")
+    with caplog.at_level("WARNING"):
+        assert cli.main([
+            "granger", "--matrix", str(tmp_path / "m.csv"), "--top-k", "6",
+            "--out", str(tmp_path / "g.csv"),
+        ]) == 0
+    pairs = [line.split(",")[:2] for line in (tmp_path / "g.csv").read_text().splitlines()[1:]]
+    assert sorted(pairs) == [["A", "C"], ["B", "C"], ["C", "A"], ["C", "B"]]
+    assert "skipped 2 gene pairs with singular normal equations" in caplog.text
+
+
 def test_granger_takes_no_seed(trained):
     out = trained / "granger_seed.csv"
     assert cli.main([
@@ -1034,6 +1053,29 @@ def test_ablate_reruns_identically_and_rejects_unknown_axis(trained):
     assert second.read_bytes() == first.read_bytes()
     assert _ablate(trained, bad, axis="bogus") == 1
     assert not bad.exists()
+
+
+def test_ablate_builds_each_settings_configs_once_before_reading_any_input(
+    tmp_path, monkeypatch, capsys
+):
+    """A huge --seeds with a missing --st exits 2 at once: the seeds are drawn
+    only as rows are fit, not as a config per seed before the input is read."""
+    built = []
+
+    def counted_train_config(values, seed):
+        built.append(seed)
+        assert len(built) <= 4, "a TrainConfig per seed"
+        return train_config(values, seed)
+
+    monkeypatch.setattr(config, "train_config", counted_train_config)
+    (tmp_path / "sc.csv").write_text("gene_id,c0\nG0,1.0\n")
+    assert cli.main([
+        "ablate", "--axis", "decay", "--st", str(tmp_path / "absent.csv"),
+        "--sc", str(tmp_path / "sc.csv"), "--out", str(tmp_path / "a.csv"),
+        "--seeds", "1000000000000", *SEED,
+    ]) == 2
+    assert str(tmp_path / "absent.csv") in capsys.readouterr().err
+    assert built == [3, 3, 3, 3] and not (tmp_path / "a.csv").exists()
 
 
 @pytest.mark.parametrize("seeds", ["0", "-1"])

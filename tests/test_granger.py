@@ -66,6 +66,9 @@ def test_degenerate_inputs():
         granger_test_pair(x, np.ones(50), lag=1)
     with pytest.raises(DegenerateInputError):
         granger_test_pair(np.zeros(50), x, lag=1)
+    large = 1e3 + np.random.default_rng(0).uniform(0.0, 5.0, 20)
+    with pytest.raises(DegenerateInputError, match="singular normal equations"):
+        granger_test_pair(large, large.copy(), lag=1)
 
 
 def test_too_short_series():
@@ -187,10 +190,13 @@ def test_screen_needs_two_genes():
 @st.composite
 def expression(draw):
     """A matrix and a lag. Each row is pure noise, driven at lag 1 by the row
-    before it, constant, or an exact copy of an earlier row (ties in F)."""
+    before it, constant, or an exact copy of an earlier row (ties in F); a
+    large copy is a row near 1e3 and its copy, whose normal equations the
+    absolute ``_RIDGE`` leaves singular."""
     lag = draw(st.integers(1, 2))
     n_spots = draw(st.integers(3 * lag + 3, 20))
-    kinds = draw(st.lists(st.sampled_from(["noise", "driven", "constant", "copy"]), min_size=2, max_size=7))
+    kinds = ["noise", "driven", "constant", "copy", "large copy"]
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=7))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     rows = []
     for kind in kinds:
@@ -201,6 +207,9 @@ def expression(draw):
             row[:] = row[0]
         elif kind == "copy" and rows:
             row = rows[rng.integers(len(rows))].copy()
+        elif kind == "large copy":
+            rows.append(row + 1e3)
+            row = rows[-1].copy()
         rows.append(row)
     genes = [f"g{i}" for i in range(len(rows))]
     return ExpressionMatrix(genes, [f"s{j}" for j in range(n_spots)], np.array(rows)), lag
@@ -234,8 +243,11 @@ def test_granger_gene_order_is_the_exhaustive_order(case, data):
     strength = dict.fromkeys(genes, 0.0)  # reference: the pairwise loop, written out
     for gi in genes:
         for gj in genes:
-            if gi != gj and np.ptp(m.values[gi]) > 0 and np.ptp(m.values[gj]) > 0:
-                f_stat = granger_test_pair(m.values[gi], m.values[gj], lag=1).f_stat
+            if gi != gj:
+                try:
+                    f_stat = granger_test_pair(m.values[gi], m.values[gj], lag=1).f_stat
+                except DegenerateInputError:
+                    continue
                 strength[gi] = max(strength[gi], f_stat)
     assert _granger_gene_order(m, genes) == sorted(genes, key=lambda g: (-strength[g], g))
 
@@ -246,10 +258,11 @@ def test_f_statistics_lie_within_their_slack_of_test_pair(case):
     m, lag = case
     f, slack = f_statistics(m.values, lag)
     tested = {(r.driver, r.target) for r in exhaustive(m, lag)}
+    constant = np.ptp(m.values, axis=1) == 0.0
     for i, driver in enumerate(m.gene_ids):
         for j, target in enumerate(m.gene_ids):
-            assert np.isnan(f[i, j]) == ((driver, target) not in tested)
-            if not np.isnan(f[i, j]):
+            assert np.isnan(f[i, j]) == (i == j or constant[i] or constant[j])
+            if (driver, target) in tested:
                 exact = granger_test_pair(m.values[i], m.values[j], lag).f_stat
                 assert abs(f[i, j] - exact) <= slack[i, j]
 
@@ -288,3 +301,29 @@ def test_a_target_whose_stacked_solve_is_singular_is_left_to_test_pair(monkeypat
     stacks.clear()
     assert screen(m, 1, 1) == rank_results(exhaustive(m, 1), 1)
     assert {("b", "a"), ("c", "a"), ("d", "a")} <= set(calls)
+
+
+def test_a_pair_test_pair_finds_singular_is_skipped_and_the_choice_redone(monkeypatch, caplog):
+    """A skipped pair may have been chosen on its batched F alone: the pairs
+    behind it are then chosen and tested, as the exhaustive loop would."""
+    values = np.random.default_rng(7).uniform(0.0, 5.0, (5, 16))
+    values[1, 1:] = 0.9 * values[0, :-1] + 0.1 * values[1, 1:]  # a0 -> a1 is the strongest pair
+    m = ExpressionMatrix([f"a{i}" for i in range(5)], [f"s{j}" for j in range(16)], values)
+    test_pair = granger.test_pair
+
+    def singular_strongest(x, y, *args):
+        if np.array_equal(x, values[0]) and np.array_equal(y, values[1]):
+            raise DegenerateInputError("singular normal equations")
+        return test_pair(x, y, *args)
+
+    monkeypatch.setattr(granger, "test_pair", singular_strongest)
+    strongest, *reference = rank_results(exhaustive(m, 1), 20)
+    assert (strongest.driver, strongest.target) == ("a0", "a1")
+    with caplog.at_level("WARNING"):
+        assert screen(m, 1, 2) == rank_results(reference, 2)
+    assert "skipped 1 gene pairs with singular normal equations" in caplog.text
+    strength = dict.fromkeys(range(5), 0.0)
+    for r in reference:
+        strength[int(r.driver[1:])] = max(strength[int(r.driver[1:])], r.f_stat)
+    genes = list(range(5))
+    assert _granger_gene_order(m, genes) == sorted(genes, key=lambda g: (-strength[g], g))

@@ -1,10 +1,15 @@
 """Synthetic data generator: planted structure, dropout, determinism."""
 
+import graphlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from catgen.data import ExpressionMatrix
 from catgen.errors import ShapeMismatchError
-from catgen.synth import ChainEdge, SynthConfig, chain_config, generate
+from catgen.synth import ChainEdge, SynthConfig, chain_config, gene_name, generate
 
 
 def test_lagged_correlation_of_planted_edge():
@@ -78,6 +83,13 @@ def test_config_validation():
         SynthConfig(chain_edges=[ChainEdge(0, 99, 0.5)])
     with pytest.raises(ShapeMismatchError):
         ChainEdge(0, 1, 0.5, lag=0)
+    # each float64 array generate makes must fit numpy's index range
+    with pytest.raises(ShapeMismatchError, match="a 100000000000000000000 x 64 matrix is beyond"):
+        SynthConfig(n_genes=10**20)
+    with pytest.raises(ShapeMismatchError, match="a 100000000000000000000 x 64 matrix is beyond"):
+        SynthConfig(n_factors=10**20)
+    with pytest.raises(ShapeMismatchError, match="a 32 x 100000000000000000000 matrix is beyond"):
+        SynthConfig(n_cells=10**20)
 
 
 def test_edge_text_round_trip():
@@ -92,3 +104,75 @@ def test_values_nonnegative_and_finite():
     for m in (st, sc):
         assert (m.values >= 0).all()
         assert np.isfinite(m.values).all()
+
+
+def per_gene_generate(cfg):
+    """``generate`` as a per-gene loop: every gene in a topological order of
+    all genes, a root as its factor mixture plus noise, a target as noise plus
+    its lagged drivers."""
+    drivers = {g: [] for g in range(cfg.n_genes)}
+    incoming = {g: [] for g in range(cfg.n_genes)}
+    for e in cfg.chain_edges:
+        drivers[e.target].append(e.driver)
+        incoming[e.target].append(e)
+    order = graphlib.TopologicalSorter(drivers).static_order()
+    rng = np.random.default_rng(cfg.seed)
+    length = max(cfg.n_spots, cfg.n_cells)
+    factors = rng.standard_normal((cfg.n_factors, length))
+    loadings = rng.standard_normal((cfg.n_genes, cfg.n_factors))
+    loadings /= np.linalg.norm(loadings, axis=1, keepdims=True)
+    base = rng.standard_normal((cfg.n_genes, length))
+    series = np.zeros((cfg.n_genes, length))
+    for g in order:
+        if not incoming[g]:
+            series[g] = loadings[g] @ factors + cfg.noise_sd * base[g]
+            continue
+        signal = cfg.noise_sd * base[g]
+        for e in incoming[g]:
+            signal[e.lag :] += e.coeff * series[e.driver][: length - e.lag]
+        series[g] = signal
+    genes = [gene_name(i, cfg.n_genes) for i in range(cfg.n_genes)]
+
+    def finish(values, obs_prefix):
+        shifted = values - min(values.min(), 0.0)
+        if cfg.dropout_rate > 0.0:
+            shifted = np.where(rng.random(shifted.shape) < cfg.dropout_rate, 0.0, shifted)
+        obs = [f"{obs_prefix}{j}" for j in range(values.shape[1])]
+        return ExpressionMatrix(gene_ids=list(genes), obs_ids=obs, values=shifted)
+
+    st_matrix = finish(series[:, : cfg.n_spots].copy(), "spot")
+    sc_matrix = finish(series[:, : cfg.n_cells].copy(), "cell")
+    return st_matrix, sc_matrix, [(genes[e.driver], genes[e.target], e.coeff, e.lag) for e in cfg.chain_edges]
+
+
+@st.composite
+def lagged_dags(draw):
+    """A config whose edges form a random DAG: several drivers per target,
+    lags 1-3, genes on no edge, and genes ranked by a random permutation, so a
+    target's index may sit below its drivers'."""
+    n_genes = draw(st.integers(1, 12))
+    rank = draw(st.permutations(range(n_genes)))
+    edges = []
+    for a, b, coeff, lag in draw(st.lists(
+        st.tuples(st.integers(0, n_genes - 1), st.integers(0, n_genes - 1),
+                  st.floats(-2.0, 2.0), st.integers(1, 3)),
+        max_size=24,
+    )):
+        if a != b:
+            edges.append(ChainEdge(rank[min(a, b)], rank[max(a, b)], coeff, lag))
+    return SynthConfig(
+        n_genes=n_genes, n_spots=draw(st.integers(1, 10)), n_cells=draw(st.integers(1, 24)),
+        chain_edges=edges, noise_sd=draw(st.floats(0.0, 1.0)),
+        dropout_rate=draw(st.sampled_from([0.0, 0.3])), n_factors=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=lagged_dags())
+def test_generate_is_the_per_gene_loop_bitwise(cfg):
+    got, want = generate(cfg), per_gene_generate(cfg)
+    for g, w in zip(got[:2], want[:2]):
+        assert (g.gene_ids, g.obs_ids) == (w.gene_ids, w.obs_ids)
+        assert g.values.tobytes() == w.values.tobytes()
+    assert got[2] == want[2]
