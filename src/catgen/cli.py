@@ -11,6 +11,8 @@ inputs.
 Commands parse their arguments, call the library and write every table
 through ``data.write_csv``; only ``mask`` writes its own header-less CSV, and
 takes the noisy-token count S as the sum of its --sz split sizes.
+``ablate --grid KEY=V1,V2,...`` types and checks each setting as ``--set`` does;
+it prepares the data once, so only a key of ``config.FIT_KEYS`` can vary.
 """
 
 from __future__ import annotations
@@ -115,9 +117,10 @@ def build_parser() -> _Parser:
                    help="write pairwise gene distance matrix of the predictions")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="sweep one configuration axis")
+    p = sub.add_parser("ablate", help="fit once per setting of one model or training key")
     common(p)
-    p.add_argument("--axis", required=True, choices=tuple(_ABLATION_AXES))
+    p.add_argument("--grid", required=True, metavar="KEY=V1,V2,...",
+                   help="a model.*, train.*, diffusion.* or ar.decay key, and its settings")
     p.add_argument("--st", required=True)
     p.add_argument("--sc", required=True)
     p.add_argument("--out", required=True)
@@ -360,27 +363,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_ABLATION_AXES = {
-    "decay": ("ar.decay", [0.7, 0.8, 0.9, 1.0]),
-    "blocks": ("model.blocks", [1, 2, 3, 4, 5]),
-    "sampling": ("diffusion.sampling", ["full", "frac:2", "frac:3", "frac:4", "frac:20"]),
-}
-
-
 def cmd_ablate(args) -> int:
-    from .config import model_config, train_config
+    from .config import FIT_KEYS, apply_overrides, model_config, train_config
     from .data import split_genes, write_csv
     from .train import fit
 
     _require_out_dirs(args.out, inputs=(args.st, args.sc, args.config))
     base_seed = _resolve_seed(args)
     values = _load_values(args)
-    key, settings = _ABLATION_AXES[args.axis]
-    trials = []  # every setting is checked once, before any input is read
-    for setting in settings:
-        trial = {**values, key: setting}
-        # p and q come from the data; rows() replaces the seed
-        trials.append((setting, model_config(trial, p=1, q=1), train_config(trial, base_seed)))
+    key, _, texts = map(str.strip, args.grid.partition("="))
+    if "" in map(str.strip, texts.split(",")):  # so is a spec with no "="
+        raise ConfigError(f"--grid {args.grid!r} is not of the form key=value,value,...")
+    trials = []  # each setting is checked once, before any input is read; p, q and seed come later
+    for text in texts.split(","):
+        trial = apply_overrides(dict(values), [f"{key}={text}"])
+        if key not in FIT_KEYS:  # the data is prepared once, before the first fit
+            raise ConfigError(f"ablate cannot vary {key}: it sets no model or training option")
+        trials.append((trial[key], model_config(trial, p=1, q=1), train_config(trial, base_seed)))
     pair, _ = _prepare_from_files(args.st, args.sc, values)
 
     def rows():  # each row is written as soon as its fit ends
@@ -389,11 +388,10 @@ def cmd_ablate(args) -> int:
             for seed in range(base_seed, base_seed + args.seeds):
                 split = split_genes(range(len(pair.genes)), seed)
                 result = fit(pair.st, pair.sc, split, mcfg, dataclasses.replace(cfg, seed=seed))
-                log.info("ablate %s=%s seed=%d -> %.4f", args.axis, setting, seed,
-                         result.best_val_pcc)
-                yield [args.axis, setting, seed, result.best_val_pcc, result.best_epoch]
+                log.info("ablate %s=%s seed=%d -> %.4f", key, setting, seed, result.best_val_pcc)
+                yield [key, setting, seed, result.best_val_pcc, result.best_epoch]
 
-    write_csv(args.out, ["axis", "setting", "seed", "best_val_pcc", "best_epoch"], rows())
+    write_csv(args.out, ["key", "setting", "seed", "best_val_pcc", "best_epoch"], rows())
     return 0
 
 
@@ -413,7 +411,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # OSError: a file that cannot be opened or written; MemoryError: a size no machine can hold
     except (CatgenError, OSError, MemoryError) as exc:
-        print(f"catgen: error: {exc}", file=sys.stderr)
+        print(f"catgen: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

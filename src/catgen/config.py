@@ -85,6 +85,7 @@ REGISTRY: dict[str, type] = {
     for key, (_, kind) in keys.items()
 }
 REGISTRY["synth.chain_edges"] = str  # comma-separated ChainEdge texts
+FIT_KEYS = frozenset({*_MODEL_KEYS, *_TRAIN_KEYS})  # the keys model_config and train_config read
 
 
 def _convert(key: str, raw: str):

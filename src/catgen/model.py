@@ -45,7 +45,7 @@ import os
 import struct
 import tempfile
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -167,8 +167,18 @@ class CatParameters:
 
     @classmethod
     def empty(cls, cfg: ModelConfig) -> "CatParameters":
-        """Parameters over a new buffer whose values are not yet set."""
-        return cls.from_flat(cfg, np.empty(max(stop for _, stop in _bounds(cfg).values())))
+        """Parameters over a new buffer whose values are not yet set. The buffer
+        is sized from the 1- and 2-block layouts and allocated first, so a block
+        count no machine can hold fails before any per-block structure is built."""
+        one, two = (
+            sum(map(math.prod, parameter_shapes(replace(cfg, blocks=n)).values())) for n in (1, 2)
+        )
+        size = one + (cfg.blocks - 1) * (two - one)
+        if size * 8 > np.iinfo(np.intp).max:  # float64 entries beyond numpy's index range
+            raise ShapeMismatchError(
+                f"{cfg.blocks} blocks of width {cfg.d} are beyond the largest array numpy can index"
+            )
+        return cls.from_flat(cfg, np.empty(size))
 
     def __getitem__(self, name: str) -> Operand:
         return self.tensors[name]

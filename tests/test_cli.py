@@ -1,6 +1,7 @@
 """The command-line entry point end to end: synth, train, generate, eval,
 mask, granger, ablate, exit codes and byte-identical reruns."""
 
+import dataclasses
 import math
 import os
 import struct
@@ -16,7 +17,7 @@ from catgen import generate as generate_module
 from catgen import mask as mask_module
 from catgen import model as model_module
 from catgen.arplan import ARStepPlan
-from catgen.config import REGISTRY, train_config
+from catgen.config import train_config
 from catgen.data import DataOptions, ExpressionMatrix, load_matrix, normalize, save_matrix
 from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError
@@ -39,6 +40,7 @@ TINY_TRAIN = [
     "--set", "model.d=8", "--set", "model.heads=2", "--set", "model.blocks=1",
     "--set", "diffusion.T=20",
 ]
+DECAY = "ar.decay=0.7,0.8,0.9,1.0"  # the ablate grid of ar_decay settings
 
 
 @pytest.fixture(scope="module")
@@ -533,6 +535,36 @@ def test_a_size_beyond_the_address_space_is_an_error_writing_nothing(
     assert captured.out == "" and reads == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ("1000000000000", "Unable to allocate"),  # 6.2 PiB of parameters at d=8
+        ("100000000000000000000",
+         "100000000000000000000 blocks of width 8 are beyond the largest array numpy can index"),
+    ],
+    ids=["blocks", "blocks-index-range"],
+)
+def test_a_block_count_beyond_the_address_space_is_an_error_writing_nothing(
+    trained, tmp_path, capsys, blocks, message
+):
+    argv = [
+        "train", "--st", str(trained / "st.csv"), "--sc", str(trained / "sc.csv"),
+        "--out", str(tmp_path / "m.catg"), *SEED, *TINY_TRAIN, "--set", f"model.blocks={blocks}",
+    ]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"catgen: error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_error_without_text_is_reported_by_its_type(monkeypatch, capsys):
+    def fails(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_mask", fails)
+    assert cli.main(["mask", "--c", "1", "--sz", "1"]) == 2
+    assert capsys.readouterr().err == "catgen: error: MemoryError\n"
+
+
 @pytest.fixture(scope="module")
 def latin1(tmp_path_factory):
     """A one-gene matrix, and a gene list, that is Latin-1 text, not UTF-8."""
@@ -547,7 +579,7 @@ def latin1(tmp_path_factory):
         (["train", "--st", "{st}", "--out", "{out}"], 1),  # no --sc
         (["eval", "--pred", "{st}", "--out", "{out}"], 1),  # no --truth
         (["mask", "--sz", "2,2,3", "--out", "{out}"], 1),  # no --c
-        (["ablate", "--axis", "decay", "--st", "{absent}", "--sc", "{sc}", "--out", "{out}"], 2),
+        (["ablate", "--grid", DECAY, "--st", "{absent}", "--sc", "{sc}", "--out", "{out}"], 2),
         ([
             "train", "--st", "{latin1}", "--sc", "{sc}", "--out", "{out}",
             "--save-prepared", "{prep}",
@@ -836,7 +868,7 @@ _MASK = ["mask", "--c", "2", "--sz", "2,2,3", "--out", "m.csv", "--pbm", "m.pbm"
         (["granger", "--matrix", "st.csv", "--out", "g.csv"], "--out"),
         (_MASK, "--out"),
         (_MASK, "--pbm"),
-        (["ablate", "--axis", "decay", "--st", "st.csv", "--sc", "sc.csv", "--out", "a.csv"], "--out"),
+        (["ablate", "--grid", DECAY, "--st", "st.csv", "--sc", "sc.csv", "--out", "a.csv"], "--out"),
     ],
     ids=[
         "train-out", "train-history", "train-default-history", "generate-out", "generate-embeddings",
@@ -900,7 +932,7 @@ _COLLISIONS = {  # argv, the path refused, the path it collides with
     "eval-out-truth": ("eval --pred p.csv --truth t.csv --out ./t.csv", "./t.csv", "t.csv"),
     "granger-out-matrix": ("granger --matrix st.csv --out ./st.csv", "./st.csv", "st.csv"),
     "mask-out-pbm": ("mask --c 2 --sz 2,2,3 --out m.csv --pbm ./m.csv", "./m.csv", "m.csv"),
-    "ablate-out-sc": ("ablate --axis decay --st st.csv --sc sc.csv --out ./sc.csv", "./sc.csv", "sc.csv"),
+    "ablate-out-sc": (f"ablate --grid {DECAY} --st st.csv --sc sc.csv --out ./sc.csv", "./sc.csv", "sc.csv"),
 }
 
 
@@ -1026,33 +1058,50 @@ def test_granger_takes_no_seed(trained):
     assert not out.exists()
 
 
-def _ablate(root, out, axis="decay"):
+def _ablate(root, out, grid=DECAY):
     return cli.main([
-        "ablate", "--axis", axis, "--st", str(root / "st.csv"), "--sc", str(root / "sc.csv"),
+        "ablate", "--grid", grid, "--st", str(root / "st.csv"), "--sc", str(root / "sc.csv"),
         "--out", str(out), *SEED, *TINY_TRAIN,
     ])
 
 
-def test_every_ablation_axis_sets_a_registered_key_with_its_type():
-    """``ablate`` passes its settings to the config unconverted, and a key the
-    registry lacks would be dropped, so each axis is checked here."""
-    for key, settings in cli._ABLATION_AXES.values():
-        assert key in REGISTRY
-        assert all(type(setting) is REGISTRY[key] for setting in settings), key
-
-
-def test_ablate_reruns_identically_and_rejects_unknown_axis(trained):
+def test_ablate_reruns_identically_and_rejects_unknown_key(trained, capsys):
     first, second, bad = (trained / f"ablate_{n}.csv" for n in ("first", "second", "bad"))
     assert _ablate(trained, first) == 0
     lines = first.read_text().splitlines()
-    assert lines[0] == "axis,setting,seed,best_val_pcc,best_epoch"
+    assert lines[0] == "key,setting,seed,best_val_pcc,best_epoch"
     assert [line.split(",")[:3] for line in lines[1:]] == [
-        ["decay", "0.7", "3"], ["decay", "0.8", "3"], ["decay", "0.9", "3"], ["decay", "1.0", "3"],
+        ["ar.decay", "0.7", "3"], ["ar.decay", "0.8", "3"], ["ar.decay", "0.9", "3"],
+        ["ar.decay", "1.0", "3"],
     ]
     assert _ablate(trained, second) == 0
     assert second.read_bytes() == first.read_bytes()
-    assert _ablate(trained, bad, axis="bogus") == 1
+    capsys.readouterr()
+    assert _ablate(trained, bad, grid="ar.bogus=1,2") == 2  # as --set ar.bogus=1 does
+    assert "catgen: error: unknown configuration key 'ar.bogus'" in capsys.readouterr().err
     assert not bad.exists()
+
+
+def test_a_grid_row_equals_fit_run_directly_with_that_setting(trained):
+    """Each row's score and epoch are bitwise those of ``fit`` given the
+    configs that ``--set`` builds for that setting: here a ``str`` key."""
+    out = trained / "ablate_gene_order.csv"
+    assert _ablate(trained, out, grid="train.gene_order=random,granger") == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [
+        ["train.gene_order", "random", "3"], ["train.gene_order", "granger", "3"],
+    ]
+    values = config.apply_overrides({}, TINY_TRAIN[1::2])
+    pair = data.prepare_pair(
+        load_matrix(trained / "st.csv"), load_matrix(trained / "sc.csv"),
+        **dataclasses.asdict(config.data_options(values)),
+    )
+    mcfg = config.model_config(values, p=pair.st.n_obs, q=pair.sc.n_obs)
+    split = data.split_genes(range(len(pair.genes)), 3)
+    for row in rows:
+        cfg = config.train_config({**values, "train.gene_order": row[1]}, 3)
+        result = train.fit(pair.st, pair.sc, split, mcfg, cfg)
+        assert row[3:] == [repr(result.best_val_pcc), str(result.best_epoch)]
 
 
 def test_ablate_builds_each_settings_configs_once_before_reading_any_input(
@@ -1070,7 +1119,7 @@ def test_ablate_builds_each_settings_configs_once_before_reading_any_input(
     monkeypatch.setattr(config, "train_config", counted_train_config)
     (tmp_path / "sc.csv").write_text("gene_id,c0\nG0,1.0\n")
     assert cli.main([
-        "ablate", "--axis", "decay", "--st", str(tmp_path / "absent.csv"),
+        "ablate", "--grid", DECAY, "--st", str(tmp_path / "absent.csv"),
         "--sc", str(tmp_path / "sc.csv"), "--out", str(tmp_path / "a.csv"),
         "--seeds", "1000000000000", *SEED,
     ]) == 2
@@ -1086,7 +1135,7 @@ def test_fewer_than_one_seed_per_setting_is_a_usage_error_before_any_fit(
     monkeypatch.setattr(train, "fit", lambda *args, **kwargs: calls.append(1))
     out = trained / "ablate_seeds.csv"
     argv = [
-        "ablate", "--axis", "decay", "--st", str(trained / "st.csv"),
+        "ablate", "--grid", DECAY, "--st", str(trained / "st.csv"),
         "--sc", str(trained / "sc.csv"), "--out", str(out), f"--seeds={seeds}", *SEED, *TINY_TRAIN,
     ]
     assert cli.main(argv) == 1
@@ -1095,20 +1144,28 @@ def test_fewer_than_one_seed_per_setting_is_a_usage_error_before_any_fit(
 
 
 @pytest.mark.parametrize(
-    "axis, overrides, out, message",
+    "grid, overrides, out, message",
     [
-        ("decay", [], "nodir/a.csv", "cannot write"),
-        ("decay", ["train.lr=nan"], "a.csv", "lr, recon_lr and grad_clip must be finite"),
+        (DECAY, [], "nodir/a.csv", "cannot write"),
+        (DECAY, ["train.lr=nan"], "a.csv", "lr, recon_lr and grad_clip must be finite"),
         # full, frac:2 and frac:3 fit T=3; the fourth trial's frac:4 does not
-        ("sampling", ["diffusion.T=3", "train.val_sampling=full"], "a.csv",
-         "fractional n=4 outside [1, T=3]"),
-        ("decay", ["model.heads=3"], "a.csv", "d=64 not divisible by heads=3"),
-        ("decay", ["data.hvg_fraction=0"], "a.csv", "top_fraction must be in (0, 1], got 0.0"),
-        ("decay", ["diffusion.beta_end=1.5"], "a.csv", "invalid beta range [0.0001, 1.5]"),
+        ("diffusion.sampling=full,frac:2,frac:3,frac:4", ["diffusion.T=3", "train.val_sampling=full"],
+         "a.csv", "fractional n=4 outside [1, T=3]"),
+        (DECAY, ["model.heads=3"], "a.csv", "d=64 not divisible by heads=3"),
+        (DECAY, ["data.hvg_fraction=0"], "a.csv", "top_fraction must be in (0, 1], got 0.0"),
+        (DECAY, ["diffusion.beta_end=1.5"], "a.csv", "invalid beta range [0.0001, 1.5]"),
+        ("model.blocks=1,two", [], "a.csv", "bad value for model.blocks: 'two'"),
+        ("ar.decay=0.7,,0.9", [], "a.csv", "'ar.decay=0.7,,0.9' is not of the form key=value,value"),
+        ("ar.decay", [], "a.csv", "'ar.decay' is not of the form key=value,value"),
+        ("data.hvg_fraction=0.5,1.0", [], "a.csv", "ablate cannot vary data.hvg_fraction"),
+        ("synth.n_genes=10,20", [], "a.csv", "ablate cannot vary synth.n_genes"),
     ],
-    ids=["missing-dir", "lr-nan", "sampling-beyond-T", "heads-3", "hvg-fraction-0", "beta-end-1.5"],
+    ids=[
+        "missing-dir", "lr-nan", "sampling-beyond-T", "heads-3", "hvg-fraction-0", "beta-end-1.5",
+        "untypable", "empty-setting", "no-equals", "data-key", "synth-key",
+    ],
 )
-def test_ablate_fails_before_any_work(tmp_path, monkeypatch, capsys, axis, overrides, out, message):
+def test_ablate_fails_before_any_work(tmp_path, monkeypatch, capsys, grid, overrides, out, message):
     reads = []
 
     def load_matrix(*args, **kwargs):
@@ -1117,10 +1174,11 @@ def test_ablate_fails_before_any_work(tmp_path, monkeypatch, capsys, axis, overr
 
     monkeypatch.setattr(data, "load_matrix", load_matrix)
     argv = [
-        "ablate", "--axis", axis, "--st", str(tmp_path / "st.csv"),
+        "ablate", "--grid", grid, "--st", str(tmp_path / "st.csv"),
         "--sc", str(tmp_path / "sc.csv"), "--out", str(tmp_path / out), *SEED,
         *(arg for override in overrides for arg in ("--set", override)),
     ]
     assert cli.main(argv) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("catgen: error: ") and message in err
     assert reads == [] and list(tmp_path.iterdir()) == []

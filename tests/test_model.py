@@ -16,6 +16,7 @@ from catgen.diffusion import linear_schedule
 from catgen.errors import DataFormatError, NotOnTapeError, ShapeMismatchError
 from catgen.mask import build_mask
 from catgen.model import (
+    CatParameters,
     ModelConfig,
     TokenBatch,
     cat_forward,
@@ -629,6 +630,23 @@ def test_a_detached_form_sees_later_writes_to_the_buffer(small):
     assert not np.array_equal(before.keys[1], fresh.keys[1])
     for kept, written in zip(stale.keys + stale.values, fresh.keys + fresh.values):
         assert np.array_equal(kept, written)
+
+
+def test_the_buffer_is_sized_before_any_layout_of_the_full_block_count(monkeypatch):
+    """``CatParameters.empty`` sizes its buffer from the 1- and 2-block
+    layouts: the full layout's size, and a block count no machine can hold
+    fails before a layout of that count is built."""
+    for blocks in (1, 2, 3, 5):
+        cfg = ModelConfig(p=6, q=9, d=8, heads=2, blocks=blocks)
+        shapes = parameter_shapes(cfg).values()
+        assert CatParameters.empty(cfg).flat.size == sum(math.prod(shape) for shape in shapes)
+    built = []
+    monkeypatch.setattr(model, "parameter_shapes", lambda cfg: built.append(cfg.blocks) or parameter_shapes(cfg))
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        CatParameters.empty(ModelConfig(p=6, q=9, d=8, heads=2, blocks=10**12))
+    with pytest.raises(ShapeMismatchError, match=f"{10**20} blocks of width 8 are beyond the largest array"):
+        CatParameters.empty(ModelConfig(p=6, q=9, d=8, heads=2, blocks=10**20))
+    assert set(built) == {1, 2}
 
 
 def test_trainable_sets_are_slices_of_the_buffer(small):
